@@ -14,12 +14,10 @@ from .core import (CostLedger, HolderParams, IvpProblem, TwoLevelMesh,
 from .estimators import (ArrayFamily, IndexedFamily, MeanEstimate, full_mean,
                          mc_mean, median_boost, median_rep_count,
                          quantum_sim_mean)
-from .taylor import (FieldPolynomial, PiecewiseTaylorApprox, TaylorPolynomial,
-                     field_taylor, flow_taylor_coeffs, integrate_field_along,
-                     scaled_residual, taylor_step)
+from .taylor import (PiecewiseTaylorApprox, fetch_jet, flow_coeffs_from_jet,
+                     integrate_field_along)
 from .solver import (SolveConfig, SolveResult, estimate_quant_error,
-                     estimate_rand_error, eval_approx, run_trials, solve,
-                     sup_error)
+                     estimate_rand_error, run_trials, solve, sup_error)
 from .scalar import (BisectionResult, ClassViolationError, bisection_solve,
                      estimate_H, inverse_class_params)
 from .planted import (BumpSpec, PlantedProblem, make_bump, make_planted,

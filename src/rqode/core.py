@@ -147,8 +147,7 @@ class IvpProblem:
     """
 
     def __init__(self, dim: int, f: Callable, derivs: Callable,
-                 eta, interval: tuple, flow_coeffs: Optional[Callable] = None,
-                 name: str = ""):
+                 eta, interval: tuple, name: str = ""):
         if dim < 1:
             raise ValueError("dim must be a positive integer")
         a, b = float(interval[0]), float(interval[1])
@@ -159,7 +158,6 @@ class IvpProblem:
         self.derivs = derivs
         self.eta = np.asarray(eta, dtype=float).reshape(self.dim)
         self.interval = (a, b)
-        self.flow_coeffs = flow_coeffs
         self.name = name
         self._check_construction()
 

@@ -18,6 +18,7 @@ exact binomial-tail computation, not an asymptotic formula.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,7 +170,7 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream,
         for t in range(reps):
             idx = rng.integers(0, family.size, size=sigma)
             draws[t] = family.access(idx).mean(axis=0)
-        value = np.median(draws, axis=0)
+        value = draws[0] if reps == 1 else np.median(draws, axis=0)
     return MeanEstimate(value=value, cost=_receipt(family.ledger, snap),
                         eps_target=float(eps1), success_prob=0.75)
 
@@ -213,7 +214,7 @@ def quantum_sim_mean(family: IndexedFamily, eps1: float, rng: RngStream,
             rng.uniform(-eps1, eps1, size=family.dim),
         )
         draws[t] = np.clip(truth + noise, -2.0 * M_c, 2.0 * M_c)
-    value = np.median(draws, axis=0)
+    value = draws[0] if reps == 1 else np.median(draws, axis=0)
     return MeanEstimate(value=value, cost=_receipt(family.ledger, snap),
                         eps_target=float(eps1), success_prob=0.75)
 
@@ -241,6 +242,7 @@ def median_boost(base: Callable[..., MeanEstimate], family: IndexedFamily,
                         eps_target=float(eps1), success_prob=success)
 
 
+@functools.lru_cache(maxsize=None)
 def binomial_fail_tail(k: int, fail_prob: Fraction = Fraction(1, 4)) -> Fraction:
     """P(Bin(k, fail_prob) >= ceil(k/2)), exactly."""
     t = math.ceil(k / 2)
@@ -273,6 +275,7 @@ def median_rep_count(n: int, delta: float, max_k: int = 2001) -> int:
     raise RuntimeError("no odd k <= %d meets the failure target %g" % (max_k, target))
 
 
+@functools.lru_cache(maxsize=None)
 def inner_rep_count(dim: int) -> int:
     """Per-component repetitions keeping the vector-norm success at 3/4.
 

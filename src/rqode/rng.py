@@ -8,6 +8,8 @@ which guarantees independent substreams without coordination.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -35,16 +37,18 @@ class RngStream:
     def seed_entropy(self):
         return self._seq.entropy
 
-    def _count(self, k: int):
+    def _count(self, size):
+        """Book the number of variates a draw of shape ``size`` returns."""
         if self.ledger is not None:
-            self.ledger.rng_draws += int(k)
+            self.ledger.rng_draws += 1 if size is None else (
+                math.prod(size) if isinstance(size, (tuple, list)) else int(size))
 
     def uniform(self, low=0.0, high=1.0, size=None):
-        self._count(int(np.prod(size)) if size is not None else 1)
+        self._count(size)
         return self._gen.uniform(low, high, size)
 
     def integers(self, low, high=None, size=None):
-        self._count(int(np.prod(size)) if size is not None else 1)
+        self._count(size)
         return self._gen.integers(low, high, size)
 
     def spawn(self, k: int) -> list["RngStream"]:

@@ -27,15 +27,14 @@ from .core import (CostLedger, HolderParams, IvpProblem, build_mesh,
 from .estimators import (IndexedFamily, full_mean, mc_mean, median_boost,
                          median_rep_count, quantum_sim_mean)
 from .rng import RngStream
-from .taylor import (FieldPolynomial, PiecewiseTaylorApprox, TaylorPolynomial,
-                     fetch_jet, flow_coeffs_from_jet, integrate_field_along)
+from .taylor import (PiecewiseTaylorApprox, fetch_jet, flow_coeffs_from_jet,
+                     integrate_field_along)
 
 __all__ = [
     "SolveConfig",
     "SolveResult",
     "ResidualFamily",
     "solve",
-    "eval_approx",
     "sup_error",
     "run_trials",
     "estimate_rand_error",
@@ -169,8 +168,8 @@ class SolveResult:
             rep["estimate_errors"] = self.est_errors.tolist()
         if include_pieces:
             rep["pieces"] = {
-                "basepoints": [p.basepoint for p in self.approx.pieces],
-                "coeffs": [p.coeffs.tolist() for p in self.approx.pieces],
+                "basepoints": self.approx.basepoints.tolist(),
+                "coeffs": self.approx.coeffs.tolist(),
             }
         return rep
 
@@ -206,35 +205,37 @@ def solve(problem: IvpProblem, params: HolderParams,
     bound = residual_bound(params, d)
     scale = cfg.m * mesh.hbar ** (params.order + 1.0)
 
+    # piece j of coarse step i starts at bases[i, j] and runs for steps[i, j];
+    # as in mesh.fine_point, the last piece of a cell closes exactly on x[i+1]
+    bases = mesh.x[:-1, None] + mesh.fine_offsets()[None, :]
+    steps = np.concatenate([bases[:, 1:], mesh.x[1:, None]], axis=1) - bases
+    coeffs = np.empty((cfg.n, cfg.m, order + 1, d))
+
     y = problem.eta.copy()
     y_grid = np.empty((cfg.n + 1, d))
     y_grid[0] = y
-    pieces_all = []
     step_receipts = []
     est_errors = [] if cfg.record_estimate_errors else None
 
     for i in range(cfg.n):
         snap = ledger.snapshot()
-        piece_coeffs = np.empty((cfg.m, order + 1, d))
-        jets_by_order = [np.empty((cfg.m, d) + (d,) * k) for k in range(params.r + 1)]
-        w_integral = np.zeros(d)
+        C = coeffs[i]
+        jets = [np.empty((cfg.m, d) + (d,) * k) for k in range(params.r + 1)]
         y_j = y
-        pieces_i = []
-        for j in range(cfg.m):
-            z_j = mesh.fine_point(i, j)
+        for j, tau in enumerate(steps[i].tolist()):
             jet = fetch_jet(problem, y_j, params.r, ledger)
-            coeffs = flow_coeffs_from_jet(y_j, jet, order)
-            piece = TaylorPolynomial(basepoint=z_j, coeffs=coeffs,
-                                     valid_to=mesh.fine_point(i, j + 1))
-            fieldp = FieldPolynomial(center=y_j, tensors=jet)
-            w_integral += integrate_field_along(fieldp, piece, z_j, piece.valid_to)
-            piece_coeffs[j] = coeffs
+            c = flow_coeffs_from_jet(y_j, jet, order, C[j])
             for k in range(params.r + 1):
-                jets_by_order[k][j] = jet[k]
-            pieces_i.append(piece)
-            y_j = piece.eval(piece.valid_to)
+                jets[k][j] = jet[k]
+            y_j = c[order]
+            for q in range(order - 1, -1, -1):
+                y_j = y_j * tau + c[q]
+        # a sequential sum in piece order (not pairwise) keeps y_grid equal,
+        # bit for bit, to a running sum along the chain
+        w_integral = np.cumsum(integrate_field_along(jets, C, steps[i]),
+                               axis=0)[-1]
 
-        family = ResidualFamily(problem, params, piece_coeffs, jets_by_order,
+        family = ResidualFamily(problem, params, C, jets,
                                 mesh.hbar, cfg.N, ledger, bound=bound)
         if cfg.mode == "deterministic":
             est = full_mean(family)
@@ -250,25 +251,24 @@ def solve(problem: IvpProblem, params: HolderParams,
 
         y = y + w_integral + scale * est.value
         y_grid[i + 1] = y
-        pieces_all.extend(pieces_i)
         step_receipts.append(ledger.delta_since(snap))
 
     # ledger totals must equal the sum of the per-step receipts
     for key in ("f_evals", "deriv_evals", "quantum_queries"):
-        assert sum(rec[key] for rec in step_receipts) == getattr(ledger, key)
+        spent = sum(rec[key] for rec in step_receipts)
+        if spent != getattr(ledger, key):
+            raise RuntimeError("ledger invariant broken: step receipts sum to "
+                               "%d %s but the ledger holds %d"
+                               % (spent, key, getattr(ledger, key)))
 
     return SolveResult(
-        approx=PiecewiseTaylorApprox(mesh, pieces_all),
+        approx=PiecewiseTaylorApprox(mesh, coeffs.reshape(-1, order + 1, d),
+                                     bases.ravel()),
         y_grid=y_grid, ledger=ledger, config=cfg, seed=cfg.seed, k_rep=k_rep,
         step_receipts=step_receipts,
         est_errors=None if est_errors is None else np.asarray(est_errors),
         warnings=notes,
     )
-
-
-def eval_approx(result: SolveResult, t):
-    """Value of the piecewise approximation at t (in [a, b])."""
-    return result.approx.eval(t)
 
 
 def _reference_values(reference: Callable, ts: np.ndarray, dim: int) -> np.ndarray:

@@ -1,83 +1,32 @@
-"""Local Taylor machinery: flow expansions, field expansions, exact integrals.
+"""Local Taylor machinery: jet fetches, flow coefficients, exact integrals.
 
 Each fine step advances along the degree-(r+1) Taylor polynomial of the local
 flow.  The right-hand side is expanded to degree r about the step's start
-state (a "field polynomial"); composing that expansion with the flow
+state (its "field expansion"); composing that expansion with the flow
 polynomial gives a plain univariate polynomial whose integral is computed
 exactly, with no quadrature error and no oracle calls.  What remains is the
 scaled residual, the only object the stochastic estimators ever touch.
+
+Pieces are stored as arrays, never as objects: ``coeffs[j, q]`` is the
+degree-q flow coefficient of piece j, and ``jets[k][j]`` is the order-k
+derivative tensor of f at the piece's start state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .core import CostLedger, HolderParams, IvpProblem
+from .core import CostLedger, IvpProblem
 
 __all__ = [
-    "TaylorPolynomial",
-    "FieldPolynomial",
     "PiecewiseTaylorApprox",
     "fetch_jet",
     "flow_coeffs_from_jet",
-    "flow_taylor_coeffs",
-    "taylor_step",
-    "field_taylor",
     "integrate_field_along",
-    "scaled_residual",
 ]
-
-
-@dataclass
-class TaylorPolynomial:
-    """One flow piece: l(t) = sum_k coeffs[k] * (t - basepoint)^k.
-
-    ``coeffs`` has shape (degree+1, d); ``coeffs[0]`` is the state the piece
-    starts from, and ``valid_to`` marks the right end of its fine interval.
-    """
-
-    basepoint: float
-    coeffs: np.ndarray
-    valid_to: float
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    def eval(self, t):
-        """Horner evaluation at scalar or array t."""
-        tau = np.asarray(t, dtype=float) - self.basepoint
-        out = np.broadcast_to(self.coeffs[-1], tau.shape + self.coeffs.shape[1:]).copy()
-        for k in range(self.coeffs.shape[0] - 2, -1, -1):
-            out = out * tau[..., None] + self.coeffs[k]
-        return out
-
-
-@dataclass
-class FieldPolynomial:
-    """Degree-r Taylor expansion of the right-hand side about ``center``.
-
-    ``tensors[k]`` is the order-k derivative tensor of f at the center, so
-    evaluating at the center returns f(center) exactly.
-    """
-
-    center: np.ndarray
-    tensors: List[np.ndarray]
-
-    @property
-    def degree(self) -> int:
-        return len(self.tensors) - 1
-
-    def eval(self, y):
-        y = np.asarray(y, dtype=float)
-        batch = y.ndim > 1
-        Y = y if batch else y[None, :]
-        out = eval_field_batch(self.tensors, self.center, Y)
-        return out if batch else out[0]
 
 
 def fetch_jet(problem: IvpProblem, y: np.ndarray, r: int,
@@ -94,168 +43,87 @@ def fetch_jet(problem: IvpProblem, y: np.ndarray, r: int,
     return jet
 
 
-def flow_coeffs_from_jet(y: np.ndarray, jet: List[np.ndarray], order: int) -> np.ndarray:
+def flow_coeffs_from_jet(y: np.ndarray, jet: List[np.ndarray], order: int,
+                         out: Optional[np.ndarray] = None) -> np.ndarray:
     """Taylor coefficients c_k = z^(k)(t0)/k! of z' = f(z), z(t0) = y.
 
     Uses the chain-rule recurrence on the derivative tensors; supported up to
     order 3 (cubic flow polynomials, i.e. r <= 2), which is all the solvers
-    need for exponent verification.
+    need for exponent verification.  The (order+1, d) result is written
+    into ``out`` when given.
     """
     if order > len(jet):
         raise ValueError("order %d exceeds available derivative tensors" % order)
     if order > 3:
-        raise ValueError("built-in flow recurrence supports order <= 3; "
-                         "supply a flow_coeffs oracle for higher orders")
-    y = np.asarray(y, dtype=float)
-    coeffs = [y]
+        raise ValueError("the flow recurrence supports order <= 3 "
+                         "(smoothness r <= 2), got order %d" % order)
+    if out is None:
+        out = np.empty((order + 1, np.shape(y)[0]))
+    out[0] = y
     if order >= 1:
         y1 = jet[0]
-        coeffs.append(y1)
+        out[1] = y1
     if order >= 2:
         y2 = jet[1] @ y1
-        coeffs.append(y2 / 2.0)
+        out[2] = y2 / 2.0
     if order >= 3:
         y3 = np.einsum("ijk,j,k->i", jet[2], y1, y1) + jet[1] @ y2
-        coeffs.append(y3 / 6.0)
-    return np.stack(coeffs)
+        out[3] = y3 / 6.0
+    return out
 
 
-def flow_taylor_coeffs(problem: IvpProblem, y, order: int,
-                       ledger: Optional[CostLedger] = None) -> np.ndarray:
-    """Flow Taylor coefficients through y, fetching the needed tensors.
+def integrate_field_along(jets: List[np.ndarray], coeffs: np.ndarray,
+                          steps: np.ndarray) -> np.ndarray:
+    """Exact integrals of m field expansions along their flow pieces.
 
-    If the problem carries a user-supplied ``flow_coeffs`` oracle it is used
-    directly (and charged like a jet fetch); otherwise the built-in
-    recurrence handles order <= 3.
+    Piece j is l_j(tau) = sum_q coeffs[j, q] tau^q, and its field expansion
+    is the degree-r Taylor polynomial of f about l_j(0) with tensors
+    ``jets[k][j]`` of shape (d, d, ..., d) (k trailing axes).  Returns the
+    (m, d) integrals of the expansion composed with l_j over tau in
+    [0, steps[j]].  Pure coefficient arithmetic: degree <= r * (r+1), no
+    oracle calls, no quadrature error.
     """
-    y = np.asarray(y, dtype=float).reshape(problem.dim)
-    if problem.flow_coeffs is not None:
-        out = np.asarray(problem.flow_coeffs(y, order), dtype=float)
-        if ledger is not None:
-            ledger.f_evals += 1
-            ledger.deriv_evals += max(0, order - 1)
-        return out
-    jet = fetch_jet(problem, y, max(0, order - 1), ledger)
-    return flow_coeffs_from_jet(y, jet, order)
-
-
-def taylor_step(problem: IvpProblem, y, t0: float, hbar: float, order: int,
-                ledger: Optional[CostLedger] = None):
-    """One fine step: the local flow polynomial and its endpoint value."""
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    coeffs = flow_taylor_coeffs(problem, y, order, ledger)
-    piece = TaylorPolynomial(basepoint=t0, coeffs=coeffs, valid_to=t0 + hbar)
-    return piece, piece.eval(t0 + hbar)
-
-
-def field_taylor(problem: IvpProblem, center,
-                 params: HolderParams,
-                 ledger: Optional[CostLedger] = None) -> FieldPolynomial:
-    """Degree-r expansion of f about ``center`` (shares a jet fetch)."""
-    center = np.asarray(center, dtype=float).reshape(problem.dim)
-    jet = fetch_jet(problem, center, params.r, ledger)
-    return FieldPolynomial(center=center, tensors=jet)
-
-
-def eval_field_batch(tensors: List[np.ndarray], center: np.ndarray,
-                     Y: np.ndarray) -> np.ndarray:
-    """Evaluate a field polynomial at a (batch, d) array of states."""
-    if len(tensors) > 3:
+    m, width, d = coeffs.shape
+    r = len(jets) - 1
+    if r > 2:
         raise NotImplementedError("field expansions are supported for degree r <= 2")
-    delta = Y - center[None, :]
-    out = np.broadcast_to(tensors[0], Y.shape).copy()
-    if len(tensors) >= 2:
-        out += np.einsum("ij,bj->bi", tensors[1], delta)
-    if len(tensors) >= 3:
-        out += 0.5 * np.einsum("ijk,bj,bk->bi", tensors[2], delta, delta)
-    return out
-
-
-def _poly_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Convolution of coefficient arrays with trailing tensor axes.
-
-    A has shape (pa, *sa), B has shape (pb, *sb); the result has shape
-    (pa+pb-1, *sa, *sb) and represents the outer product polynomial.
-    """
-    pa, pb = A.shape[0], B.shape[0]
-    sa, sb = A.shape[1:], B.shape[1:]
-    out = np.zeros((pa + pb - 1,) + sa + sb)
-    B_r = B.reshape((pb,) + (1,) * len(sa) + sb)
-    for i in range(pa):
-        out[i:i + pb] += A[i].reshape((1,) + sa + (1,) * len(sb)) * B_r
-    return out
-
-
-def compose_field_with_piece(field: FieldPolynomial,
-                             piece: TaylorPolynomial) -> np.ndarray:
-    """Coefficients of t -> field(piece(t)) as a polynomial in (t - basepoint).
-
-    Pure coefficient arithmetic: degree <= r * (r+1), no oracle calls.
-    """
-    P = piece.coeffs.copy()          # (q+1, d), delta polynomial after shift
-    P[0] = P[0] - field.center
-    d = P.shape[1]
-    r = field.degree
-
-    out = np.zeros((max(1, r * piece.degree + 1), d))
-    out[0] += field.tensors[0]
-    power = None
+    P = coeffs.copy()                   # displacement l_j(tau) - l_j(0)
+    P[:, 0] = 0.0
+    comp = np.zeros((m, r * (width - 1) + 1, d))
+    comp[:, 0] += jets[0]
+    power = P
     for k in range(1, r + 1):
-        power = P if k == 1 else _poly_mul(power, P)
-        # contract tensor T_k (d, d*k) against the k trailing axes of power
-        tens = field.tensors[k]
-        axes_flat = power.reshape(power.shape[0], -1)       # (p, d^k)
-        tens_flat = tens.reshape(d, -1)                      # (d, d^k)
-        term = axes_flat @ tens_flat.T / math.factorial(k)   # (p, d)
-        out[:term.shape[0]] += term
-    return out
-
-
-def integrate_field_along(field: FieldPolynomial, piece: TaylorPolynomial,
-                          t_lo: float, t_hi: float) -> np.ndarray:
-    """Exact integral of field(piece(t)) over [t_lo, t_hi]; no oracle calls."""
-    comp = compose_field_with_piece(field, piece)
-    lo = t_lo - piece.basepoint
-    hi = t_hi - piece.basepoint
-    powers = np.arange(1, comp.shape[0] + 1, dtype=float)
-    weights = (hi ** powers - lo ** powers) / powers
-    return weights @ comp
-
-
-def scaled_residual(problem: IvpProblem, params: HolderParams,
-                    field: FieldPolynomial, piece: TaylorPolynomial,
-                    z_j: float, hbar: float, u: float,
-                    ledger: Optional[CostLedger] = None) -> np.ndarray:
-    """The normalized residual (f - field) o piece at z_j + u*hbar.
-
-    Division by hbar^(r+rho) exactly cancels the Taylor remainder decay, so
-    the value stays bounded as hbar -> 0.  Costs one f evaluation.
-    """
-    if not 0.0 <= u <= 1.0:
-        raise ValueError("u must lie in [0, 1]")
-    y = piece.eval(z_j + u * hbar)
-    fv = np.asarray(problem.f(y), dtype=float)
-    if ledger is not None:
-        ledger.f_evals += 1
-    return (fv - field.eval(y)) / hbar ** params.order
+        if k == 2:                      # outer square of the displacement
+            power = np.zeros((m, 2 * width - 1, d, d))
+            for i in range(width):
+                power[:, i:i + width] += P[:, i, None, :, None] * P[:, :, None, :]
+        # contract T_k (d, d^k) against the k trailing axes of power
+        term = (power.reshape(m, power.shape[1], -1)
+                @ jets[k].reshape(m, d, -1).transpose(0, 2, 1)) / math.factorial(k)
+        comp[:, :term.shape[1]] += term
+    powers = np.arange(1, comp.shape[1] + 1, dtype=float)
+    weights = np.asarray(steps, dtype=float)[:, None] ** powers / powers
+    return (weights[:, None, :] @ comp)[:, 0]
 
 
 class PiecewiseTaylorApprox:
     """The global approximation: n*m flow pieces tiling [a, b].
 
-    Piece lookup is right-open except at b, so evaluation at a coarse point
-    x_i returns the value of the piece starting there (the updated state
-    y_i), and evaluation at b uses the final piece.
+    ``coeffs`` has shape (n*m, r+2, d) and ``basepoints`` shape (n*m,);
+    piece p is sum_q coeffs[p, q] (t - basepoints[p])^q.  Piece lookup is
+    right-open except at b, so evaluation at a coarse point x_i returns the
+    value of the piece starting there (the updated state y_i), and
+    evaluation at b uses the final piece.
     """
 
-    def __init__(self, mesh, pieces: List[TaylorPolynomial]):
-        if len(pieces) != mesh.n * mesh.m:
-            raise ValueError("expected %d pieces, got %d" % (mesh.n * mesh.m, len(pieces)))
+    def __init__(self, mesh, coeffs: np.ndarray, basepoints: np.ndarray):
+        if coeffs.shape[0] != mesh.n * mesh.m or basepoints.shape != (coeffs.shape[0],):
+            raise ValueError("expected %d pieces, got %d coefficient rows and "
+                             "%d basepoints" % (mesh.n * mesh.m, coeffs.shape[0],
+                                                basepoints.size))
         self.mesh = mesh
-        self.pieces = pieces
-        self._coeffs = np.stack([p.coeffs for p in pieces])
-        self._bases = np.array([p.basepoint for p in pieces])
+        self.coeffs = coeffs
+        self.basepoints = basepoints
 
     def piece_index(self, t) -> np.ndarray:
         mesh = self.mesh
@@ -270,8 +138,8 @@ class PiecewiseTaylorApprox:
         if np.any(t_arr < self.mesh.a) or np.any(t_arr > self.mesh.b):
             raise ValueError("t outside the domain [%g, %g]" % (self.mesh.a, self.mesh.b))
         idx = self.piece_index(t_arr)
-        tau = t_arr - self._bases[idx]
-        C = self._coeffs[idx]                       # (batch, deg+1, d)
+        tau = t_arr - self.basepoints[idx]
+        C = self.coeffs[idx]                        # (batch, deg+1, d)
         out = C[:, -1, :].copy()
         for k in range(C.shape[1] - 2, -1, -1):
             out = out * tau[:, None] + C[:, k, :]

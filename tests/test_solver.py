@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rqode.core import residual_bound
+from rqode.core import CostLedger, residual_bound
 from rqode.fixtures import get_fixture, reference_solver
 from rqode.solver import (SolveConfig, empirical_quantile,
                           estimate_quant_error, estimate_rand_error,
-                          eval_approx, run_trials, solve, sup_error)
+                          run_trials, solve, sup_error)
 
 
 class TestConfigDefaults:
@@ -109,6 +113,48 @@ class TestDeterministicSolve:
                   SolveConfig(n=1, m=2, N=2, strict=True))
 
 
+class TestLedgerInvariant:
+    def test_tampered_receipts_raise(self, monkeypatch):
+        # every step receipt under-reports one f evaluation
+        delta_since = CostLedger.delta_since
+
+        def short(self, snap):
+            rec = delta_since(self, snap)
+            rec["f_evals"] -= 1
+            return rec
+        monkeypatch.setattr(CostLedger, "delta_since", short)
+        fx = get_fixture("sin_flow")
+        with pytest.raises(RuntimeError, match="f_evals"):
+            solve(fx.problem, fx.params,
+                  SolveConfig(n=2, mode="randomized", seed=1))
+
+    def test_check_kept_under_python_O(self):
+        # the invariant is an explicit check, not an assert that -O strips
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "from rqode.core import CostLedger\n"
+            "from rqode.fixtures import get_fixture\n"
+            "from rqode.solver import SolveConfig, solve\n"
+            "assert False, 'asserts are live'\n"
+            "orig = CostLedger.delta_since\n"
+            "def short(self, snap):\n"
+            "    rec = orig(self, snap)\n"
+            "    rec['deriv_evals'] -= 1\n"
+            "    return rec\n"
+            "CostLedger.delta_since = short\n"
+            "fx = get_fixture('sin_flow_r1')\n"
+            "try:\n"
+            "    solve(fx.problem, fx.params, SolveConfig(n=2))\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             env=dict(os.environ, PYTHONPATH=str(src)),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert "deriv_evals" in out.stdout
+
+
 class TestModeDegeneracy:
     def test_bit_for_bit_reproduction(self):
         fx = get_fixture("sin_flow")
@@ -145,7 +191,7 @@ class TestEvalAndSupError:
     def test_eval_at_left_endpoint(self):
         fx = get_fixture("sin_flow")
         res = solve(fx.problem, fx.params, SolveConfig(n=2, m=2, N=2))
-        assert np.array_equal(eval_approx(res, 0.0), fx.problem.eta)
+        assert np.array_equal(res.approx.eval(0.0), fx.problem.eta)
 
     def test_sup_error_of_self_is_zero(self):
         fx = get_fixture("sin_flow")
@@ -160,7 +206,7 @@ class TestEvalAndSupError:
     def test_exp_value_inside_interval(self):
         fx = get_fixture("exp_flow")
         res = solve(fx.problem, fx.params, SolveConfig(n=8, m=8, N=16))
-        assert eval_approx(res, 0.25)[0] == pytest.approx(math.exp(0.25), abs=1e-3)
+        assert res.approx.eval(0.25)[0] == pytest.approx(math.exp(0.25), abs=1e-3)
 
     def test_order_ladder_cost_matched(self):
         # n = m = 8 versus n = m = 16: error drops by about 2^(2(r+rho)+1)

@@ -1,15 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rqode.core import CostLedger, HolderParams, IvpProblem
+from rqode.core import CostLedger, HolderParams, IvpProblem, build_mesh
 from rqode.fixtures import get_fixture
-from rqode.solver import SolveConfig, solve
-from rqode.taylor import (FieldPolynomial, TaylorPolynomial, field_taylor,
-                          flow_taylor_coeffs, integrate_field_along,
-                          scaled_residual, taylor_step)
+from rqode.solver import ResidualFamily, SolveConfig, solve
+from rqode.taylor import (PiecewiseTaylorApprox, fetch_jet,
+                          flow_coeffs_from_jet, integrate_field_along)
 
 
 def quadratic_problem():
@@ -28,11 +28,39 @@ def quadratic_problem():
     return IvpProblem(1, f, derivs, [1.0], (0.0, 0.5))
 
 
+def flow_coeffs(problem, y, order, ledger=None):
+    """Flow coefficients through y, fetching the tensors the order needs."""
+    y = np.asarray(y, dtype=float).reshape(problem.dim)
+    return flow_coeffs_from_jet(y, fetch_jet(problem, y, order - 1, ledger), order)
+
+
+def step_end(problem, y, hbar, order):
+    """Endpoint of one fine step, evaluated through the piece arrays."""
+    coeffs = flow_coeffs(problem, y, order)
+    approx = PiecewiseTaylorApprox(build_mesh(0.0, hbar, 1, 1), coeffs[None],
+                                   np.zeros(1))
+    return approx.eval(hbar)
+
+
+def stacked(jet):
+    """One piece's jet as the per-order stacks the solver keeps."""
+    return [np.asarray(t, dtype=float)[None] for t in jet]
+
+
+def one_step_family(problem, params, y, hbar, N):
+    """Residual family of a single fine piece starting at y."""
+    y = np.asarray(y, dtype=float).reshape(problem.dim)
+    jet = fetch_jet(problem, y, params.r)
+    coeffs = flow_coeffs_from_jet(y, jet, params.r + 1)[None]
+    return ResidualFamily(problem, params, coeffs, stacked(jet), hbar, N,
+                          CostLedger())
+
+
 class TestFlowCoeffs:
     def test_constant_field_straight_line(self):
         fx = get_fixture("constant")
         c = np.asarray(fx.meta["c"])
-        coeffs = flow_taylor_coeffs(fx.problem, fx.problem.eta, 3)
+        coeffs = flow_coeffs(fx.problem, fx.problem.eta, 3)
         assert np.array_equal(coeffs[0], fx.problem.eta)
         assert np.array_equal(coeffs[1], c)
         assert np.all(coeffs[2:] == 0.0)
@@ -40,24 +68,27 @@ class TestFlowCoeffs:
     def test_exponential_hand_recurrence(self):
         # z' = z, z'' = z: coefficients 1, 1, 1/2
         fx = get_fixture("exp_flow")
-        coeffs = flow_taylor_coeffs(fx.problem, [1.0], 2)
+        coeffs = flow_coeffs(fx.problem, [1.0], 2)
         assert coeffs.ravel().tolist() == [1.0, 1.0, 0.5]
 
     def test_quadratic_hand_recurrence_and_series(self):
         # z' = z^2 from 1: z(t) = 1/(1-t), all Taylor coefficients equal 1.
         prob = quadratic_problem()
-        coeffs = flow_taylor_coeffs(prob, [1.0], 3)
+        coeffs = flow_coeffs(prob, [1.0], 3)
         assert coeffs.ravel().tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_order_exceeding_tensors_rejected(self):
         fx = get_fixture("sin_flow")
-        with pytest.raises(ValueError):
-            flow_taylor_coeffs(fx.problem, [1.0], 5)
+        jet = fetch_jet(fx.problem, [1.0], 2)
+        with pytest.raises(ValueError, match="exceeds"):
+            flow_coeffs_from_jet(np.array([1.0]), jet, 5)
+        with pytest.raises(ValueError, match="order <= 3"):
+            flow_coeffs_from_jet(np.array([1.0]), [np.zeros(1)] * 4, 4)
 
     def test_jet_cost_accounting(self):
         led = CostLedger()
         fx = get_fixture("sin_flow_r1")
-        flow_taylor_coeffs(fx.problem, [1.0], 2, led)
+        flow_coeffs(fx.problem, [1.0], 2, led)
         assert led.f_evals == 1 and led.deriv_evals == 1
 
 
@@ -65,12 +96,12 @@ class TestTaylorStep:
     def test_constant_field_exact(self):
         fx = get_fixture("constant")
         c = np.asarray(fx.meta["c"])
-        piece, ny = taylor_step(fx.problem, fx.problem.eta, 0.0, 0.25, 1)
+        ny = step_end(fx.problem, fx.problem.eta, 0.25, 1)
         assert np.allclose(ny, fx.problem.eta + 0.25 * c, rtol=0, atol=0)
 
     def test_exponential_degree2_value(self):
         fx = get_fixture("exp_flow")
-        piece, ny = taylor_step(fx.problem, [1.0], 0.0, 0.1, 2)
+        ny = step_end(fx.problem, [1.0], 0.1, 2)
         assert abs(ny[0] - 1.105) < 1e-15
 
     def test_local_order_on_sin(self):
@@ -80,97 +111,144 @@ class TestTaylorStep:
         order = fx.params.order + 1.0
         errs = []
         for hbar in (0.2, 0.1, 0.05, 0.025):
-            _, ny = taylor_step(fx.problem, fx.problem.eta, 0.0, hbar,
-                                fx.params.r + 1)
+            ny = step_end(fx.problem, fx.problem.eta, hbar, fx.params.r + 1)
             errs.append(abs(ny[0] - ref(hbar)[0]))
         for e0, e1 in zip(errs, errs[1:]):
             log_ratio = math.log2(e0 / e1)
             assert abs(log_ratio - order) <= 0.15 * order
 
-    def test_rejects_nonpositive_step(self):
-        fx = get_fixture("sin_flow")
-        with pytest.raises(ValueError):
-            taylor_step(fx.problem, [1.0], 0.0, 0.0, 1)
-
 
 class TestFieldPolynomial:
+    """The degree-r field expansion, seen through the integral and the
+    residual family (residual = f - expansion along the piece)."""
+
     def test_degree0_is_constant(self):
+        # the r = 0 expansion about 1.2 is sin(1.2) wherever the piece goes
         fx = get_fixture("sin_flow")
-        fp = field_taylor(fx.problem, [1.2], fx.params)
-        assert fp.degree == 0
-        assert fp.eval(np.array([3.0]))[0] == math.sin(1.2)
+        jet = fetch_jet(fx.problem, [1.2], fx.params.r)
+        out = integrate_field_along(stacked(jet), np.array([[[1.2], [1.8]]]),
+                                    np.array([1.0]))
+        assert out[0, 0] == math.sin(1.2)
 
     def test_hand_expansion_quadratic(self):
-        # f(y) = y^2 about 2 at degree 1: 4 + 4(y-2)
+        # f(y) = y^2 about 2 at degree 1: 4 + 4(y-2), so the residual at
+        # y = 2, 3, 1.5 is 0, 9 - 8 = 1 and 2.25 - 2 = 0.25
         prob = quadratic_problem()
         params = HolderParams(r=1, rho=1.0, D=(4.0, 4.0), H=2.0)
-        fp = field_taylor(prob, [2.0], params)
-        assert fp.eval(np.array([2.0]))[0] == 4.0
-        assert fp.eval(np.array([3.0]))[0] == 8.0
-        assert fp.eval(np.array([1.5]))[0] == 2.0
+        ys = np.array([2.0, 3.0, 1.5])
+        jet = fetch_jet(prob, [2.0], 1)
+        coeffs = np.zeros((3, 3, 1))
+        coeffs[:, 0, 0] = 2.0
+        coeffs[:, 1, 0] = 2.0 * (ys - 2.0)     # the cell midpoint lands on y
+        jets = [np.repeat(t[None], 3, axis=0) for t in jet]
+        fam = ResidualFamily(prob, params, coeffs, jets, 1.0, 1, CostLedger())
+        assert fam.peek_all()[:, 0].tolist() == [0.0, 1.0, 0.25]
 
     def test_center_value_exact_on_fixtures(self):
+        # at its centre the expansion returns f exactly: zero residual
         for name in ("sin_flow", "sin_flow_r1", "exp_flow_r1", "cos_time"):
             fx = get_fixture(name)
             y = fx.problem.eta + 0.1
-            fp = field_taylor(fx.problem, y, fx.params)
-            assert np.array_equal(fp.eval(y), np.asarray(fx.problem.f(y)))
+            jet = fetch_jet(fx.problem, y, fx.params.r)
+            coeffs = np.zeros((1, fx.params.r + 2, fx.problem.dim))
+            coeffs[0, 0] = y
+            fam = ResidualFamily(fx.problem, fx.params, coeffs, stacked(jet),
+                                 0.5, 1, CostLedger())
+            assert np.all(fam.peek_all() == 0.0)
+
+
+def field_value_mp(jet, center, y):
+    """Degree-r expansion sum_k T_k[y - c]^k / k! in mpmath arithmetic."""
+    d = len(center)
+    delta = [mpmath.mpf(float(y[a])) - mpmath.mpf(float(center[a]))
+             for a in range(d)]
+    out = [mpmath.mpf(float(v)) for v in jet[0]]
+    for k in range(1, len(jet)):
+        T = jet[k]
+        for i in range(d):
+            for idx in np.ndindex(*(d,) * k):
+                term = mpmath.mpf(float(T[(i,) + idx]))
+                for a in idx:
+                    term *= delta[a]
+                out[i] += term / math.factorial(k)
+    return out
 
 
 class TestIntegrateFieldAlong:
     def test_constant_field(self):
-        fp = FieldPolynomial(center=np.array([0.0]), tensors=[np.array([2.5])])
-        piece = TaylorPolynomial(0.0, np.array([[1.0], [3.0]]), 0.5)
-        out = integrate_field_along(fp, piece, 0.0, 0.5)
-        assert out[0] == pytest.approx(1.25, abs=1e-15)
+        out = integrate_field_along([np.array([[2.5]])],
+                                    np.array([[[1.0], [3.0]]]), np.array([0.5]))
+        assert out[0, 0] == pytest.approx(1.25, abs=1e-15)
 
     def test_linear_in_linear(self):
         # w(y) = y along l(t) = 1 + t over [0, 0.5]: 0.625
-        fp = FieldPolynomial(center=np.array([1.0]),
-                             tensors=[np.array([1.0]), np.array([[1.0]])])
-        piece = TaylorPolynomial(0.0, np.array([[1.0], [1.0]]), 0.5)
-        assert integrate_field_along(fp, piece, 0.0, 0.5)[0] == pytest.approx(0.625)
+        jets = [np.array([[1.0]]), np.array([[[1.0]]])]
+        out = integrate_field_along(jets, np.array([[[1.0], [1.0], [0.0]]]),
+                                    np.array([0.5]))
+        assert out[0, 0] == pytest.approx(0.625)
 
     def test_hand_integration_quadratic_piece(self):
         # w(y) = 4 + 4(y-2) along l(t) = 2 + t^2 over [0,1]: 16/3
-        fp = FieldPolynomial(center=np.array([2.0]),
-                             tensors=[np.array([4.0]), np.array([[4.0]])])
-        piece = TaylorPolynomial(0.0, np.array([[2.0], [0.0], [1.0]]), 1.0)
-        out = integrate_field_along(fp, piece, 0.0, 1.0)
-        assert out[0] == pytest.approx(16.0 / 3.0, rel=1e-15)
+        jets = [np.array([[4.0]]), np.array([[[4.0]]])]
+        out = integrate_field_along(jets, np.array([[[2.0], [0.0], [1.0]]]),
+                                    np.array([1.0]))
+        assert out[0, 0] == pytest.approx(16.0 / 3.0, rel=1e-15)
 
     def test_matches_adaptive_quadrature(self):
-        # exactness: agreement with scipy quad at 1e-12 relative tolerance
+        # exactness: five random pieces in one batched call agree with scipy
+        # quad at 1e-12 relative tolerance
         rng = np.random.default_rng(7)
-        for _ in range(5):
-            center = rng.normal()
-            t0, t1, t2 = rng.normal(size=3)
-            w0, w1, w2 = rng.normal(size=3)
-            fp = FieldPolynomial(
-                center=np.array([center]),
-                tensors=[np.array([w0]), np.array([[w1]]), np.array([[[w2]]])])
-            piece = TaylorPolynomial(0.0, np.array([[t0], [t1], [t2]]), 1.0)
-
-            def scalar_w(y):
-                d = y - center
-                return w0 + w1 * d + 0.5 * w2 * d * d
-
+        m = 5
+        t0, t1, t2, t3 = rng.normal(size=(4, m))
+        w0, w1, w2 = rng.normal(size=(3, m))
+        steps = rng.uniform(0.1, 0.9, size=m)
+        coeffs = np.stack([t0, t1, t2, t3], axis=1)[:, :, None]
+        jets = [w0[:, None], w1[:, None, None], w2[:, None, None, None]]
+        exact = integrate_field_along(jets, coeffs, steps)[:, 0]
+        for j in range(m):
             def integrand(t):
-                return scalar_w(t0 + t1 * t + t2 * t * t)
+                dy = t1[j] * t + t2[j] * t * t + t3[j] * t ** 3
+                return w0[j] + w1[j] * dy + 0.5 * w2[j] * dy * dy
+            ref, _ = quad(integrand, 0.0, steps[j], epsabs=1e-13, epsrel=1e-13)
+            assert exact[j] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
-            exact = integrate_field_along(fp, piece, 0.1, 0.9)[0]
-            ref, _ = quad(integrand, 0.1, 0.9, epsabs=1e-13, epsrel=1e-13)
-            assert exact == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_matches_mpmath_quadrature(self, r, d):
+        # random jets and pieces of every supported degree and dimension,
+        # batched, against 30-digit quadrature of the composed expansion
+        rng = np.random.default_rng(100 * r + d)
+        m = 3
+        coeffs = rng.normal(size=(m, r + 2, d))
+        jets = [rng.normal(size=(m, d) + (d,) * k) for k in range(r + 1)]
+        steps = rng.uniform(0.05, 0.6, size=m)
+        exact = integrate_field_along(jets, coeffs, steps)
+        assert exact.shape == (m, d)
+        with mpmath.workdps(30):
+            for j in range(m):
+                jet_j = [t[j] for t in jets]
+
+                def piece(tau):
+                    return [sum(mpmath.mpf(float(coeffs[j, q, a])) * tau ** q
+                                for q in range(r + 2)) for a in range(d)]
+                for i in range(d):
+                    ref = mpmath.quad(
+                        lambda tau: field_value_mp(jet_j, coeffs[j, 0],
+                                                   piece(tau))[i],
+                        [0, float(steps[j])])
+                    assert exact[j, i] == pytest.approx(float(ref), rel=1e-12,
+                                                        abs=1e-14)
 
     def test_multivariate_composition(self):
-        # 2-d field with coupling, checked against dense sampling + simpson
+        # 2-d field with coupling, checked against dense sampling + trapezoid
         fx = get_fixture("cos_time_r1")
-        fp = field_taylor(fx.problem, np.array([0.3, 0.1]), fx.params)
-        piece = TaylorPolynomial(
-            0.0, np.array([[0.3, 0.1], [1.0, 0.95]]), 0.25)
-        out = integrate_field_along(fp, piece, 0.0, 0.25)
+        center = np.array([0.3, 0.1])
+        jet = fetch_jet(fx.problem, center, fx.params.r)
+        coeffs = np.array([[[0.3, 0.1], [1.0, 0.95], [0.0, 0.0]]])
+        out = integrate_field_along(stacked(jet), coeffs, np.array([0.25]))[0]
         ts = np.linspace(0.0, 0.25, 2001)
-        vals = fp.eval(piece.eval(ts))
+        path = center + ts[:, None] * coeffs[0, 1]
+        vals = jet[0] + (path - center) @ jet[1].T
         ref = np.trapezoid(vals, ts, axis=0)
         assert np.allclose(out, ref, atol=5e-9)
 
@@ -178,31 +256,21 @@ class TestIntegrateFieldAlong:
 class TestScaledResidual:
     def test_constant_field_zero(self):
         fx = get_fixture("constant")
-        params = fx.params
-        fp = field_taylor(fx.problem, fx.problem.eta, params)
-        piece, _ = taylor_step(fx.problem, fx.problem.eta, 0.0, 0.125,
-                               params.r + 1)
-        for u in (0.0, 0.37, 1.0):
-            g = scaled_residual(fx.problem, params, fp, piece, 0.0, 0.125, u)
-            assert np.all(g == 0.0)
+        fam = one_step_family(fx.problem, fx.params, fx.problem.eta, 0.125, 4)
+        assert np.all(fam.peek_all() == 0.0)
 
     def test_identity_field_hand_algebra(self):
-        # f(y) = y, r = 0: residual is u * y_j; at u = 1 it equals f(y_j)
+        # f(y) = y, r = 0: the residual at u is u * y_j, here u_k = (k+1/2)/4
         fx = get_fixture("exp_flow")
-        y0 = np.array([1.0])
-        fp = field_taylor(fx.problem, y0, fx.params)
-        piece, _ = taylor_step(fx.problem, y0, 0.0, 0.125, 1)
-        for u in (0.25, 0.5, 1.0):
-            g = scaled_residual(fx.problem, fx.params, fp, piece, 0.0, 0.125, u)
-            assert g[0] == pytest.approx(u * 1.0, rel=1e-15)
+        fam = one_step_family(fx.problem, fx.params, [1.0], 0.125, 4)
+        for k, g in enumerate(fam.peek_all()[:, 0]):
+            assert g == pytest.approx((k + 0.5) / 4 * 1.0, rel=1e-15)
 
     def test_costs_one_evaluation(self):
         fx = get_fixture("sin_flow")
-        led = CostLedger()
-        fp = field_taylor(fx.problem, fx.problem.eta, fx.params)
-        piece, _ = taylor_step(fx.problem, fx.problem.eta, 0.0, 0.125, 1)
-        scaled_residual(fx.problem, fx.params, fp, piece, 0.0, 0.125, 0.5, led)
-        assert led.f_evals == 1
+        fam = one_step_family(fx.problem, fx.params, fx.problem.eta, 0.125, 4)
+        fam.access(2)
+        assert fam.ledger.f_evals == 1
 
     def test_bounded_by_class_bound_and_stable_as_hbar_shrinks(self):
         from rqode.core import residual_bound
@@ -211,24 +279,13 @@ class TestScaledResidual:
             M = residual_bound(fx.params, fx.problem.dim)
             sup_by_hbar = []
             for hbar in (0.25, 0.125, 0.0625, 0.03125):
-                fp = field_taylor(fx.problem, fx.problem.eta, fx.params)
-                piece, _ = taylor_step(fx.problem, fx.problem.eta, 0.0, hbar,
-                                       fx.params.r + 1)
-                worst = max(
-                    float(np.max(np.abs(scaled_residual(
-                        fx.problem, fx.params, fp, piece, 0.0, hbar, u))))
-                    for u in np.linspace(0, 1, 21))
+                fam = one_step_family(fx.problem, fx.params, fx.problem.eta,
+                                      hbar, 21)
+                worst = float(np.max(np.abs(fam.peek_all())))
                 assert worst <= M + 1e-12
                 sup_by_hbar.append(worst)
             # the 1/hbar^(r+rho) normalization cancels: no blow-up as hbar -> 0
             assert sup_by_hbar[-1] <= 2.0 * max(sup_by_hbar[0], 1e-9)
-
-    def test_u_outside_unit_interval_rejected(self):
-        fx = get_fixture("sin_flow")
-        fp = field_taylor(fx.problem, fx.problem.eta, fx.params)
-        piece, _ = taylor_step(fx.problem, fx.problem.eta, 0.0, 0.125, 1)
-        with pytest.raises(ValueError):
-            scaled_residual(fx.problem, fx.params, fp, piece, 0.0, 0.125, 1.5)
 
 
 class TestPieceTiling:
@@ -236,11 +293,15 @@ class TestPieceTiling:
         fx = get_fixture("sin_flow_r1")
         res = solve(fx.problem, fx.params, SolveConfig(n=3, m=4, N=2))
         mesh = res.approx.mesh
+        C, bases = res.approx.coeffs, res.approx.basepoints
         for i in range(mesh.n):
             for j in range(mesh.m - 1):
-                left = res.approx.pieces[i * mesh.m + j]
-                right = res.approx.pieces[i * mesh.m + j + 1]
-                assert np.array_equal(left.eval(left.valid_to), right.coeffs[0])
+                p = i * mesh.m + j
+                tau = bases[p + 1] - bases[p]
+                end = C[p, -1]
+                for q in range(C.shape[1] - 2, -1, -1):
+                    end = end * tau + C[p, q]
+                assert np.array_equal(end, C[p + 1, 0])
 
     def test_eval_at_boundaries(self):
         fx = get_fixture("sin_flow")
