@@ -195,7 +195,7 @@ def run_ladder(plan: ExperimentPlan) -> SlopeReport:
 
 
 def _run_scalar_rung(args):
-    plan, eps = args
+    plan, rung, eps = args
     fx = get_fixture(plan.fixture) if isinstance(plan.fixture, str) else plan.fixture
     if fx.y_star is None:
         raise ValueError("scalar ladders need a fixture with a known endpoint")
@@ -206,8 +206,7 @@ def _run_scalar_rung(args):
     k_rep = 1
     for t in range(plan.trials):
         seed = int(np.random.SeedSequence(
-            entropy=plan.seed, spawn_key=(int(1e6 * eps) % 65537, t)
-        ).generate_state(1)[0])
+            entropy=plan.seed, spawn_key=(rung, t)).generate_state(1)[0])
         res = bisection_solve(fx.problem, fx.params, eps, plan.delta,
                               mode=plan.mode, seed=seed)
         errs[t] = abs(res.y_out - fx.y_star)
@@ -225,15 +224,18 @@ def _run_scalar_rung(args):
 def run_scalar_ladder(plan: ExperimentPlan) -> SlopeReport:
     """Cost-versus-accuracy ladder for the endpoint bisection solver.
 
-    Rungs are decreasing accuracy targets.  The fitted slope is of deflated
-    cost against 1/eps; deflation divides the measured repetition and
+    Rungs are decreasing accuracy targets; trial t of the i-th rung runs on
+    the seed spawned from ``(plan.seed, spawn_key=(i, t))``, so no two rungs
+    share trials however close their targets are.  The fitted slope is of
+    deflated cost against 1/eps; deflation divides the measured repetition and
     iteration counts out (the declared log powers: (log 1/eps)^2 randomized,
     log 1/eps quantum).  The log-power deflation itself is recorded too.
     """
     fx = get_fixture(plan.fixture) if isinstance(plan.fixture, str) else plan.fixture
     eps_rungs = sorted((float(e) for e in plan.ladder), reverse=True)
     workers = plan.workers or int(os.environ.get("RQODE_WORKERS", "1"))
-    rows = _map_rungs(_run_scalar_rung, [(plan, e) for e in eps_rungs], workers)
+    rows = _map_rungs(_run_scalar_rung,
+                      [(plan, i, e) for i, e in enumerate(eps_rungs)], workers)
     inv_eps = [1.0 / row["eps"] for row in rows]
     costs = [row["cost"] for row in rows]
     deflated = [row["deflated"] for row in rows]

@@ -188,8 +188,8 @@ class TwoLevelMesh:
     """Uniform coarse partition refined by m equal fine steps per interval.
 
     Coarse points ``x_i = a + i*h``; fine points ``z_j^i = x_i + j*hbar``
-    with the closing identity ``z_m^i = x_{i+1}`` enforced by index
-    arithmetic rather than accumulation.
+    for j < m.  The closing point ``z_m^i`` is ``x_{i+1}`` itself, never an
+    accumulated ``x_i + m*hbar``.
     """
 
     a: float
@@ -199,12 +199,6 @@ class TwoLevelMesh:
     h: float
     hbar: float
     x: np.ndarray = field(repr=False, compare=False)
-
-    def fine_point(self, i: int, j: int) -> float:
-        """z_j^i, exact at both ends of every coarse interval."""
-        if j == self.m:
-            return float(self.x[i + 1])
-        return float(self.x[i]) + j * self.hbar
 
     def fine_offsets(self) -> np.ndarray:
         """Offsets j*hbar for j = 0..m-1 (piece base points within a coarse cell)."""

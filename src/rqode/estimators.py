@@ -14,6 +14,11 @@ Three backends estimate the mean of an indexed family of bounded vectors:
 ``(1 - delta)^(1/n)`` by taking the component-wise median of
 ``median_rep_count(n, delta)`` independent runs; the count comes from an
 exact binomial-tail computation, not an asymptotic formula.
+
+Charges are per index requested, whether an item is computed or read back
+from the family's item table: ``mc_mean`` tabulates the whole family once
+when a single run reads at least as many items as the family holds, so the
+boosted runs that follow share it, but the ledger still pays for every draw.
 """
 
 from __future__ import annotations
@@ -51,9 +56,6 @@ __all__ = [
 MC_CALIBRATION = 2.0
 QUANTUM_COST_CONSTANT = 1.0
 
-# Flip on to assert the declared item bound on every access (debug runs).
-CHECK_ITEM_BOUNDS = False
-
 
 class IndexedFamily:
     """An indexed family of bounded d-vectors behind a charging oracle.
@@ -61,6 +63,11 @@ class IndexedFamily:
     Subclasses implement ``_compute(idx)``; ``access`` charges one f
     evaluation per index requested.  ``bound`` is a uniform sup-norm bound
     on the items, used by the sampled backends for calibration.
+
+    ``tabulate`` fills an item table once, free of charge; ``access`` then
+    reads items from it instead of computing them, and still charges per
+    index.  The table holds exactly what ``_compute`` returns, so reading it
+    changes no value.
     """
 
     def __init__(self, size: int, dim: int, bound: float,
@@ -74,31 +81,44 @@ class IndexedFamily:
         self.bound_vec = np.full(self.dim, self.bound) if bound_vec is None \
             else np.asarray(bound_vec, dtype=float)
         self.ledger = ledger if ledger is not None else CostLedger()
-        self._full_cache = None
+        self._table = None
+        self._peeked = False
 
     def _compute(self, idx: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def tabulate(self, block: int) -> np.ndarray:
+        """All items, computed once in index blocks of at most ``block``.
+
+        Charges nothing; later calls return the same table.
+        """
+        if self._table is None:
+            table = np.empty((self.size, self.dim))
+            for start in range(0, self.size, block):
+                stop = min(start + block, self.size)
+                table[start:stop] = self._compute(np.arange(start, stop))
+            self._table = table
+        return self._table
+
     def access(self, idx) -> np.ndarray:
         """Items at the given indices, charged to the ledger."""
         idx = np.atleast_1d(np.asarray(idx, dtype=int))
-        out = self._compute(idx)
+        out = self._compute(idx) if self._table is None else self._table[idx]
         self.ledger.f_evals += idx.size
-        if CHECK_ITEM_BOUNDS:
-            assert np.max(np.abs(out)) <= self.bound + 1e-12, \
-                "family item exceeds declared bound"
         return out
 
     def peek_all(self) -> np.ndarray:
         """All items without ledger charges (simulation overhead only).
 
         Used by the quantum-cost-model stub, which must know the true mean
-        it perturbs; the classical work is recorded as ``sim_evals``.
+        it perturbs; the classical work is recorded as ``sim_evals``, once
+        per family, even when the table was already built for sampling.
         """
-        if self._full_cache is None:
-            self._full_cache = self._compute(np.arange(self.size))
+        items = self.tabulate(self.size)
+        if not self._peeked:
+            self._peeked = True
             self.ledger.sim_evals += self.size
-        return self._full_cache
+        return items
 
 
 class ArrayFamily(IndexedFamily):
@@ -154,18 +174,26 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream,
     beyond ``eps1`` have probability at most 1/4.  When the formula clamps
     at the family size the sample is replaced by full enumeration and the
     estimate is exact.
+
+    When one run reads at least as many items as the family holds
+    (``reps * sigma >= s``, enumeration included), the family is tabulated
+    first, in blocks of at most sigma items, and the draws read the table;
+    the median repetitions of ``median_boost`` then share it.  The charge is
+    unchanged: every drawn index costs one f evaluation.
     """
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
     c = MC_CALIBRATION if calibration is None else float(calibration)
     snap = family.ledger.snapshot()
     sigma = _sample_size(family, eps1, c)
+    reps = inner_rep_count(family.dim)
+    if reps * sigma >= family.size:
+        family.tabulate(sigma)
     if family.bound == 0.0:
         value = np.zeros(family.dim)
     elif sigma >= family.size:
         value = family.access(np.arange(family.size)).mean(axis=0)
     else:
-        reps = inner_rep_count(family.dim)
         draws = np.empty((reps, family.dim))
         for t in range(reps):
             idx = rng.integers(0, family.size, size=sigma)

@@ -185,9 +185,10 @@ def _build_family(problem, params, geom, eps1, mode, inv, ledger):
 def _estimate_once(problem, params, geom, family, eps1, mode, inv, rng):
     """One defect estimate from a prepared geometry and residual family.
 
-    The family is shared across median repetitions (its item cache is the
-    memoization the cost model allows); every call still charges its own
-    estimation cost.
+    The family is shared across median repetitions.  Its item table, built
+    by ``mc_mean`` once a run reads at least as many items as the family
+    holds, is the memoization the cost model allows: every call still
+    charges its own estimation cost, one f evaluation per index drawn.
     """
     b_minus_a = problem.b - problem.a
     if family is None:

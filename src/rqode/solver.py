@@ -9,8 +9,9 @@ the mean backend:
 * randomized    -- Monte Carlo subsampling, median-boosted;
 * quantum_sim   -- the quantum-cost-model stub, median-boosted.
 
-Residual families are lazy: items are computed on demand, so subsampling
-backends only pay for what they touch.
+Residual families are lazy: items are computed on demand, or tabulated once
+when a Monte Carlo run reads at least as many items as the family holds.
+Either way the backends pay per index they touch.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def solve(problem: IvpProblem, params: HolderParams,
     scale = cfg.m * mesh.hbar ** (params.order + 1.0)
 
     # piece j of coarse step i starts at bases[i, j] and runs for steps[i, j];
-    # as in mesh.fine_point, the last piece of a cell closes exactly on x[i+1]
+    # the last piece of a cell ends on x[i+1] itself, not on x[i] + m*hbar
     bases = mesh.x[:-1, None] + mesh.fine_offsets()[None, :]
     steps = np.concatenate([bases[:, 1:], mesh.x[1:, None]], axis=1) - bases
     coeffs = np.empty((cfg.n, cfg.m, order + 1, d))

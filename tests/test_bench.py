@@ -7,6 +7,7 @@ import pytest
 from rqode.bench import (ExperimentPlan, SlopeReport, emit_report,
                          exponent_hierarchy, fit_loglog, report_bytes,
                          run_ladder, run_scalar_ladder)
+from rqode.fixtures import get_fixture
 
 
 def synthetic_report(rungs, costs, errors, slope=None, target=-1.5):
@@ -82,6 +83,27 @@ class TestLadders:
         # errors stay within their accuracy targets
         for eps, err in zip(rep.rungs, rep.errors):
             assert err <= eps
+
+    def test_scalar_rungs_get_distinct_seeds(self, monkeypatch):
+        # 1e-7 and 2e-7 are closer than 1e-6; trial seeds are keyed by rung
+        # index, so the two rungs still run independent trials
+        from rqode import bench
+        from rqode.core import CostLedger
+        from rqode.scalar import BisectionResult
+        fx = get_fixture("inv1p")
+        seeds = {}
+
+        def fake_bisection(problem, params, eps, delta, mode, seed):
+            seeds.setdefault(eps, []).append(seed)
+            ledger = CostLedger()
+            ledger.f_evals = 10
+            return BisectionResult(y_out=fx.y_star, iters=1, ledger=ledger)
+        monkeypatch.setattr(bench, "bisection_solve", fake_bisection)
+        plan = ExperimentPlan(fixture="inv1p", mode="randomized",
+                              ladder=[1e-7, 2e-7], trials=30, seed=5)
+        run_scalar_ladder(plan)
+        assert sorted(seeds) == [1e-7, 2e-7]
+        assert len(set(seeds[1e-7]) | set(seeds[2e-7])) == 60
 
 
 class TestHierarchy:

@@ -27,12 +27,11 @@ class TestMesh:
         assert mesh.h == 0.25
         assert mesh.hbar == 0.125
         assert mesh.x[2] == 0.5
-        assert mesh.fine_point(0, 1) == 0.125
+        assert mesh.all_fine_points()[1] == 0.125
 
     def test_degenerate_single_interval(self):
         mesh = build_mesh(0, 1, 1, 1)
-        assert mesh.fine_point(0, 0) == 0.0
-        assert mesh.fine_point(0, 1) == 1.0
+        assert mesh.all_fine_points().tolist() == [0.0, 1.0]
 
     def test_endpoint_identity(self):
         mesh = build_mesh(-1, 3, 8, 4)
@@ -41,10 +40,11 @@ class TestMesh:
         assert mesh.x[8] == 3.0
 
     def test_coarse_points_are_fine_points(self):
+        # z_0^i = x_i opens every coarse cell and z_m^i = x_{i+1} closes it
         mesh = build_mesh(0.0, 2.0, 5, 3)
-        for i in range(mesh.n):
-            assert mesh.fine_point(i, 0) == mesh.x[i]
-            assert mesh.fine_point(i, mesh.m) == mesh.x[i + 1]
+        pts = mesh.all_fine_points()
+        assert pts.size == mesh.n * mesh.m + 1
+        assert np.array_equal(pts[::mesh.m], mesh.x)
 
     @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 4))
     @settings(max_examples=40, deadline=None)

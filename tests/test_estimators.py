@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqode.core import CostLedger
-from rqode.estimators import (ArrayFamily, MeanEstimate, binomial_fail_tail,
-                              full_mean, inner_rep_count, mc_mean,
-                              median_boost, median_rep_count,
-                              quantum_sim_mean)
+from rqode.estimators import (MC_CALIBRATION, ArrayFamily, MeanEstimate,
+                              _sample_size, binomial_fail_tail, full_mean,
+                              inner_rep_count, mc_mean, median_boost,
+                              median_rep_count, quantum_sim_mean)
+from rqode.fixtures import get_fixture
 from rqode.rng import RngStream
 
 
@@ -296,3 +297,110 @@ class TestCostExactness:
         a = full_mean(f1)
         b = mc_mean(f2, eps1=2.0 / math.sqrt(61) * 0.9, rng=RngStream(0))
         assert a.value[0] == b.value[0]
+
+
+class _Captured(Exception):
+    pass
+
+
+def _first_family(monkeypatch, module, name, run):
+    """The (family, eps1) of the first call to ``module.name`` during run()."""
+    def stop(*args, **kwargs):
+        if name == "median_boost":
+            raise _Captured(args[1], args[2])
+        raise _Captured(args[0], args[1])
+    monkeypatch.setattr(module, name, stop)
+    with pytest.raises(_Captured) as info:
+        run()
+    return info.value.args
+
+
+class CountingFamily(ArrayFamily):
+    """Counts the items its ``_compute`` is asked for."""
+
+    computed = 0
+
+    def _compute(self, idx):
+        self.computed += idx.size
+        return super()._compute(idx)
+
+
+class UntabulatedFamily(ArrayFamily):
+    """Never builds an item table: every access computes its items."""
+
+    def tabulate(self, block):
+        return None
+
+
+class TestItemTable:
+    def _residual_family(self, monkeypatch):
+        # cos_time_r1 randomized n=12: sigma = 9,216 < s = 20,736
+        from rqode import solver
+        fx = get_fixture("cos_time_r1")
+        return _first_family(monkeypatch, solver, "median_boost", lambda: (
+            solver.solve(fx.problem, fx.params,
+                         solver.SolveConfig(n=12, mode="randomized"))))
+
+    def _cell_family(self, monkeypatch):
+        from rqode import scalar
+        fx = get_fixture("inv1p_r1")
+        return _first_family(monkeypatch, scalar, "mc_mean", lambda: (
+            scalar.estimate_H(fx.problem, fx.params, 1.2, 1e-4, "randomized",
+                              RngStream(3))))
+
+    @pytest.mark.parametrize("which", ["residual", "cell"])
+    def test_tabulate_bit_identical_to_compute(self, monkeypatch, which):
+        fam, eps1 = (self._residual_family(monkeypatch) if which == "residual"
+                     else self._cell_family(monkeypatch))
+        sigma = _sample_size(fam, eps1, MC_CALIBRATION)
+        assert 7 < sigma < fam.size
+        whole = fam._compute(np.arange(fam.size))
+        for block in (1, 7, sigma, fam.size):
+            fam._table = None
+            table = fam.tabulate(block)
+            assert table.tobytes() == whole.tobytes(), block
+
+    def test_access_charges_per_index_from_table(self):
+        led = CostLedger()
+        fam = CountingFamily(np.linspace(-1, 1, 40), bound=1.0, ledger=led)
+        fam.tabulate(16)
+        assert fam.computed == 40 and led.f_evals == 0
+        out = fam.access(np.array([3, 3, 39]))
+        assert out[:, 0].tolist() == fam._values[[3, 3, 39], 0].tolist()
+        assert led.f_evals == 3 and fam.computed == 40
+
+    def test_boosted_runs_share_one_table(self):
+        # d = 2: reps = 5 inner medians of sigma = (2/0.4)^2 = 25 draws each,
+        # so one run reads 125 >= s = 100 items and tabulates the family
+        vals = np.random.default_rng(1).uniform(-1, 1, size=(100, 2))
+        fam = CountingFamily(vals, bound=1.0)
+        est = median_boost(mc_mean, fam, 0.4, 5, RngStream(8))
+        assert fam.computed == 100
+        assert est.cost["f_evals"] == 5 * 5 * 25
+        plain = UntabulatedFamily(vals, bound=1.0)
+        ref = median_boost(mc_mean, plain, 0.4, 5, RngStream(8))
+        assert est.value.tobytes() == ref.value.tobytes()
+        assert est.cost == ref.cost
+
+    def test_no_table_when_one_run_reads_less(self):
+        vals = np.random.default_rng(2).uniform(-1, 1, size=(1000, 2))
+        fam = CountingFamily(vals, bound=1.0)
+        est = median_boost(mc_mean, fam, 0.4, 5, RngStream(8))
+        assert fam._table is None
+        assert fam.computed == est.cost["f_evals"] == 5 * 5 * 25
+
+    def test_enumeration_tabulates_once(self):
+        fam = CountingFamily(np.linspace(-1, 1, 30), bound=1.0)
+        est = median_boost(mc_mean, fam, 0.01, 7, RngStream(0))
+        assert fam.computed == 30
+        assert est.cost["f_evals"] == 7 * 30
+
+    def test_peek_all_after_tabulate_books_sim_evals_once(self):
+        led = CostLedger()
+        fam = CountingFamily(np.linspace(-1, 1, 50), bound=1.0, ledger=led)
+        table = fam.tabulate(7)
+        assert led.sim_evals == 0
+        assert fam.peek_all() is table
+        fam.peek_all()
+        assert led.sim_evals == 50 and led.f_evals == 0
+        assert fam.computed == 50

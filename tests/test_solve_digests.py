@@ -1,10 +1,11 @@
 """Bit-identity regression: solve() trajectories, ledgers and piece reports.
 
 ``tests/data/solve_digests.json`` holds, for every shipped fixture x mode x
-n in {2, 5} at a fixed seed, the sha256 of ``y_grid.tobytes()`` and the
-ledger dict, plus the sha256 of two ``to_report(include_pieces=True)``
-documents.  Any change to the fine chain, the exact field integration or
-the estimators that moves a single ulp or a single charge fails here.
+n in {2, 5} and for the ``EXTRA_SOLVES`` cases at a fixed seed, the sha256
+of ``y_grid.tobytes()`` and the ledger dict, plus the sha256 of two
+``to_report(include_pieces=True)`` documents.  Any change to the fine chain,
+the exact field integration or the estimators that moves a single ulp or a
+single charge fails here.
 
 Regenerate (only after an intentional behaviour change, then review)::
 
@@ -25,6 +26,10 @@ from rqode.solver import MODES, SolveConfig, solve
 DIGESTS = Path(__file__).parent / "data" / "solve_digests.json"
 SEED = 11
 SIZES = (2, 5)
+# (fixture, mode, n) solved on top of the grid: cos_time_r1 randomized n=12
+# draws sigma = 9,216 < s = 20,736 <= 5*sigma items per Monte Carlo run, so
+# it goes through the branch that tabulates the residual family
+EXTRA_SOLVES = (("cos_time_r1", "randomized", 12),)
 # (fixture, mode, n) whose full piece report is digested: one r=0, one r=1
 REPORT_CASES = (("sin_flow", "randomized", 2), ("cos_time_r1", "quantum_sim", 5))
 
@@ -41,15 +46,15 @@ def _sha(data: bytes) -> str:
 
 
 def compute_digests() -> dict:
+    cases = [(name, mode, n) for name in fixture_names() for mode in MODES
+             for n in SIZES] + list(EXTRA_SOLVES)
     solves = {}
-    for name in fixture_names():
-        for mode in MODES:
-            for n in SIZES:
-                res = _solve(name, mode, n)
-                solves["%s/%s/n=%d" % (name, mode, n)] = {
-                    "y_grid_sha256": _sha(res.y_grid.tobytes()),
-                    "ledger": res.ledger.as_dict(),
-                }
+    for name, mode, n in cases:
+        res = _solve(name, mode, n)
+        solves["%s/%s/n=%d" % (name, mode, n)] = {
+            "y_grid_sha256": _sha(res.y_grid.tobytes()),
+            "ledger": res.ledger.as_dict(),
+        }
     reports = {}
     for name, mode, n in REPORT_CASES:
         rep = _solve(name, mode, n).to_report(include_pieces=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rqode.core import CostLedger, residual_bound
-from rqode.fixtures import get_fixture, reference_solver
+from rqode.fixtures import fixture_names, get_fixture, reference_solver
 from rqode.solver import (SolveConfig, empirical_quantile,
                           estimate_quant_error, estimate_rand_error,
                           run_trials, solve, sup_error)
@@ -111,6 +111,28 @@ class TestDeterministicSolve:
         with pytest.raises(ValueError, match="ln 2"):
             solve(fx.problem, fx.params,
                   SolveConfig(n=1, m=2, N=2, strict=True))
+
+
+class TestResidualItemBound:
+    @pytest.mark.filterwarnings("ignore:step-smallness")
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_items_within_declared_bound(self, monkeypatch, name):
+        # every residual item of a deterministic solve obeys |item| <= bound,
+        # the M the sampled backends calibrate on
+        from rqode import solver
+        families = []
+        full = solver.full_mean
+
+        def recording(family):
+            families.append(family)
+            return full(family)
+        monkeypatch.setattr(solver, "full_mean", recording)
+        fx = get_fixture(name)
+        for n in (2, 4, 8):
+            solve(fx.problem, fx.params, SolveConfig(n=n))
+        assert len(families) == 2 + 4 + 8
+        for fam in families:
+            assert np.max(np.abs(fam.peek_all())) <= fam.bound
 
 
 class TestLedgerInvariant:
