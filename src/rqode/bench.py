@@ -16,17 +16,17 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .estimators import MODES, empirical_quantile, get_backend
 from .fixtures import get_fixture
 from .scalar import bisection_solve
-from .solver import (SolveConfig, empirical_quantile, run_trials, solve,
-                     sup_error)
+# solve and sup_error stay bound here for instrumentation that patches them
+from .solver import SolveConfig, run_trials, solve, sup_error
 
 __all__ = [
     "ExperimentPlan",
@@ -35,12 +35,7 @@ __all__ = [
     "run_scalar_ladder",
     "emit_report",
     "fit_loglog",
-    "QUANTUM_HEADER",
 ]
-
-QUANTUM_HEADER = ("quantum_sim results validate the algorithm against the "
-                  "modeled oracle cost law min(s, c_q*M/eps1), not real "
-                  "quantum execution")
 
 SLOPE_TOLERANCE = 0.12
 RESIDUAL_THRESHOLD = 0.35
@@ -48,7 +43,7 @@ RESIDUAL_THRESHOLD = 0.35
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One ladder experiment: fixture, mode, rungs, trials, seed."""
+    """One ladder experiment: fixture, mode, rungs, trials, seed, workers."""
 
     fixture: str
     mode: str
@@ -67,8 +62,10 @@ class ExperimentPlan:
         if any(b <= a for a, b in zip(rungs, rungs[1:])):
             raise ValueError("ladder must be strictly increasing")
         object.__setattr__(self, "ladder", rungs)
-        if self.mode in ("randomized", "quantum_sim") and self.trials < 30:
+        if get_backend(self.mode).boosted and self.trials < 30:
             raise ValueError("stochastic ladders need at least 30 trials")
+        if self.workers < 1:
+            raise ValueError("workers must be a positive integer")
 
 
 @dataclass
@@ -119,24 +116,18 @@ def _passes(slope, residual, target, tolerance):
 
 def default_target(mode: str, order: float, kind: str = "ivp") -> float:
     """Class-guarantee exponent for the given mode and smoothness order."""
+    backend = get_backend(mode)
     if kind == "ivp":
-        if mode == "randomized":
-            return -(order + 1.0 / 3.0)
-        return -(order + 0.5)           # deterministic (m = n) and quantum_sim
-    if mode == "randomized":
-        return 1.0 / (order + 0.5)
-    if mode == "quantum_sim":
-        return 1.0 / (order + 1.0)
-    return 1.0 / order
+        return -(order + backend.ivp_offset)
+    return 1.0 / (order + backend.scalar_offset)
 
 
 def _rung_config(plan: ExperimentPlan, n: int) -> SolveConfig:
-    if plan.mode == "deterministic":
-        # det_N = 0 requests the class-faithful midpoint count N = n
-        N = n if plan.det_N == 0 else plan.det_N
-        return SolveConfig(n=n, mode="deterministic", m=n, N=N,
-                           seed=plan.seed)
-    return SolveConfig(n=n, mode=plan.mode, delta=plan.delta, seed=plan.seed)
+    # an exact backend reads det_N midpoints per fine cell; det_N = 0 requests
+    # the class-faithful count N = n
+    N = None if get_backend(plan.mode).boosted else plan.det_N or n
+    return SolveConfig(n=n, mode=plan.mode, N=N, delta=plan.delta,
+                       seed=plan.seed)
 
 
 def _run_ivp_rung(args):
@@ -144,18 +135,12 @@ def _run_ivp_rung(args):
     fx = get_fixture(plan.fixture) if isinstance(plan.fixture, str) else plan.fixture
     if fx.reference is None:
         raise ValueError("ladders need a fixture with a reference solution")
-    cfg = _rung_config(plan, n)
-    if plan.mode == "deterministic":
-        res = solve(fx.problem, fx.params, cfg)
-        err = sup_error(res, fx.reference, plan.probe_count)
-        return {"n": n, "error": err, "cost": float(res.ledger.total),
-                "deflated": float(res.ledger.total), "k_rep": 1}
-    stats = run_trials(fx.problem, fx.params, cfg, plan.trials, fx.reference,
+    backend = get_backend(plan.mode)
+    # an exact backend's solves do not depend on the seed: one is enough
+    stats = run_trials(fx.problem, fx.params, _rung_config(plan, n),
+                       plan.trials if backend.boosted else 1, fx.reference,
                        plan.probe_count)
-    if plan.mode == "randomized":
-        err = float(np.sqrt(np.mean(stats.errors ** 2)))
-    else:
-        err = empirical_quantile(stats.errors, plan.delta)
+    err = backend.ivp_error(stats.errors, plan.delta)
     return {"n": n, "error": err, "cost": float(np.mean(stats.costs)),
             "deflated": float(np.mean(stats.deflated_costs)),
             "k_rep": stats.k_rep}
@@ -171,9 +156,8 @@ def _map_rungs(fn, jobs, workers):
 def run_ladder(plan: ExperimentPlan) -> SlopeReport:
     """Error-versus-cost ladder over increasing n; fits the decay exponent."""
     fx = get_fixture(plan.fixture) if isinstance(plan.fixture, str) else plan.fixture
-    workers = plan.workers or int(os.environ.get("RQODE_WORKERS", "1"))
     rows = _map_rungs(_run_ivp_rung, [(plan, int(n)) for n in plan.ladder],
-                      workers)
+                      plan.workers)
     errors = [row["error"] for row in rows]
     costs = [row["cost"] for row in rows]
     deflated = [row["deflated"] for row in rows]
@@ -189,7 +173,7 @@ def run_ladder(plan: ExperimentPlan) -> SlopeReport:
         passed=_passes(slope, residual, target, plan.tolerance),
         rungs=[int(n) for n in plan.ladder], errors=errors, costs=costs,
         deflated_costs=deflated, trials=plan.trials, seed=plan.seed,
-        header=QUANTUM_HEADER if plan.mode == "quantum_sim" else "",
+        header=get_backend(plan.mode).header,
         extras={"k_rep": [row["k_rep"] for row in rows]},
     )
 
@@ -214,8 +198,8 @@ def _run_scalar_rung(args):
         deflated[t] = res.ledger.total / (res.k_rep * res.iters)
         iters[t] = res.iters
         k_rep = res.k_rep
-    quant = empirical_quantile(errs, plan.delta) if plan.mode != "deterministic" \
-        else float(np.max(errs))
+    quant = empirical_quantile(errs, plan.delta) \
+        if get_backend(plan.mode).boosted else float(np.max(errs))
     return {"eps": eps, "error": quant, "cost": float(np.mean(costs)),
             "deflated": float(np.mean(deflated)), "k_rep": k_rep,
             "mean_iters": float(np.mean(iters))}
@@ -232,14 +216,15 @@ def run_scalar_ladder(plan: ExperimentPlan) -> SlopeReport:
     log 1/eps quantum).  The log-power deflation itself is recorded too.
     """
     fx = get_fixture(plan.fixture) if isinstance(plan.fixture, str) else plan.fixture
+    backend = get_backend(plan.mode)
     eps_rungs = sorted((float(e) for e in plan.ladder), reverse=True)
-    workers = plan.workers or int(os.environ.get("RQODE_WORKERS", "1"))
     rows = _map_rungs(_run_scalar_rung,
-                      [(plan, i, e) for i, e in enumerate(eps_rungs)], workers)
+                      [(plan, i, e) for i, e in enumerate(eps_rungs)],
+                      plan.workers)
     inv_eps = [1.0 / row["eps"] for row in rows]
     costs = [row["cost"] for row in rows]
     deflated = [row["deflated"] for row in rows]
-    log_power = {"randomized": 2, "quantum_sim": 1}.get(plan.mode, 0)
+    log_power = backend.log_power
     log_deflated = [c / math.log2(ie) ** log_power
                     for c, ie in zip(costs, inv_eps)]
     slope, residual = fit_loglog(inv_eps, deflated)
@@ -255,8 +240,7 @@ def run_scalar_ladder(plan: ExperimentPlan) -> SlopeReport:
         passed=_passes(slope, residual, target, plan.tolerance),
         rungs=[row["eps"] for row in rows], errors=[row["error"] for row in rows],
         costs=costs, deflated_costs=deflated, trials=plan.trials,
-        seed=plan.seed,
-        header=QUANTUM_HEADER if plan.mode == "quantum_sim" else "",
+        seed=plan.seed, header=backend.header,
         extras={"k_rep": [row["k_rep"] for row in rows],
                 "mean_iters": [row["mean_iters"] for row in rows],
                 "log_power": log_power,
@@ -271,18 +255,17 @@ def exponent_hierarchy(fixture: str, ladder, trials: int = 30,
 
     The cost exponent is -1/slope of the error-vs-cost fit: the power of
     1/eps in the cost needed for accuracy eps.  The deterministic rung uses
-    the class-faithful midpoint count (N = n); the expected ordering is
-    deterministic >= randomized >= quantum_sim.
+    the class-faithful midpoint count (N = n).  The modes run in table order
+    (``MODES``), and each exponent is expected to be no larger than the one
+    before: deterministic >= randomized >= quantum_sim.
     """
     exponents = {}
-    for mode in ("deterministic", "randomized", "quantum_sim"):
-        plan = ExperimentPlan(fixture=fixture, mode=mode, ladder=ladder,
-                              trials=trials if mode != "deterministic" else 30,
-                              delta=delta, seed=seed, det_N=0)
-        rep = run_ladder(plan)
-        exponents[mode] = -1.0 / rep.slope
-    ordered = (exponents["deterministic"] >= exponents["randomized"]
-               >= exponents["quantum_sim"])
+    for name in MODES:
+        plan = ExperimentPlan(fixture=fixture, mode=name, ladder=ladder,
+                              trials=trials, delta=delta, seed=seed, det_N=0)
+        exponents[name] = -1.0 / run_ladder(plan).slope
+    values = list(exponents.values())
+    ordered = all(a >= b for a, b in zip(values, values[1:]))
     return {"exponents": exponents, "ordered": bool(ordered)}
 
 

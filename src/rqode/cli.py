@@ -17,6 +17,7 @@ import numpy as np
 from .bench import ExperimentPlan, emit_report, report_bytes, run_ladder, \
     run_scalar_ladder
 from .core import validate_holder
+from .estimators import MODES
 from .fixtures import get_fixture
 from .planted import make_planted
 from .scalar import bisection_solve
@@ -55,8 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", parents=[], help="run one solve")
     _add_common(sp)
-    sp.add_argument("--mode", default="deterministic",
-                    choices=["deterministic", "randomized", "quantum_sim"])
+    sp.add_argument("--mode", default="deterministic", choices=MODES)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--N", type=int, default=None)
@@ -68,15 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bisect", help="endpoint bisection for scalar fixtures")
     _add_common(sp)
-    sp.add_argument("--mode", default="randomized",
-                    choices=["deterministic", "randomized", "quantum_sim"])
+    sp.add_argument("--mode", default="randomized", choices=MODES)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--delta", type=float, default=0.1)
 
     sp = sub.add_parser("ladder", help="error-vs-cost ladder and slope check")
     _add_common(sp)
-    sp.add_argument("--mode", default="deterministic",
-                    choices=["deterministic", "randomized", "quantum_sim"])
+    sp.add_argument("--mode", default="deterministic", choices=MODES)
     sp.add_argument("--n", type=int, nargs="+", required=True,
                     help="ladder of n values")
     sp.add_argument("--trials", type=int, default=30)
@@ -86,8 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scalar-ladder", help="cost-vs-accuracy bisection ladder")
     _add_common(sp)
-    sp.add_argument("--mode", default="randomized",
-                    choices=["deterministic", "randomized", "quantum_sim"])
+    sp.add_argument("--mode", default="randomized", choices=MODES)
     sp.add_argument("--eps", type=float, nargs="+", required=True,
                     help="accuracy rungs")
     sp.add_argument("--trials", type=int, default=30)

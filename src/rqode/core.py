@@ -47,8 +47,8 @@ class HolderParams:
     component_H: Optional[tuple] = None  # per-component Holder constants <= H
 
     def __post_init__(self):
-        if self.r < 0 or self.r != int(self.r):
-            raise ValueError("r must be a nonnegative integer")
+        if self.r not in (0, 1, 2):
+            raise ValueError("r must be 0, 1 or 2 (supported orders r <= 2)")
         if not (0.0 < self.rho <= 1.0):
             raise ValueError("rho must lie in (0, 1]")
         if self.r == 0 and self.rho != 1.0:

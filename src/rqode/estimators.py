@@ -19,6 +19,11 @@ Charges are per index requested, whether an item is computed or read back
 from the family's item table: ``mc_mean`` tabulates the whole family once
 when a single run reads at least as many items as the family holds, so the
 boosted runs that follow share it, but the ledger still pays for every draw.
+
+``BACKENDS`` holds one :class:`Backend` record per oracle-cost model, keyed
+by mode name (``MODES``): everything the solvers, the endpoint bisection and
+the ladders do differently per model.  A new cost model is one entry and
+its mean function.
 """
 
 from __future__ import annotations
@@ -47,6 +52,10 @@ __all__ = [
     "inner_rep_count",
     "MC_CALIBRATION",
     "QUANTUM_COST_CONSTANT",
+    "Backend",
+    "BACKENDS",
+    "MODES",
+    "get_backend",
 ]
 
 # Calibration knobs.  MC_CALIBRATION = c in sigma = ceil((c*M/eps1)^2); the
@@ -146,16 +155,12 @@ class MeanEstimate:
     success_prob: float
 
 
-def _receipt(ledger: CostLedger, snap) -> dict:
-    return ledger.delta_since(snap)
-
-
 def full_mean(family: IndexedFamily) -> MeanEstimate:
     """Exact arithmetic mean of the whole family; cost = size accesses."""
     snap = family.ledger.snapshot()
     items = family.access(np.arange(family.size))
     value = items.mean(axis=0)
-    return MeanEstimate(value=value, cost=_receipt(family.ledger, snap),
+    return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
                         eps_target=0.0, success_prob=1.0)
 
 
@@ -199,7 +204,7 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream,
             idx = rng.integers(0, family.size, size=sigma)
             draws[t] = family.access(idx).mean(axis=0)
         value = draws[0] if reps == 1 else np.median(draws, axis=0)
-    return MeanEstimate(value=value, cost=_receipt(family.ledger, snap),
+    return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
                         eps_target=float(eps1), success_prob=0.75)
 
 
@@ -226,7 +231,7 @@ def quantum_sim_mean(family: IndexedFamily, eps1: float, rng: RngStream,
         items = family.peek_all()
         family.ledger.quantum_queries += family.size
         value = items.mean(axis=0)
-        return MeanEstimate(value=value, cost=_receipt(family.ledger, snap),
+        return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
                             eps_target=float(eps1), success_prob=1.0)
 
     truth = family.peek_all().mean(axis=0)
@@ -243,7 +248,7 @@ def quantum_sim_mean(family: IndexedFamily, eps1: float, rng: RngStream,
         )
         draws[t] = np.clip(truth + noise, -2.0 * M_c, 2.0 * M_c)
     value = draws[0] if reps == 1 else np.median(draws, axis=0)
-    return MeanEstimate(value=value, cost=_receipt(family.ledger, snap),
+    return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
                         eps_target=float(eps1), success_prob=0.75)
 
 
@@ -260,13 +265,12 @@ def median_boost(base: Callable[..., MeanEstimate], family: IndexedFamily,
     snap = family.ledger.snapshot()
     if k == 1:
         est = base(family, eps1, rng)
-        return MeanEstimate(value=est.value, cost=_receipt(family.ledger, snap),
-                            eps_target=float(eps1), success_prob=est.success_prob)
-    streams = rng.spawn(k)
-    values = np.stack([base(family, eps1, s).value for s in streams])
-    value = np.median(values, axis=0)
-    success = 1.0 - float(binomial_fail_tail(k))
-    return MeanEstimate(value=value, cost=_receipt(family.ledger, snap),
+        value, success = est.value, est.success_prob
+    else:
+        values = np.stack([base(family, eps1, s).value for s in rng.spawn(k)])
+        value = np.median(values, axis=0)
+        success = 1.0 - float(binomial_fail_tail(k))
+    return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
                         eps_target=float(eps1), success_prob=success)
 
 
@@ -318,3 +322,83 @@ def inner_rep_count(dim: int) -> int:
     while binomial_fail_tail(k) > target:
         k += 2
     return k
+
+
+def single_solve_error(errors, delta=None) -> float:
+    """The sup error of the single solve an exact backend needs."""
+    (error,) = errors
+    return float(error)
+
+
+def rms_error(errors, delta=None) -> float:
+    """Empirical second-moment error: sqrt(mean of squared sup errors)."""
+    return float(np.sqrt(np.mean(np.asarray(errors) ** 2)))
+
+
+def empirical_quantile(errors, delta: float) -> float:
+    """Smallest alpha with an empirical exceedance fraction at most delta."""
+    e = np.sort(np.asarray(errors, dtype=float))
+    T = e.size
+    k = int(math.ceil((1.0 - delta) * T))
+    k = min(max(k, 1), T)
+    return float(e[k - 1])
+
+
+@dataclass(frozen=True)
+class Backend:
+    """One oracle-cost model: its mean backend and every law that follows.
+
+    ``estimator`` is the *name* of the mean function.  ``solver`` and
+    ``scalar`` look it up among their own module attributes at each call, so
+    whatever rebinds those attributes (instrumentation wraps ``mc_mean`` and
+    friends there to count, time and audit estimates) sees every call; a
+    record holding the function object would bypass it.
+    """
+
+    estimator: str
+    # sampled: takes (family, eps1, rng), succeeds w.p. 3/4 and is median-
+    # boosted, so solves default eps1 = 1/n; else exact, taking (family)
+    boosted: bool
+    mesh_power: int         # default m = N = n**mesh_power
+    ivp_offset: float       # IVP error ~ cost^-(order + ivp_offset)
+    # bisection cost ~ (1/eps)^(1/(order + scalar_offset)); the cell law
+    # (cell_coeff * inv[cell_bound] * width^(order+1) / eps1) has that power
+    scalar_offset: float
+    cell_bound: str
+    cell_coeff: float
+    bias_midpoints: bool    # midpoints per cell hold the bias to eps1/2; else 1
+    log_power: int          # power of log2(1/eps) the scalar ladder divides out
+    ivp_error: Callable[..., float]     # ladder-rung statistic of sup errors
+    header: str = ""
+
+
+# in the paper's speed-up order: each model's accuracy-cost exponent is
+# expected to be no larger than the one before (see exponent_hierarchy)
+BACKENDS = {
+    "deterministic": Backend(
+        estimator="full_mean", boosted=False, mesh_power=1, ivp_offset=0.5,
+        scalar_offset=0.0, cell_bound="L", cell_coeff=0.25,
+        bias_midpoints=False, log_power=0, ivp_error=single_solve_error),
+    "randomized": Backend(
+        estimator="mc_mean", boosted=True, mesh_power=2, ivp_offset=1.0 / 3.0,
+        scalar_offset=0.5, cell_bound="M", cell_coeff=2.0 * MC_CALIBRATION,
+        bias_midpoints=True, log_power=2, ivp_error=rms_error),
+    "quantum_sim": Backend(
+        estimator="quantum_sim_mean", boosted=True, mesh_power=1,
+        ivp_offset=0.5, scalar_offset=1.0, cell_bound="M",
+        cell_coeff=2.0 * QUANTUM_COST_CONSTANT, bias_midpoints=True,
+        log_power=1, ivp_error=empirical_quantile,
+        header="quantum_sim results validate the algorithm against the "
+               "modeled oracle cost law min(s, c_q*M/eps1), not real "
+               "quantum execution"),
+}
+MODES = tuple(BACKENDS)
+
+
+def get_backend(mode: str) -> Backend:
+    """The record of ``mode``; an unknown mode raises ``ValueError``."""
+    try:
+        return BACKENDS[mode]
+    except KeyError:
+        raise ValueError("unknown mode %r; known modes: %s"
+                         % (mode, ", ".join(MODES))) from None

@@ -4,7 +4,8 @@ A fixture bundles an :class:`IvpProblem` (evaluation and derivative oracles,
 hand-coded per problem), its smoothness-class declaration, and a reference
 solution where a closed form exists.  The declarative file format carries
 one JSON object per fixture: ``{name, d, r, rho, D, H, p?, a, b, eta}``;
-oracles are bound by name from the registry at load time.
+oracles are bound by name from the registry at load time.  The stock
+fixtures are the entries of the shipped ``fixtures.json``, read on first use.
 
 Derivative bounds are declared on a reachable tube around the solution, not
 on all of R^d; ``validate_holder`` checks them on sampled grids only.
@@ -12,8 +13,10 @@ on all of R^d; ``validate_holder`` checks them on sampled grids only.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,7 +30,6 @@ __all__ = [
     "fixture_names",
     "load_fixture_file",
     "write_fixture_file",
-    "default_fixture_entries",
     "reference_solver",
 ]
 
@@ -220,36 +222,6 @@ _BUILDERS = {
 }
 
 
-def default_fixture_entries() -> list:
-    """The stock declarative entries shipped with the package."""
-    return [
-        {"name": "sin_flow", "family": "sin_flow", "d": 1, "r": 0, "rho": 1.0,
-         "D": [1.0], "H": 1.0, "a": 0.0, "b": 1.0, "eta": [1.0]},
-        {"name": "sin_flow_r1", "family": "sin_flow", "d": 1, "r": 1, "rho": 1.0,
-         "D": [1.0, 1.0], "H": 1.0, "a": 0.0, "b": 1.0, "eta": [1.0]},
-        {"name": "exp_flow", "family": "exp_flow", "d": 1, "r": 0, "rho": 1.0,
-         "D": [2.0], "H": 1.0, "a": 0.0, "b": 0.5, "eta": [1.0]},
-        {"name": "exp_flow_r1", "family": "exp_flow", "d": 1, "r": 1, "rho": 1.0,
-         "D": [2.0, 1.0], "H": 1e-9, "a": 0.0, "b": 0.5, "eta": [1.0]},
-        {"name": "constant", "family": "constant", "d": 2, "r": 0, "rho": 1.0,
-         "D": [1.0], "H": 1e-30, "a": 0.0, "b": 1.0, "eta": [0.2, -0.1],
-         "c": [0.7, -0.3]},
-        {"name": "constant_r1", "family": "constant", "d": 1, "r": 1, "rho": 1.0,
-         "D": [1.0, 1e-6], "H": 1e-30, "a": 0.0, "b": 1.0, "eta": [0.5],
-         "c": [0.7]},
-        {"name": "cos_time", "family": "cos_time", "d": 2, "r": 0, "rho": 1.0,
-         "D": [1.0], "H": 1.0, "component_H": [0.0, 1.0],
-         "a": 0.0, "b": 1.0, "eta": [0.0, 0.0]},
-        {"name": "cos_time_r1", "family": "cos_time", "d": 2, "r": 1, "rho": 1.0,
-         "D": [1.0, 1.0], "H": 1.0, "component_H": [0.0, 1.0],
-         "a": 0.0, "b": 1.0, "eta": [0.0, 0.0]},
-        {"name": "inv1p", "family": "inv1p", "d": 1, "r": 0, "rho": 1.0,
-         "D": [1.0], "H": 1.0, "p": 0.4, "a": 0.0, "b": 1.5, "eta": [0.0]},
-        {"name": "inv1p_r1", "family": "inv1p", "d": 1, "r": 1, "rho": 1.0,
-         "D": [1.0, 1.0], "H": 2.0, "p": 0.4, "a": 0.0, "b": 1.5, "eta": [0.0]},
-    ]
-
-
 def _fixture_from_entry(entry: dict) -> Fixture:
     family = entry.get("family", entry["name"])
     if family == "planted":
@@ -267,24 +239,20 @@ def _fixture_from_entry(entry: dict) -> Fixture:
                    reference=reference, y_star=y_star, meta=dict(entry))
 
 
-_DEFAULTS = None
-
-
-def _default_map() -> dict:
-    global _DEFAULTS
-    if _DEFAULTS is None:
-        _DEFAULTS = {e["name"]: e for e in default_fixture_entries()}
-    return _DEFAULTS
+@functools.lru_cache(maxsize=None)
+def _stock_entries() -> dict:
+    shipped = Path(__file__).with_name("fixtures.json")
+    return {e["name"]: e for e in json.loads(shipped.read_text())}
 
 
 def fixture_names() -> list:
-    return sorted(_default_map())
+    return sorted(_stock_entries())
 
 
 def get_fixture(name: str) -> Fixture:
     """Build a stock fixture by name."""
     try:
-        entry = _default_map()[name]
+        entry = _stock_entries()[name]
     except KeyError:
         raise KeyError("unknown fixture %r; known: %s"
                        % (name, ", ".join(fixture_names()))) from None

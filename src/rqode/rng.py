@@ -33,10 +33,6 @@ class RngStream:
         self._gen = np.random.Generator(np.random.Philox(key=None, seed=self._seq))
         self.ledger = ledger
 
-    @property
-    def seed_entropy(self):
-        return self._seq.entropy
-
     def _count(self, size):
         """Book the number of variates a draw of shape ``size`` returns."""
         if self.ledger is not None:

@@ -9,8 +9,10 @@ which is monotone with slope between 1/D_0 and 1/p in absolute value.  The
 solver bisects on noisy estimates of the defect: each estimate subtracts the
 degree-r Taylor polynomial of 1/f on a partition of [eta, y] (integrated
 exactly) and hands the scaled cell residuals, sampled at cell midpoints, to
-one of the mean backends.  Estimates are median-boosted so that the whole
-bisection succeeds with probability 1 - delta.
+the mode's mean backend.  Estimates are median-boosted so that the whole
+bisection succeeds with probability 1 - delta.  The mode's
+:class:`~rqode.estimators.Backend` record also sets the cell-count law and
+the midpoint rule.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .core import CostLedger, HolderParams, IvpProblem
-from .estimators import (IndexedFamily, full_mean, mc_mean, median_rep_count,
-                         quantum_sim_mean, MC_CALIBRATION, QUANTUM_COST_CONSTANT)
+from .estimators import (IndexedFamily, full_mean, get_backend, mc_mean,
+                         median_rep_count, quantum_sim_mean)
 from .rng import RngStream
 
 __all__ = [
@@ -45,7 +47,8 @@ def inverse_class_params(params: HolderParams, span: float) -> dict:
 
     Returns the derivative bounds ``Dt[0..r]``, the Holder constant ``Ht``
     of phi^(r), the cell-residual sup bound ``M`` and the residual Lipschitz
-    bound ``L`` used to pick midpoint counts.  Quotient-rule bounds, r <= 2.
+    bound ``L`` used to pick midpoint counts.  Quotient-rule bounds, which
+    cover every supported order (``HolderParams`` rejects r > 2).
     """
     if params.p is None:
         raise ValueError("inverse-class bounds need the lower bound p")
@@ -57,8 +60,6 @@ def inverse_class_params(params: HolderParams, span: float) -> dict:
         Dt.append(D[1] / p ** 2)
     if r >= 2:
         Dt.append(D[2] / p ** 2 + 2.0 * D[1] ** 2 / p ** 3)
-    if r > 2:
-        raise ValueError("inverse-class bounds implemented for r <= 2")
     if r == 0:
         Ht = H / p ** 2
     elif r == 1:
@@ -149,40 +150,29 @@ class CellResidualFamily(IndexedFamily):
         return out[:, None]
 
 
-def _cell_count(params: HolderParams, width: float, eps1: float, mode: str,
-                inv: dict) -> int:
-    """Cell counts balancing discretization bias against estimator cost."""
+def _prepare(problem, params, y, eps1, backend, inv, ledger):
+    """Cells, their geometry and the residual family of the defect at y.
+
+    The cell count balances discretization bias against estimator cost; a
+    cell gets enough midpoints to keep the quadrature bias in budget.
+    """
     order = params.order
+    width = abs(y - float(problem.eta[0]))
     if width == 0.0:
-        return 1
-    if mode == "randomized":
-        raw = (2.0 * MC_CALIBRATION * inv["M"] * width ** (order + 1.0)
-               / eps1) ** (1.0 / (order + 0.5))
-    elif mode == "quantum_sim":
-        raw = (2.0 * QUANTUM_COST_CONSTANT * inv["M"] * width ** (order + 1.0)
-               / eps1) ** (1.0 / (order + 1.0))
-    else:
-        raw = (inv["L"] * width ** (order + 1.0) / (4.0 * eps1)) ** (1.0 / order)
-    return max(1, int(math.ceil(raw)))
+        return CellGeometry(problem, params, y, 1, ledger), None
+    exponent = 1.0 / (order + backend.scalar_offset)
+    raw = (backend.cell_coeff * inv[backend.cell_bound]
+           * width ** (order + 1.0) / eps1) ** exponent
+    geom = CellGeometry(problem, params, y, max(1, int(math.ceil(raw))), ledger)
+    n_mid = 1
+    if backend.bias_midpoints:
+        bias_scale = width * geom.delta ** order * inv["L"]
+        n_mid = max(1, int(math.ceil(bias_scale / (2.0 * eps1))))
+    return geom, CellResidualFamily(problem, params, geom, n_mid, inv["M"],
+                                    ledger)
 
 
-def _mid_count(params: HolderParams, geom: CellGeometry, eps1: float,
-               mode: str, inv: dict) -> int:
-    """Midpoints per cell keeping the quadrature bias within budget."""
-    if mode == "deterministic":
-        return 1
-    bias_scale = geom.width * geom.delta ** params.order * inv["L"]
-    return max(1, int(math.ceil(bias_scale / (2.0 * eps1))))
-
-
-def _build_family(problem, params, geom, eps1, mode, inv, ledger):
-    if geom.width == 0.0:
-        return None
-    n_mid = _mid_count(params, geom, eps1, mode, inv)
-    return CellResidualFamily(problem, params, geom, n_mid, inv["M"], ledger)
-
-
-def _estimate_once(problem, params, geom, family, eps1, mode, inv, rng):
+def _estimate_once(problem, params, geom, family, eps1, backend, rng):
     """One defect estimate from a prepared geometry and residual family.
 
     The family is shared across median repetitions.  Its item table, built
@@ -194,15 +184,14 @@ def _estimate_once(problem, params, geom, family, eps1, mode, inv, rng):
     if family is None:
         return -b_minus_a
     resid_scale = geom.sign * geom.width * geom.delta ** params.order
-    if mode == "deterministic":
-        est = full_mean(family)
-    else:
+    # looked up by name at call time: see Backend.estimator
+    estimator = globals()[backend.estimator]
+    if backend.boosted:
         # estimator budget: eps1/2 after scaling back by width * delta^(r+rho)
         eps_fam = eps1 / (2.0 * geom.width * geom.delta ** params.order)
-        if mode == "randomized":
-            est = mc_mean(family, eps_fam, rng)
-        else:
-            est = quantum_sim_mean(family, eps_fam, rng)
+        est = estimator(family, eps_fam, rng)
+    else:
+        est = estimator(family)
     return geom.exact_part + resid_scale * float(est.value[0]) - b_minus_a
 
 
@@ -217,6 +206,7 @@ def estimate_H(problem: IvpProblem, params: HolderParams, y: float,
     eps1/2).  Deterministic mode enumerates every midpoint and is certain.
     Returns ``(A, cost_receipt)``.
     """
+    backend = get_backend(mode)
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
     if problem.dim != 1:
@@ -229,10 +219,9 @@ def estimate_H(problem: IvpProblem, params: HolderParams, y: float,
     width = abs(float(y) - float(problem.eta[0]))
     span = max(width, params.D[0] * (problem.b - problem.a))
     inv = inverse_class_params(params, span)
-    cells = _cell_count(params, width, eps1, mode, inv)
-    geom = CellGeometry(problem, params, float(y), cells, ledger)
-    family = _build_family(problem, params, geom, eps1, mode, inv, ledger)
-    A = _estimate_once(problem, params, geom, family, eps1, mode, inv, rng)
+    geom, family = _prepare(problem, params, float(y), eps1, backend, inv,
+                            ledger)
+    A = _estimate_once(problem, params, geom, family, eps1, backend, rng)
     return A, ledger.delta_since(snap)
 
 
@@ -281,14 +270,13 @@ def bisection_solve(problem: IvpProblem, params: HolderParams, eps: float,
     which the success event guarantees within the iteration budget; running
     past the budget is reported as a (low-probability) contract breach.
     """
+    backend = get_backend(mode)
     if params.p is None:
         raise ValueError("params must declare the lower bound p")
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if mode not in ("deterministic", "randomized", "quantum_sim"):
-        raise ValueError("unknown mode %r" % mode)
 
     ledger = CostLedger()
     rng = RngStream(seed, ledger)
@@ -298,7 +286,7 @@ def bisection_solve(problem: IvpProblem, params: HolderParams, eps: float,
     eps1 = eps / (3.0 * D0)
     max_iters = int(math.ceil(math.log2(D0 * b_minus_a / (p * eps1))))
     max_iters = max(max_iters, 1)
-    k_rep = 1 if mode == "deterministic" else median_rep_count(max_iters, delta)
+    k_rep = median_rep_count(max_iters, delta) if backend.boosted else 1
 
     f_eta = float(np.asarray(problem.f(problem.eta))[0])
     ledger.f_evals += 1
@@ -317,18 +305,14 @@ def bisection_solve(problem: IvpProblem, params: HolderParams, eps: float,
 
     for it in range(1, max_iters + 1):
         y_mid = 0.5 * (lo + hi)
-        width = abs(y_mid - eta)
-        cells = _cell_count(params, width, eps1, mode, inv)
-        geom = CellGeometry(problem, params, y_mid, cells, ledger)
-        family = _build_family(problem, params, geom, eps1, mode, inv, ledger)
-        if mode == "deterministic":
-            A = _estimate_once(problem, params, geom, family, eps1, mode, inv, rng)
+        geom, family = _prepare(problem, params, y_mid, eps1, backend, inv,
+                                ledger)
+        if backend.boosted:
+            A = float(np.median([
+                _estimate_once(problem, params, geom, family, eps1, backend, s)
+                for s in rng.spawn(k_rep)]))
         else:
-            reps = [
-                _estimate_once(problem, params, geom, family, eps1, mode, inv, s)
-                for s in rng.spawn(k_rep)
-            ]
-            A = float(np.median(reps))
+            A = _estimate_once(problem, params, geom, family, eps1, backend, rng)
         if abs(A) <= 2.0 * eps1:
             history.append((y_mid, A, "stop"))
             return BisectionResult(y_out=y_mid, iters=it, ledger=ledger,

@@ -2,12 +2,10 @@
 
 Each coarse step chains m fine Taylor pieces, integrates the local field
 expansions exactly, and corrects with an estimated mean of the scaled
-residuals sampled at fine-cell midpoints.  The three modes differ only in
-the mean backend:
-
-* deterministic -- the full midpoint mean, computed exactly;
-* randomized    -- Monte Carlo subsampling, median-boosted;
-* quantum_sim   -- the quantum-cost-model stub, median-boosted.
+residuals sampled at fine-cell midpoints.  The modes differ only in their
+:class:`~rqode.estimators.Backend` record: the mean backend (the exact
+midpoint mean, Monte Carlo subsampling or the quantum-cost-model stub, the
+last two median-boosted) and the mesh defaults that go with it.
 
 Residual families are lazy: items are computed on demand, or tabulated once
 when a Monte Carlo run reads at least as many items as the family holds.
@@ -25,8 +23,9 @@ import numpy as np
 
 from .core import (CostLedger, HolderParams, IvpProblem, build_mesh,
                    residual_bound, residual_bound_vector)
-from .estimators import (IndexedFamily, full_mean, mc_mean, median_boost,
-                         median_rep_count, quantum_sim_mean)
+from .estimators import (MODES, IndexedFamily, empirical_quantile, full_mean,
+                         get_backend, mc_mean, median_boost, median_rep_count,
+                         quantum_sim_mean, rms_error)
 from .rng import RngStream
 from .taylor import (PiecewiseTaylorApprox, fetch_jet, flow_coeffs_from_jet,
                      integrate_field_along)
@@ -43,15 +42,13 @@ __all__ = [
     "MODES",
 ]
 
-MODES = ("deterministic", "randomized", "quantum_sim")
-
 
 @dataclass(frozen=True)
 class SolveConfig:
     """Solver configuration; unset mesh fields fall back to mode defaults.
 
-    Mode defaults: randomized uses m = n^2, N = n^2; quantum_sim and
-    deterministic use m = n, N = n; stochastic modes default eps1 = 1/n.
+    Mode defaults come from the mode's backend record: m = N = n^mesh_power
+    (n^2 randomized, n otherwise), and boosted modes default eps1 = 1/n.
     ``k_override`` forces the median repetition count (k = 1 disables
     boosting, used by the degeneracy checks); ``record_estimate_errors``
     audits per-step estimator errors against the exact first-stage means
@@ -70,22 +67,18 @@ class SolveConfig:
     record_estimate_errors: bool = False
 
     def resolved(self) -> "SolveConfig":
-        if self.mode not in MODES:
-            raise ValueError("mode must be one of %s" % (MODES,))
+        backend = get_backend(self.mode)
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        m = self.m
-        N = self.N
+        mesh = self.n ** backend.mesh_power
+        m = mesh if self.m is None else self.m
+        N = mesh if self.N is None else self.N
         eps1 = self.eps1
-        if m is None:
-            m = self.n ** 2 if self.mode == "randomized" else self.n
-        if N is None:
-            N = self.n ** 2 if self.mode == "randomized" else self.n
         if eps1 is None:
-            eps1 = 0.0 if self.mode == "deterministic" else 1.0 / self.n
+            eps1 = 1.0 / self.n if backend.boosted else 0.0
         if m < 1 or N < 1:
             raise ValueError("m and N must be positive integers")
-        if self.mode != "deterministic":
+        if backend.boosted:
             if eps1 <= 0:
                 raise ValueError("stochastic modes need eps1 > 0")
             if not 0.0 < self.delta < 0.5:
@@ -149,7 +142,6 @@ class SolveResult:
     y_grid: np.ndarray
     ledger: CostLedger
     config: SolveConfig
-    seed: int
     k_rep: int
     step_receipts: list = field(default_factory=list)
     est_errors: Optional[np.ndarray] = None
@@ -158,7 +150,7 @@ class SolveResult:
     def to_report(self, include_pieces: bool = False) -> dict:
         rep = {
             "config": self.config.as_dict(),
-            "seed": self.seed,
+            "seed": self.config.seed,
             "k_rep": self.k_rep,
             "y_grid": self.y_grid.tolist(),
             "cost": self.ledger.as_dict(),
@@ -192,7 +184,10 @@ def solve(problem: IvpProblem, params: HolderParams,
         warnings.warn(msg)
         notes.append(msg)
 
-    if cfg.mode == "deterministic":
+    backend = get_backend(cfg.mode)
+    # looked up by name at call time: see Backend.estimator
+    estimator = globals()[backend.estimator]
+    if not backend.boosted:
         k_rep = 1
     elif cfg.k_override is not None:
         k_rep = int(cfg.k_override)
@@ -202,7 +197,7 @@ def solve(problem: IvpProblem, params: HolderParams,
     d = problem.dim
     order = params.r + 1
     root = RngStream(cfg.seed, ledger)
-    step_streams = root.spawn(cfg.n) if cfg.mode != "deterministic" else [None] * cfg.n
+    step_streams = root.spawn(cfg.n) if backend.boosted else [None] * cfg.n
     bound = residual_bound(params, d)
     scale = cfg.m * mesh.hbar ** (params.order + 1.0)
 
@@ -238,13 +233,11 @@ def solve(problem: IvpProblem, params: HolderParams,
 
         family = ResidualFamily(problem, params, C, jets,
                                 mesh.hbar, cfg.N, ledger, bound=bound)
-        if cfg.mode == "deterministic":
-            est = full_mean(family)
-        elif cfg.mode == "randomized":
-            est = median_boost(mc_mean, family, cfg.eps1, k_rep, step_streams[i])
-        else:
-            est = median_boost(quantum_sim_mean, family, cfg.eps1, k_rep,
+        if backend.boosted:
+            est = median_boost(estimator, family, cfg.eps1, k_rep,
                                step_streams[i])
+        else:
+            est = estimator(family)
 
         if est_errors is not None:
             truth = family.peek_all().mean(axis=0)
@@ -265,7 +258,7 @@ def solve(problem: IvpProblem, params: HolderParams,
     return SolveResult(
         approx=PiecewiseTaylorApprox(mesh, coeffs.reshape(-1, order + 1, d),
                                      bases.ravel()),
-        y_grid=y_grid, ledger=ledger, config=cfg, seed=cfg.seed, k_rep=k_rep,
+        y_grid=y_grid, ledger=ledger, config=cfg, k_rep=k_rep,
         step_receipts=step_receipts,
         est_errors=None if est_errors is None else np.asarray(est_errors),
         warnings=notes,
@@ -349,19 +342,10 @@ def estimate_rand_error(problem: IvpProblem, params: HolderParams,
     """Empirical second-moment error: sqrt(mean of squared sup errors)."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    if config.mode == "deterministic":
+    if not get_backend(config.mode).boosted:
         raise ValueError("second-moment error is for stochastic modes")
     stats = run_trials(problem, params, config, trials, reference, probe_count)
-    return float(np.sqrt(np.mean(stats.errors ** 2)))
-
-
-def empirical_quantile(errors: np.ndarray, delta: float) -> float:
-    """Smallest alpha with an empirical exceedance fraction at most delta."""
-    e = np.sort(np.asarray(errors, dtype=float))
-    T = e.size
-    k = int(math.ceil((1.0 - delta) * T))
-    k = min(max(k, 1), T)
-    return float(e[k - 1])
+    return rms_error(stats.errors)
 
 
 def estimate_quant_error(problem: IvpProblem, params: HolderParams,

@@ -1,0 +1,91 @@
+"""The backend table: one record per oracle-cost model.
+
+Every entry point looks its mode up in ``BACKENDS``, and the solvers reach
+the mean backends through their own module attributes, which is where
+instrumentation wraps them.
+"""
+
+from collections import Counter
+
+import pytest
+
+from rqode import scalar, solver
+from rqode.bench import ExperimentPlan
+from rqode.cli import build_parser
+from rqode.fixtures import get_fixture
+from rqode.scalar import bisection_solve, estimate_H
+from rqode.solver import MODES, SolveConfig
+
+ESTIMATOR = {"deterministic": "full_mean", "randomized": "mc_mean",
+             "quantum_sim": "quantum_sim_mean"}
+
+
+def test_modes_are_the_table_keys():
+    from rqode.estimators import BACKENDS
+    assert MODES == tuple(BACKENDS) == tuple(ESTIMATOR)
+    for mode, backend in BACKENDS.items():
+        assert backend.estimator == ESTIMATOR[mode]
+        assert backend.boosted == (mode != "deterministic")
+
+
+def test_cli_mode_choices_are_the_modes():
+    parser = build_parser()
+    for command, size in (("solve", "--n"), ("bisect", "--eps"),
+                          ("ladder", "--n"), ("scalar-ladder", "--eps")):
+        argv = [command, "--fixture", "inv1p", size, "2", "--mode"]
+        assert [parser.parse_args(argv + [m]).mode for m in MODES] == list(MODES)
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["bogus"])
+
+
+ENTRY_POINTS = {
+    "SolveConfig.resolved": lambda fx: SolveConfig(n=2, mode="bogus").resolved(),
+    "bisection_solve": lambda fx: bisection_solve(fx.problem, fx.params, 1e-3,
+                                                  0.1, mode="bogus"),
+    "estimate_H": lambda fx: estimate_H(fx.problem, fx.params, 0.5, 1e-3,
+                                        "bogus"),
+    "ExperimentPlan": lambda fx: ExperimentPlan(fixture="inv1p", mode="bogus",
+                                                ladder=[1e-3, 1e-2]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_unknown_mode_rejected(entry):
+    fx = get_fixture("inv1p")
+    with pytest.raises(ValueError, match="unknown mode 'bogus'; known modes: "
+                       "deterministic, randomized, quantum_sim"):
+        ENTRY_POINTS[entry](fx)
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = Counter()
+    for name in names:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_solve_calls_the_solver_attributes(monkeypatch, mode):
+    calls = _count_calls(monkeypatch, solver, ("full_mean", "mc_mean",
+                                               "quantum_sim_mean",
+                                               "median_boost"))
+    fx = get_fixture("sin_flow")
+    res = solver.solve(fx.problem, fx.params, SolveConfig(n=2, mode=mode))
+    if mode == "deterministic":
+        assert calls == {"full_mean": 2}
+    else:
+        assert calls == {"median_boost": 2, ESTIMATOR[mode]: 2 * res.k_rep}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_bisection_calls_the_scalar_attributes(monkeypatch, mode):
+    calls = _count_calls(monkeypatch, scalar, ("full_mean", "mc_mean",
+                                               "quantum_sim_mean"))
+    fx = get_fixture("inv1p")
+    res = scalar.bisection_solve(fx.problem, fx.params, 1e-2, 0.1, mode=mode)
+    assert calls == {ESTIMATOR[mode]: res.iters * res.k_rep}

@@ -45,6 +45,27 @@ class TestPlans:
             ExperimentPlan(fixture="sin_flow", mode="randomized",
                            ladder=[2, 3], trials=5)
 
+    def test_workers_must_be_positive(self):
+        with pytest.raises(ValueError, match="workers"):
+            ExperimentPlan(fixture="sin_flow", mode="deterministic",
+                           ladder=[2, 3], workers=0)
+
+    def test_workers_used_as_given(self, monkeypatch):
+        # the ladders read plan.workers only; RQODE_WORKERS is the CLI's
+        from rqode import bench
+        seen = []
+
+        def serial(fn, jobs, workers):
+            seen.append(workers)
+            return [fn(job) for job in jobs]
+        monkeypatch.setenv("RQODE_WORKERS", "4")
+        monkeypatch.setattr(bench, "_map_rungs", serial)
+        run_ladder(ExperimentPlan(fixture="sin_flow", mode="deterministic",
+                                  ladder=[2, 3]))
+        run_scalar_ladder(ExperimentPlan(fixture="inv1p", mode="deterministic",
+                                         ladder=[1e-3, 1e-2], trials=1))
+        assert seen == [1, 1]
+
 
 class TestLadders:
     def test_deterministic_slope(self):

@@ -77,6 +77,13 @@ class TestHolderParams:
         with pytest.raises(ValueError):
             HolderParams(r=0, rho=1.0, D=(1.0,), H=1.0, p=2.0)
 
+    def test_supported_orders_only(self):
+        for r in (-1, 1.5, 3):
+            with pytest.raises(ValueError, match="r <= 2"):
+                HolderParams(r=r, rho=1.0, D=(1.0,) * 4, H=1.0)
+        for r in (0, 1, 2):
+            assert HolderParams(r=r, rho=1.0, D=(1.0,) * (r + 1), H=1.0).r == r
+
     def test_lipschitz_selection(self):
         p0 = HolderParams(r=0, rho=1.0, D=(1.0,), H=3.0)
         p1 = HolderParams(r=1, rho=1.0, D=(1.0, 2.5), H=3.0)

@@ -1,14 +1,20 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rqode
 from rqode.core import validate_holder
-from rqode.fixtures import (default_fixture_entries, fixture_names,
-                            get_fixture, load_fixture_file, reference_solver,
-                            write_fixture_file)
+from rqode.fixtures import (fixture_names, get_fixture, load_fixture_file,
+                            reference_solver, write_fixture_file)
 from rqode.planted import make_planted
 from rqode.core import HolderParams
+
+
+def shipped_entries():
+    """The stock fixture entries, as the package ships them."""
+    return json.loads((Path(rqode.__file__).parent / "fixtures.json").read_text())
 
 
 class TestRegistry:
@@ -23,7 +29,7 @@ class TestRegistry:
             get_fixture("does_not_exist")
 
     def test_entry_schema(self):
-        for entry in default_fixture_entries():
+        for entry in shipped_entries():
             for key in ("name", "d", "r", "rho", "D", "H", "a", "b", "eta"):
                 assert key in entry, (entry["name"], key)
             assert len(entry["D"]) == entry["r"] + 1
@@ -61,7 +67,7 @@ class TestRegistry:
 class TestFixtureFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "fixtures.json"
-        write_fixture_file(default_fixture_entries(), path)
+        write_fixture_file(shipped_entries(), path)
         fixtures = load_fixture_file(path)
         assert {f.name for f in fixtures} == set(fixture_names())
         fx = [f for f in fixtures if f.name == "sin_flow"][0]
@@ -82,16 +88,9 @@ class TestFixtureFile:
 
     def test_file_is_json(self, tmp_path):
         path = tmp_path / "f.json"
-        write_fixture_file(default_fixture_entries(), path)
+        write_fixture_file(shipped_entries(), path)
         with open(path) as fh:
             assert isinstance(json.load(fh), list)
-
-    def test_shipped_file_in_sync(self):
-        import pathlib
-        import rqode
-        shipped = pathlib.Path(rqode.__file__).parent / "fixtures.json"
-        with open(shipped) as fh:
-            assert json.load(fh) == default_fixture_entries()
 
 
 class TestReferenceSolver:

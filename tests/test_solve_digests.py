@@ -1,11 +1,14 @@
-"""Bit-identity regression: solve() trajectories, ledgers and piece reports.
+"""Bit-identity regression: solves, bisections and ladder reports.
 
 ``tests/data/solve_digests.json`` holds, for every shipped fixture x mode x
 n in {2, 5} and for the ``EXTRA_SOLVES`` cases at a fixed seed, the sha256
 of ``y_grid.tobytes()`` and the ledger dict, plus the sha256 of two
-``to_report(include_pieces=True)`` documents.  Any change to the fine chain,
-the exact field integration or the estimators that moves a single ulp or a
-single charge fails here.
+``to_report(include_pieces=True)`` documents.  It also holds the sha256 of
+``bisection_solve(...).to_report()`` for the scalar fixtures in every mode,
+and of ``report_bytes`` for one tiny ``run_ladder`` and one tiny
+``run_scalar_ladder`` per stochastic mode.  Any change to the fine chain,
+the exact field integration, the endpoint solver, the ladder runners or the
+estimators that moves a single ulp or a single charge fails here.
 
 Regenerate (only after an intentional behaviour change, then review)::
 
@@ -20,7 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
+from rqode.bench import (ExperimentPlan, report_bytes, run_ladder,
+                         run_scalar_ladder)
 from rqode.fixtures import fixture_names, get_fixture
+from rqode.scalar import bisection_solve
 from rqode.solver import MODES, SolveConfig, solve
 
 DIGESTS = Path(__file__).parent / "data" / "solve_digests.json"
@@ -32,6 +38,11 @@ SIZES = (2, 5)
 EXTRA_SOLVES = (("cos_time_r1", "randomized", 12),)
 # (fixture, mode, n) whose full piece report is digested: one r=0, one r=1
 REPORT_CASES = (("sin_flow", "randomized", 2), ("cos_time_r1", "quantum_sim", 5))
+# (fixture, eps, delta) bisected in every mode
+BISECTIONS = (("inv1p", 1e-3, 0.1), ("inv1p_r1", 1e-3, 0.1))
+# ladders run in each stochastic mode: (runner, fixture, rungs, delta)
+LADDERS = ((run_ladder, "sin_flow", (2, 3), 0.25),
+           (run_scalar_ladder, "inv1p", (1e-3, 1e-2), 0.1))
 
 
 def _solve(name, mode, n):
@@ -60,7 +71,23 @@ def compute_digests() -> dict:
         rep = _solve(name, mode, n).to_report(include_pieces=True)
         reports["%s/%s/n=%d" % (name, mode, n)] = _sha(
             json.dumps(rep, sort_keys=True).encode())
-    return {"seed": SEED, "solves": solves, "reports": reports}
+    bisections = {}
+    for name, eps, delta in BISECTIONS:
+        fx = get_fixture(name)
+        for mode in MODES:
+            res = bisection_solve(fx.problem, fx.params, eps, delta,
+                                  mode=mode, seed=SEED)
+            bisections["%s/%s/eps=%g" % (name, mode, eps)] = _sha(
+                json.dumps(res.to_report(), sort_keys=True).encode())
+    ladders = {}
+    for runner, name, rungs, delta in LADDERS:
+        for mode in ("randomized", "quantum_sim"):
+            plan = ExperimentPlan(fixture=name, mode=mode, ladder=rungs,
+                                  trials=30, delta=delta, seed=SEED)
+            ladders["%s/%s/%s" % (runner.__name__, name, mode)] = _sha(
+                report_bytes(runner(plan)))
+    return {"seed": SEED, "solves": solves, "reports": reports,
+            "bisections": bisections, "ladders": ladders}
 
 
 def test_solve_digests_unchanged():
@@ -72,6 +99,8 @@ def test_solve_digests_unchanged():
            if dig != recorded["solves"][case]]
     assert not bad, "solve digests moved: %s" % bad
     assert now["reports"] == recorded["reports"]
+    assert now["bisections"] == recorded["bisections"]
+    assert now["ladders"] == recorded["ladders"]
 
 
 if __name__ == "__main__":
