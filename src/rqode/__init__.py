@@ -16,14 +16,12 @@ from .estimators import (ArrayFamily, IndexedFamily, MeanEstimate, full_mean,
                          quantum_sim_mean)
 from .taylor import (PiecewiseTaylorApprox, fetch_jet, flow_coeffs_from_jet,
                      integrate_field_along)
-from .solver import (SolveConfig, SolveResult, estimate_quant_error,
-                     estimate_rand_error, run_trials, solve, sup_error)
+from .solver import SolveConfig, SolveResult, run_trials, solve, sup_error
 from .scalar import (BisectionResult, ClassViolationError, bisection_solve,
                      estimate_H, inverse_class_params)
-from .planted import (BumpSpec, PlantedProblem, make_bump, make_planted,
-                      recover_mean)
+from .planted import PlantedProblem, make_planted, recover_mean
 from .fixtures import (Fixture, fixture_names, get_fixture, load_fixture_file,
-                       reference_solver, write_fixture_file)
+                       reference_solver)
 from .bench import (ExperimentPlan, SlopeReport, emit_report, run_ladder,
                     run_scalar_ladder)
 from .rng import RngStream

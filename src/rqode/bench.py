@@ -130,17 +130,19 @@ def _rung_config(plan: ExperimentPlan, n: int) -> SolveConfig:
                        seed=plan.seed)
 
 
+def _trial_count(plan: ExperimentPlan) -> int:
+    # an exact backend's runs do not depend on the seed: one is enough
+    return plan.trials if get_backend(plan.mode).boosted else 1
+
+
 def _run_ivp_rung(args):
     plan, n = args
     fx = get_fixture(plan.fixture) if isinstance(plan.fixture, str) else plan.fixture
     if fx.reference is None:
         raise ValueError("ladders need a fixture with a reference solution")
-    backend = get_backend(plan.mode)
-    # an exact backend's solves do not depend on the seed: one is enough
     stats = run_trials(fx.problem, fx.params, _rung_config(plan, n),
-                       plan.trials if backend.boosted else 1, fx.reference,
-                       plan.probe_count)
-    err = backend.ivp_error(stats.errors, plan.delta)
+                       _trial_count(plan), fx.reference, plan.probe_count)
+    err = get_backend(plan.mode).ivp_error(stats.errors, plan.delta)
     return {"n": n, "error": err, "cost": float(np.mean(stats.costs)),
             "deflated": float(np.mean(stats.deflated_costs)),
             "k_rep": stats.k_rep}
@@ -183,12 +185,13 @@ def _run_scalar_rung(args):
     fx = get_fixture(plan.fixture) if isinstance(plan.fixture, str) else plan.fixture
     if fx.y_star is None:
         raise ValueError("scalar ladders need a fixture with a known endpoint")
-    errs = np.empty(plan.trials)
-    costs = np.empty(plan.trials)
-    deflated = np.empty(plan.trials)
-    iters = np.empty(plan.trials)
+    trials = _trial_count(plan)
+    errs = np.empty(trials)
+    costs = np.empty(trials)
+    deflated = np.empty(trials)
+    iters = np.empty(trials)
     k_rep = 1
-    for t in range(plan.trials):
+    for t in range(trials):
         seed = int(np.random.SeedSequence(
             entropy=plan.seed, spawn_key=(rung, t)).generate_state(1)[0])
         res = bisection_solve(fx.problem, fx.params, eps, plan.delta,
@@ -198,9 +201,8 @@ def _run_scalar_rung(args):
         deflated[t] = res.ledger.total / (res.k_rep * res.iters)
         iters[t] = res.iters
         k_rep = res.k_rep
-    quant = empirical_quantile(errs, plan.delta) \
-        if get_backend(plan.mode).boosted else float(np.max(errs))
-    return {"eps": eps, "error": quant, "cost": float(np.mean(costs)),
+    return {"eps": eps, "error": empirical_quantile(errs, plan.delta),
+            "cost": float(np.mean(costs)),
             "deflated": float(np.mean(deflated)), "k_rep": k_rep,
             "mean_iters": float(np.mean(iters))}
 
@@ -210,10 +212,12 @@ def run_scalar_ladder(plan: ExperimentPlan) -> SlopeReport:
 
     Rungs are decreasing accuracy targets; trial t of the i-th rung runs on
     the seed spawned from ``(plan.seed, spawn_key=(i, t))``, so no two rungs
-    share trials however close their targets are.  The fitted slope is of
-    deflated cost against 1/eps; deflation divides the measured repetition and
-    iteration counts out (the declared log powers: (log 1/eps)^2 randomized,
-    log 1/eps quantum).  The log-power deflation itself is recorded too.
+    share trials however close their targets are.  An exact backend runs
+    trial 0 only, since its bisections do not depend on the seed.  The
+    fitted slope is of deflated cost against 1/eps; deflation divides the
+    measured repetition and iteration counts out (the declared log powers:
+    (log 1/eps)^2 randomized, log 1/eps quantum).  The log-power deflation
+    itself is recorded too.
     """
     fx = get_fixture(plan.fixture) if isinstance(plan.fixture, str) else plan.fixture
     backend = get_backend(plan.mode)

@@ -200,14 +200,15 @@ class TwoLevelMesh:
     hbar: float
     x: np.ndarray = field(repr=False, compare=False)
 
-    def fine_offsets(self) -> np.ndarray:
-        """Offsets j*hbar for j = 0..m-1 (piece base points within a coarse cell)."""
-        return np.arange(self.m) * self.hbar
+    def pieces(self) -> tuple:
+        """Starts z_j^i and step lengths of the fine pieces, each (n, m).
 
-    def all_fine_points(self) -> np.ndarray:
-        """Every z_j^i for j = 0..m-1 plus the final endpoint b."""
-        pts = (self.x[:-1, None] + self.fine_offsets()[None, :]).ravel()
-        return np.append(pts, self.b)
+        Piece j of coarse cell i starts at x_i + j*hbar; the last piece of a
+        cell ends on x_{i+1} itself, so its step absorbs the rounding.
+        """
+        starts = self.x[:-1, None] + (np.arange(self.m) * self.hbar)[None, :]
+        ends = np.concatenate([starts[:, 1:], self.x[1:, None]], axis=1)
+        return starts, ends - starts
 
 
 def build_mesh(a: float, b: float, n: int, m: int) -> TwoLevelMesh:

@@ -13,7 +13,9 @@ Three backends estimate the mean of an indexed family of bounded vectors:
 ``median_boost`` raises any 3/4-success estimator to success probability
 ``(1 - delta)^(1/n)`` by taking the component-wise median of
 ``median_rep_count(n, delta)`` independent runs; the count comes from an
-exact binomial-tail computation, not an asymptotic formula.
+exact binomial-tail computation, not an asymptotic formula.  The IVP
+solvers boost every step's residual mean through it, and the endpoint
+bisection every midpoint's defect estimate.
 
 Charges are per index requested, whether an item is computed or read back
 from the family's item table: ``mc_mean`` tabulates the whole family once
@@ -58,10 +60,10 @@ __all__ = [
     "get_backend",
 ]
 
-# Calibration knobs.  MC_CALIBRATION = c in sigma = ceil((c*M/eps1)^2); the
-# default 2 makes the per-component standard error at most eps1/2, so
-# deviations beyond eps1 have probability <= 1/4.  QUANTUM_COST_CONSTANT is
-# c_q in the query-cost law; exponent checks are invariant to it.
+# Constants.  MC_CALIBRATION = c in sigma = ceil((c*M/eps1)^2); the value 2
+# makes the per-component standard error at most eps1/2, so deviations
+# beyond eps1 have probability <= 1/4.  QUANTUM_COST_CONSTANT is c_q in the
+# query-cost law; exponent checks are invariant to it.
 MC_CALIBRATION = 2.0
 QUANTUM_COST_CONSTANT = 1.0
 
@@ -164,14 +166,14 @@ def full_mean(family: IndexedFamily) -> MeanEstimate:
                         eps_target=0.0, success_prob=1.0)
 
 
-def _sample_size(family: IndexedFamily, eps1: float, calibration: float) -> int:
+def _sample_size(family: IndexedFamily, eps1: float) -> int:
     if family.bound == 0.0:
         return 0
-    return min(family.size, int(math.ceil((calibration * family.bound / eps1) ** 2)))
+    return min(family.size,
+               int(math.ceil((MC_CALIBRATION * family.bound / eps1) ** 2)))
 
 
-def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream,
-            calibration: float = None) -> MeanEstimate:
+def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream) -> MeanEstimate:
     """Monte Carlo mean: with-replacement sample of calibrated size.
 
     The sample size ``min(s, ceil((c*M/eps1)^2))`` keeps the per-component
@@ -188,9 +190,8 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream,
     """
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
-    c = MC_CALIBRATION if calibration is None else float(calibration)
     snap = family.ledger.snapshot()
-    sigma = _sample_size(family, eps1, c)
+    sigma = _sample_size(family, eps1)
     reps = inner_rep_count(family.dim)
     if reps * sigma >= family.size:
         family.tabulate(sigma)
@@ -208,8 +209,8 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream,
                         eps_target=float(eps1), success_prob=0.75)
 
 
-def quantum_sim_mean(family: IndexedFamily, eps1: float, rng: RngStream,
-                     cost_constant: float = None) -> MeanEstimate:
+def quantum_sim_mean(family: IndexedFamily, eps1: float,
+                     rng: RngStream) -> MeanEstimate:
     """Quantum mean primitive as a cost model, not a circuit simulation.
 
     Charges ``min(s, ceil(c_q*M/eps1))`` quantum queries.  If the charge
@@ -222,11 +223,10 @@ def quantum_sim_mean(family: IndexedFamily, eps1: float, rng: RngStream,
     """
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
-    c_q = QUANTUM_COST_CONSTANT if cost_constant is None else float(cost_constant)
     snap = family.ledger.snapshot()
     M = family.bound
     q = family.size if M == 0.0 else min(
-        family.size, int(math.ceil(c_q * M / eps1)))
+        family.size, int(math.ceil(QUANTUM_COST_CONSTANT * M / eps1)))
     if q >= family.size:
         items = family.peek_all()
         family.ledger.quantum_queries += family.size
@@ -275,19 +275,16 @@ def median_boost(base: Callable[..., MeanEstimate], family: IndexedFamily,
 
 
 @functools.lru_cache(maxsize=None)
-def binomial_fail_tail(k: int, fail_prob: Fraction = Fraction(1, 4)) -> Fraction:
-    """P(Bin(k, fail_prob) >= ceil(k/2)), exactly."""
+def binomial_fail_tail(k: int) -> Fraction:
+    """P(Bin(k, 1/4) >= ceil(k/2)), exactly."""
     t = math.ceil(k / 2)
-    num = fail_prob.numerator
-    den = fail_prob.denominator
     total = Fraction(0)
     for j in range(t, k + 1):
-        total += Fraction(math.comb(k, j) * num ** j * (den - num) ** (k - j),
-                          den ** k)
+        total += Fraction(math.comb(k, j) * 3 ** (k - j), 4 ** k)
     return total
 
 
-def median_rep_count(n: int, delta: float, max_k: int = 2001) -> int:
+def median_rep_count(n: int, delta: float) -> int:
     """Smallest odd k whose exact binomial failure tail meets the target.
 
     The target is ``1 - (1 - delta)^(1/n)``: k median repetitions of a
@@ -299,12 +296,10 @@ def median_rep_count(n: int, delta: float, max_k: int = 2001) -> int:
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
     target = 1.0 - (1.0 - delta) ** (1.0 / n)
-    k = 1
-    while k <= max_k:
+    for k in range(1, 2002, 2):
         if binomial_fail_tail(k) <= target:
             return k
-        k += 2
-    raise RuntimeError("no odd k <= %d meets the failure target %g" % (max_k, target))
+    raise RuntimeError("no odd k <= 2001 meets the failure target %g" % target)
 
 
 @functools.lru_cache(maxsize=None)

@@ -29,7 +29,6 @@ __all__ = [
     "get_fixture",
     "fixture_names",
     "load_fixture_file",
-    "write_fixture_file",
     "reference_solver",
 ]
 
@@ -42,10 +41,6 @@ class Fixture:
     reference: Optional[Callable]   # t (scalar or array) -> states
     y_star: Optional[float] = None  # endpoint value for scalar fixtures
     meta: Optional[dict] = None
-
-    @property
-    def scalar(self) -> bool:
-        return self.problem.dim == 1 and self.params.p is not None
 
 
 def _as_batch(y):
@@ -266,20 +261,13 @@ def load_fixture_file(path) -> list:
     return [_fixture_from_entry(e) for e in entries]
 
 
-def write_fixture_file(entries: list, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(entries, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def reference_solver(problem: IvpProblem, rtol: float = 1e-12,
-                     atol: float = 1e-13, max_step: float = np.inf,
-                     self_consistency: float = 1e-9) -> Callable:
+                     atol: float = 1e-13, max_step: float = np.inf) -> Callable:
     """High-order reference integrator, tightened until self-consistent.
 
     Returns a callable t -> states built on a dense DOP853 solution.  The
-    solve is repeated at a 100x looser tolerance and the two must agree to
-    ``self_consistency``; otherwise the fixture needs a closed form instead.
+    solve is repeated at a 10x looser tolerance and the two must agree to
+    1e-9; otherwise the fixture needs a closed form instead.
     ``max_step`` guards problems with narrow features the step controller
     could otherwise skip.
     """
@@ -296,7 +284,7 @@ def reference_solver(problem: IvpProblem, rtol: float = 1e-12,
         sols.append(sol)
     probe = np.linspace(problem.a, problem.b, 17)
     gap = np.max(np.abs(sols[0].sol(probe) - sols[1].sol(probe)))
-    if gap > self_consistency:
+    if gap > 1e-9:
         raise RuntimeError("reference integrator not self-consistent: gap %g" % gap)
     dense = sols[1].sol
 

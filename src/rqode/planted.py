@@ -17,7 +17,6 @@ accuracy at the amplification scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,9 +25,7 @@ from .core import HolderParams, IvpProblem
 from .scalar import inverse_class_params
 
 __all__ = [
-    "BumpSpec",
     "PlantedProblem",
-    "make_bump",
     "make_planted",
     "recover_mean",
     "bump_template",
@@ -91,41 +88,6 @@ def default_peak_coeff(r: int, rho: float, H: float) -> float:
     near = TEMPLATE_SUP_DERIV[r + 1]
     far = 2.0 * TEMPLATE_SUP_DERIV[r]
     return 0.95 * H / max(near, far)
-
-
-@dataclass
-class BumpSpec:
-    """One scaled bump: support, peak and mass laws, evaluable profile."""
-
-    support: tuple
-    peak: float
-    mass: float
-    scale: float          # multiplies the unit-peak template
-    width: float
-
-    def eval(self, y, order: int = 0):
-        u = (np.asarray(y, dtype=float) - self.support[0]) / self.width
-        return self.scale * bump_template(u, order) / self.width ** order
-
-
-def make_bump(i: int, n: int, params: HolderParams, eta: float = 0.0,
-              peak_coeff: Optional[float] = None) -> BumpSpec:
-    """The i-th bump on the uniform partition of [eta, eta + 1/2].
-
-    Peak value ``peak_coeff * width^(r+rho)`` at the support midpoint; mass
-    ``peak_coeff * unit_integral * width^(r+rho+1)``.  The bump vanishes
-    with all derivatives at both support endpoints.
-    """
-    if not 0 <= i < n:
-        raise ValueError("bump index must satisfy 0 <= i < n")
-    c1 = default_peak_coeff(params.r, params.rho, params.H) \
-        if peak_coeff is None else float(peak_coeff)
-    width = 1.0 / (2.0 * n)
-    lo = eta + i * width
-    scale = c1 * width ** params.order
-    return BumpSpec(support=(lo, lo + width), peak=scale,
-                    mass=scale * width * TEMPLATE_UNIT_INTEGRAL,
-                    scale=scale, width=width)
 
 
 class PlantedProblem:

@@ -9,8 +9,9 @@ which is monotone with slope between 1/D_0 and 1/p in absolute value.  The
 solver bisects on noisy estimates of the defect: each estimate subtracts the
 degree-r Taylor polynomial of 1/f on a partition of [eta, y] (integrated
 exactly) and hands the scaled cell residuals, sampled at cell midpoints, to
-the mode's mean backend.  Estimates are median-boosted so that the whole
-bisection succeeds with probability 1 - delta.  The mode's
+the mode's mean backend.  In the sampled modes each estimate is the
+``median_boost`` median of k runs, k chosen so that the whole bisection
+succeeds with probability 1 - delta.  The mode's
 :class:`~rqode.estimators.Backend` record also sets the cell-count law and
 the midpoint rule.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from .core import CostLedger, HolderParams, IvpProblem
 from .estimators import (IndexedFamily, full_mean, get_backend, mc_mean,
-                         median_rep_count, quantum_sim_mean)
+                         median_boost, median_rep_count, quantum_sim_mean)
 from .rng import RngStream
 
 __all__ = [
@@ -172,13 +173,15 @@ def _prepare(problem, params, y, eps1, backend, inv, ledger):
                                     ledger)
 
 
-def _estimate_once(problem, params, geom, family, eps1, backend, rng):
+def _estimate_once(problem, params, geom, family, eps1, backend, k, rng):
     """One defect estimate from a prepared geometry and residual family.
 
-    The family is shared across median repetitions.  Its item table, built
-    by ``mc_mean`` once a run reads at least as many items as the family
-    holds, is the memoization the cost model allows: every call still
-    charges its own estimation cost, one f evaluation per index drawn.
+    Boosted modes take the ``median_boost`` median of k estimator runs on
+    the family mean.  The defect is a monotone affine map of that mean, so
+    for odd k this is the median of k defect estimates.  The runs share the
+    family's item table, built by ``mc_mean`` once a run reads at least as
+    many items as the family holds; that is the memoization the cost model
+    allows, as every run still charges one f evaluation per index drawn.
     """
     b_minus_a = problem.b - problem.a
     if family is None:
@@ -189,7 +192,7 @@ def _estimate_once(problem, params, geom, family, eps1, backend, rng):
     if backend.boosted:
         # estimator budget: eps1/2 after scaling back by width * delta^(r+rho)
         eps_fam = eps1 / (2.0 * geom.width * geom.delta ** params.order)
-        est = estimator(family, eps_fam, rng)
+        est = median_boost(estimator, family, eps_fam, k, rng)
     else:
         est = estimator(family)
     return geom.exact_part + resid_scale * float(est.value[0]) - b_minus_a
@@ -221,7 +224,7 @@ def estimate_H(problem: IvpProblem, params: HolderParams, y: float,
     inv = inverse_class_params(params, span)
     geom, family = _prepare(problem, params, float(y), eps1, backend, inv,
                             ledger)
-    A = _estimate_once(problem, params, geom, family, eps1, backend, rng)
+    A = _estimate_once(problem, params, geom, family, eps1, backend, 1, rng)
     return A, ledger.delta_since(snap)
 
 
@@ -307,12 +310,8 @@ def bisection_solve(problem: IvpProblem, params: HolderParams, eps: float,
         y_mid = 0.5 * (lo + hi)
         geom, family = _prepare(problem, params, y_mid, eps1, backend, inv,
                                 ledger)
-        if backend.boosted:
-            A = float(np.median([
-                _estimate_once(problem, params, geom, family, eps1, backend, s)
-                for s in rng.spawn(k_rep)]))
-        else:
-            A = _estimate_once(problem, params, geom, family, eps1, backend, rng)
+        A = _estimate_once(problem, params, geom, family, eps1, backend,
+                           k_rep, rng)
         if abs(A) <= 2.0 * eps1:
             history.append((y_mid, A, "stop"))
             return BisectionResult(y_out=y_mid, iters=it, ledger=ledger,

@@ -23,12 +23,12 @@ import numpy as np
 
 from .core import (CostLedger, HolderParams, IvpProblem, build_mesh,
                    residual_bound, residual_bound_vector)
-from .estimators import (MODES, IndexedFamily, empirical_quantile, full_mean,
-                         get_backend, mc_mean, median_boost, median_rep_count,
-                         quantum_sim_mean, rms_error)
+from .estimators import (MODES, IndexedFamily, full_mean, get_backend,
+                         mc_mean, median_boost, median_rep_count,
+                         quantum_sim_mean)
 from .rng import RngStream
 from .taylor import (PiecewiseTaylorApprox, fetch_jet, flow_coeffs_from_jet,
-                     integrate_field_along)
+                     horner, integrate_field_along)
 
 __all__ = [
     "SolveConfig",
@@ -37,8 +37,6 @@ __all__ = [
     "solve",
     "sup_error",
     "run_trials",
-    "estimate_rand_error",
-    "estimate_quant_error",
     "MODES",
 ]
 
@@ -62,7 +60,6 @@ class SolveConfig:
     eps1: Optional[float] = None
     delta: float = 0.25
     seed: int = 0
-    strict: bool = False
     k_override: Optional[int] = None
     record_estimate_errors: bool = False
 
@@ -103,7 +100,7 @@ class ResidualFamily(IndexedFamily):
 
     def __init__(self, problem: IvpProblem, params: HolderParams,
                  piece_coeffs: np.ndarray, jets: list, hbar: float, N: int,
-                 ledger: CostLedger, bound: Optional[float] = None):
+                 ledger: CostLedger):
         self._problem = problem
         self._params = params
         self._C = piece_coeffs              # (m, deg+1, d)
@@ -111,19 +108,14 @@ class ResidualFamily(IndexedFamily):
         self._T = jets                      # list of stacked tensors by order
         self._hbar = float(hbar)
         self._N = int(N)
-        m = piece_coeffs.shape[0]
-        b = residual_bound(params, problem.dim) if bound is None else bound
-        super().__init__(m * self._N, problem.dim, b, ledger,
+        super().__init__(piece_coeffs.shape[0] * self._N, problem.dim,
+                         residual_bound(params, problem.dim), ledger,
                          bound_vec=residual_bound_vector(params, problem.dim))
 
     def _compute(self, idx: np.ndarray) -> np.ndarray:
         j = idx // self._N
         k = idx % self._N
-        tau = (k + 0.5) / self._N * self._hbar
-        C = self._C[j]
-        Y = C[:, -1, :].copy()
-        for q in range(C.shape[1] - 2, -1, -1):
-            Y = Y * tau[:, None] + C[:, q, :]
+        Y = horner(self._C[j], (k + 0.5) / self._N * self._hbar)
         F = np.asarray(self._problem.f(Y), dtype=float)
         delta = Y - self._centers[j]
         W = self._T[0][j].copy()
@@ -179,8 +171,6 @@ def solve(problem: IvpProblem, params: HolderParams,
     if Lh > math.log(2.0):
         msg = ("step-smallness condition violated: L*h = %.4g > ln 2; "
                "the stability bound is not guaranteed" % Lh)
-        if cfg.strict:
-            raise ValueError(msg)
         warnings.warn(msg)
         notes.append(msg)
 
@@ -198,13 +188,10 @@ def solve(problem: IvpProblem, params: HolderParams,
     order = params.r + 1
     root = RngStream(cfg.seed, ledger)
     step_streams = root.spawn(cfg.n) if backend.boosted else [None] * cfg.n
-    bound = residual_bound(params, d)
     scale = cfg.m * mesh.hbar ** (params.order + 1.0)
 
-    # piece j of coarse step i starts at bases[i, j] and runs for steps[i, j];
-    # the last piece of a cell ends on x[i+1] itself, not on x[i] + m*hbar
-    bases = mesh.x[:-1, None] + mesh.fine_offsets()[None, :]
-    steps = np.concatenate([bases[:, 1:], mesh.x[1:, None]], axis=1) - bases
+    # piece j of coarse step i starts at bases[i, j] and runs for steps[i, j]
+    bases, steps = mesh.pieces()
     coeffs = np.empty((cfg.n, cfg.m, order + 1, d))
 
     y = problem.eta.copy()
@@ -231,8 +218,8 @@ def solve(problem: IvpProblem, params: HolderParams,
         w_integral = np.cumsum(integrate_field_along(jets, C, steps[i]),
                                axis=0)[-1]
 
-        family = ResidualFamily(problem, params, C, jets,
-                                mesh.hbar, cfg.N, ledger, bound=bound)
+        family = ResidualFamily(problem, params, C, jets, mesh.hbar, cfg.N,
+                                ledger)
         if backend.boosted:
             est = median_boost(estimator, family, cfg.eps1, k_rep,
                                step_streams[i])
@@ -284,7 +271,7 @@ def sup_error(result: SolveResult, reference: Callable,
         raise ValueError("probe_count must be at least 2")
     mesh = result.approx.mesh
     ts = np.union1d(np.linspace(mesh.a, mesh.b, probe_count),
-                    mesh.all_fine_points())
+                    np.append(mesh.pieces()[0], mesh.b))
     approx = result.approx.eval(ts)
     ref = _reference_values(reference, ts, result.y_grid.shape[1])
     return float(np.max(np.abs(approx - ref)))
@@ -298,8 +285,6 @@ class TrialStats:
     costs: np.ndarray
     deflated_costs: np.ndarray
     k_rep: int
-    ledger: CostLedger
-    seeds: list
 
 
 def run_trials(problem: IvpProblem, params: HolderParams, config: SolveConfig,
@@ -316,13 +301,10 @@ def run_trials(problem: IvpProblem, params: HolderParams, config: SolveConfig,
     errors = np.empty(trials)
     costs = np.empty(trials)
     deflated = np.empty(trials)
-    merged = CostLedger()
     k_rep = 1
-    seeds = []
     for t in range(trials):
         child = int(np.random.SeedSequence(
             entropy=config.seed, spawn_key=(t,)).generate_state(1)[0])
-        seeds.append(child)
         res = solve(problem, params, replace(config, seed=child))
         errors[t] = sup_error(res, reference, probe_count)
         costs[t] = res.ledger.total
@@ -330,30 +312,6 @@ def run_trials(problem: IvpProblem, params: HolderParams, config: SolveConfig,
         pieces_part = res.config.n * res.config.m  # f evals spent on pieces
         stoch_part = res.ledger.total - det_part - pieces_part
         deflated[t] = det_part + pieces_part + stoch_part / res.k_rep
-        merged.merge(res.ledger)
         k_rep = res.k_rep
     return TrialStats(errors=errors, costs=costs, deflated_costs=deflated,
-                      k_rep=k_rep, ledger=merged, seeds=seeds)
-
-
-def estimate_rand_error(problem: IvpProblem, params: HolderParams,
-                        config: SolveConfig, trials: int,
-                        reference: Callable, probe_count: int = 256) -> float:
-    """Empirical second-moment error: sqrt(mean of squared sup errors)."""
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    if not get_backend(config.mode).boosted:
-        raise ValueError("second-moment error is for stochastic modes")
-    stats = run_trials(problem, params, config, trials, reference, probe_count)
-    return rms_error(stats.errors)
-
-
-def estimate_quant_error(problem: IvpProblem, params: HolderParams,
-                         config: SolveConfig, trials: int, delta: float,
-                         reference: Callable, probe_count: int = 256) -> float:
-    """Empirical (1 - delta)-quantile of the sup error over trials."""
-    if trials < math.ceil(10.0 / delta):
-        raise ValueError("need at least ceil(10/delta) = %d trials to resolve "
-                         "the delta-quantile" % math.ceil(10.0 / delta))
-    stats = run_trials(problem, params, config, trials, reference, probe_count)
-    return empirical_quantile(stats.errors, delta)
+                      k_rep=k_rep)

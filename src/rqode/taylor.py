@@ -25,6 +25,7 @@ __all__ = [
     "PiecewiseTaylorApprox",
     "fetch_jet",
     "flow_coeffs_from_jet",
+    "horner",
     "integrate_field_along",
 ]
 
@@ -69,6 +70,14 @@ def flow_coeffs_from_jet(y: np.ndarray, jet: List[np.ndarray], order: int,
     if order >= 3:
         y3 = np.einsum("ijk,j,k->i", jet[2], y1, y1) + jet[1] @ y2
         out[3] = y3 / 6.0
+    return out
+
+
+def horner(C: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Values sum_q C[b, q] tau[b]^q of a batch of (deg+1, d) polynomials."""
+    out = C[:, -1, :]
+    for q in range(C.shape[1] - 2, -1, -1):
+        out = out * tau[:, None] + C[:, q, :]
     return out
 
 
@@ -138,9 +147,5 @@ class PiecewiseTaylorApprox:
         if np.any(t_arr < self.mesh.a) or np.any(t_arr > self.mesh.b):
             raise ValueError("t outside the domain [%g, %g]" % (self.mesh.a, self.mesh.b))
         idx = self.piece_index(t_arr)
-        tau = t_arr - self.basepoints[idx]
-        C = self.coeffs[idx]                        # (batch, deg+1, d)
-        out = C[:, -1, :].copy()
-        for k in range(C.shape[1] - 2, -1, -1):
-            out = out * tau[:, None] + C[:, k, :]
+        out = horner(self.coeffs[idx], t_arr - self.basepoints[idx])
         return out if np.ndim(t) else out[0]

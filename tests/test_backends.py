@@ -85,7 +85,14 @@ def test_solve_calls_the_solver_attributes(monkeypatch, mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_bisection_calls_the_scalar_attributes(monkeypatch, mode):
     calls = _count_calls(monkeypatch, scalar, ("full_mean", "mc_mean",
-                                               "quantum_sim_mean"))
+                                               "quantum_sim_mean",
+                                               "median_boost"))
     fx = get_fixture("inv1p")
     res = scalar.bisection_solve(fx.problem, fx.params, 1e-2, 0.1, mode=mode)
-    assert calls == {ESTIMATOR[mode]: res.iters * res.k_rep}
+    if mode == "deterministic":
+        assert calls == {"full_mean": res.iters}
+    else:
+        # one boosted estimate per iteration, k_rep estimator runs each
+        assert res.k_rep > 1
+        assert calls == {"median_boost": res.iters,
+                         ESTIMATOR[mode]: res.iters * res.k_rep}

@@ -126,6 +126,23 @@ class TestLadders:
         assert sorted(seeds) == [1e-7, 2e-7]
         assert len(set(seeds[1e-7]) | set(seeds[2e-7])) == 60
 
+    def test_deterministic_scalar_rung_bisects_once(self, monkeypatch):
+        # an exact backend's bisection does not depend on the seed, so each
+        # rung runs one of the plan's trials; the report still names them all
+        from rqode import bench
+        calls = []
+        bisect = bench.bisection_solve
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return bisect(*args, **kwargs)
+        monkeypatch.setattr(bench, "bisection_solve", counted)
+        plan = ExperimentPlan(fixture="inv1p", mode="deterministic",
+                              ladder=[1e-3, 1e-2], trials=30, seed=0)
+        rep = run_scalar_ladder(plan)
+        assert calls == [1e-2, 1e-3]
+        assert rep.trials == 30
+
 
 class TestHierarchy:
     def test_cost_exponent_ordering(self):

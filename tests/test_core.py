@@ -27,11 +27,12 @@ class TestMesh:
         assert mesh.h == 0.25
         assert mesh.hbar == 0.125
         assert mesh.x[2] == 0.5
-        assert mesh.all_fine_points()[1] == 0.125
+        assert mesh.pieces()[0][0, 1] == 0.125
 
     def test_degenerate_single_interval(self):
         mesh = build_mesh(0, 1, 1, 1)
-        assert mesh.all_fine_points().tolist() == [0.0, 1.0]
+        starts, steps = mesh.pieces()
+        assert (starts.tolist(), steps.tolist()) == ([[0.0]], [[1.0]])
 
     def test_endpoint_identity(self):
         mesh = build_mesh(-1, 3, 8, 4)
@@ -42,9 +43,10 @@ class TestMesh:
     def test_coarse_points_are_fine_points(self):
         # z_0^i = x_i opens every coarse cell and z_m^i = x_{i+1} closes it
         mesh = build_mesh(0.0, 2.0, 5, 3)
-        pts = mesh.all_fine_points()
-        assert pts.size == mesh.n * mesh.m + 1
-        assert np.array_equal(pts[::mesh.m], mesh.x)
+        starts, steps = mesh.pieces()
+        assert starts.shape == steps.shape == (mesh.n, mesh.m)
+        assert np.array_equal(starts[:, 0], mesh.x[:-1])
+        assert np.array_equal(starts[:, -1] + steps[:, -1], mesh.x[1:])
 
     @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 4))
     @settings(max_examples=40, deadline=None)
@@ -52,8 +54,10 @@ class TestMesh:
         # dyadic meshes: consecutive fine points differ by exactly hbar
         n, m = 2 ** np2, 2 ** mp2
         mesh = build_mesh(0.0, float(2 ** span), n, m)
-        pts = mesh.all_fine_points()
+        starts, steps = mesh.pieces()
+        pts = np.append(starts, mesh.b)
         assert np.max(np.abs(np.diff(pts) - mesh.hbar)) == 0.0
+        assert np.all(steps == mesh.hbar)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

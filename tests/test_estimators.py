@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqode.core import CostLedger
-from rqode.estimators import (MC_CALIBRATION, ArrayFamily, MeanEstimate,
-                              _sample_size, binomial_fail_tail, full_mean,
-                              inner_rep_count, mc_mean, median_boost,
-                              median_rep_count, quantum_sim_mean)
+from rqode.estimators import (ArrayFamily, MeanEstimate, _sample_size,
+                              binomial_fail_tail, full_mean, inner_rep_count,
+                              mc_mean, median_boost, median_rep_count,
+                              quantum_sim_mean)
 from rqode.fixtures import get_fixture
 from rqode.rng import RngStream
 
@@ -352,7 +352,7 @@ class TestItemTable:
     def test_tabulate_bit_identical_to_compute(self, monkeypatch, which):
         fam, eps1 = (self._residual_family(monkeypatch) if which == "residual"
                      else self._cell_family(monkeypatch))
-        sigma = _sample_size(fam, eps1, MC_CALIBRATION)
+        sigma = _sample_size(fam, eps1)
         assert 7 < sigma < fam.size
         whole = fam._compute(np.arange(fam.size))
         for block in (1, 7, sigma, fam.size):

@@ -7,7 +7,7 @@ import pytest
 import rqode
 from rqode.core import validate_holder
 from rqode.fixtures import (fixture_names, get_fixture, load_fixture_file,
-                            reference_solver, write_fixture_file)
+                            reference_solver)
 from rqode.planted import make_planted
 from rqode.core import HolderParams
 
@@ -55,10 +55,6 @@ class TestRegistry:
             states = fx.reference(np.linspace(a, b, 41))
             assert validate_holder(fx.problem, fx.params, states, tol=1e-9).passed
 
-    def test_scalar_flags(self):
-        assert get_fixture("inv1p").scalar
-        assert not get_fixture("sin_flow").scalar
-
     def test_inv1p_endpoint(self):
         fx = get_fixture("inv1p")
         assert fx.y_star == pytest.approx(1.0, abs=1e-14)
@@ -67,7 +63,7 @@ class TestRegistry:
 class TestFixtureFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "fixtures.json"
-        write_fixture_file(shipped_entries(), path)
+        path.write_text(json.dumps(shipped_entries()))
         fixtures = load_fixture_file(path)
         assert {f.name for f in fixtures} == set(fixture_names())
         fx = [f for f in fixtures if f.name == "sin_flow"][0]
@@ -78,19 +74,13 @@ class TestFixtureFile:
         pl = make_planted([0.5, -0.25], params)
         entry = pl.to_entry("planted_demo")
         path = tmp_path / "planted.json"
-        write_fixture_file([entry], path)
+        path.write_text(json.dumps([entry]))
         (fx,) = load_fixture_file(path)
         assert fx.name == "planted_demo"
         ys = np.linspace(0, 1, 17)
         assert np.allclose(fx.problem.f(ys[:, None]),
                            pl.f(ys)[:, None])
         assert fx.y_star == pl.closed_form_endpoint()
-
-    def test_file_is_json(self, tmp_path):
-        path = tmp_path / "f.json"
-        write_fixture_file(shipped_entries(), path)
-        with open(path) as fh:
-            assert isinstance(json.load(fh), list)
 
 
 class TestReferenceSolver:

@@ -7,8 +7,8 @@ import pytest
 from rqode.core import HolderParams, validate_holder
 from rqode.fixtures import reference_solver
 from rqode.planted import (TEMPLATE_SUP_DERIV, TEMPLATE_UNIT_INTEGRAL,
-                           bump_template, default_peak_coeff, make_bump,
-                           make_planted, recover_mean)
+                           bump_template, default_peak_coeff, make_planted,
+                           recover_mean)
 
 PARAMS_R0 = HolderParams(r=0, rho=1.0, D=(1.2,), H=1.0)
 PARAMS_R1 = HolderParams(r=1, rho=1.0, D=(1.2, 1.0), H=1.0)
@@ -51,36 +51,45 @@ class TestTemplate:
             assert bump_template(-0.5, k) == 0.0
 
 
+def one_hot(i, n):
+    lam = np.zeros(n)
+    lam[i] = 1.0
+    return lam
+
+
 class TestBump:
+    # a one-hot lambda plants bump i alone: g - 1 is that bump's profile
+
     def test_scaling_identity(self):
-        # mass = peak_coeff * unit_integral * width^(r+rho+1)
-        b = make_bump(0, 4, PARAMS_R0)
-        c1 = default_peak_coeff(0, 1.0, 1.0)
-        assert b.peak == c1 * 0.125
-        assert b.mass == pytest.approx(b.scale * b.width * TEMPLATE_UNIT_INTEGRAL)
+        # mass = mean_scale * n^-(r+rho+1)
+        #      = peak_coeff * unit_integral * width^(r+rho+1)
+        pl = make_planted(one_hot(0, 4), PARAMS_R0)
+        assert pl.width == 0.125
+        assert pl.peak_coeff == default_peak_coeff(0, 1.0, 1.0)
+        mass = pl.mean_scale * 4.0 ** -2
+        assert mass == pytest.approx(pl.peak_coeff * TEMPLATE_UNIT_INTEGRAL
+                                     * pl.width ** 2)
         # numerical mass agrees
-        ys = np.linspace(b.support[0], b.support[1], 40001)
-        num_mass = np.trapezoid(b.eval(ys), ys)
-        assert num_mass == pytest.approx(b.mass, rel=1e-6)
+        ys = np.linspace(0.0, pl.width, 40001)
+        num_mass = np.trapezoid(pl.g(ys) - 1.0, ys)
+        assert num_mass == pytest.approx(mass, rel=1e-6)
 
     def test_vanishing_at_support_endpoints(self):
-        b = make_bump(1, 4, PARAMS_R1)
-        for k in (0, 1, 2):
-            assert b.eval(b.support[0], k) == 0.0
-            assert b.eval(b.support[1], k) == 0.0
+        pl = make_planted(one_hot(1, 4), PARAMS_R1)
+        for y in (pl.width, 2 * pl.width):
+            assert pl.g(y) == 1.0
+            for k in (1, 2):
+                assert pl.g(y, k) == 0.0
 
     def test_peak_at_midpoint(self):
         n = 4
-        b = make_bump(2, n, PARAMS_R0)
-        mid = 0.5 * (b.support[0] + b.support[1])
+        pl = make_planted(one_hot(2, n), PARAMS_R0)
+        lo, hi = 2 * pl.width, 3 * pl.width
+        mid = 0.5 * (lo + hi)
         c1 = default_peak_coeff(0, 1.0, 1.0)
-        assert b.eval(mid) == pytest.approx(c1 * (1.0 / (2 * n)) ** 1.0)
-        ys = np.linspace(b.support[0], b.support[1], 1001)
-        assert np.max(b.eval(ys)) <= b.eval(mid) * (1 + 1e-12)
-
-    def test_index_range(self):
-        with pytest.raises(ValueError):
-            make_bump(4, 4, PARAMS_R0)
+        assert pl.g(mid) - 1.0 == pytest.approx(c1 * (1.0 / (2 * n)) ** 1.0)
+        ys = np.linspace(lo, hi, 1001)
+        assert np.max(pl.g(ys)) <= pl.g(mid) * (1 + 1e-12)
 
 
 class TestPlantedProblem:

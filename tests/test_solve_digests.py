@@ -5,8 +5,8 @@ n in {2, 5} and for the ``EXTRA_SOLVES`` cases at a fixed seed, the sha256
 of ``y_grid.tobytes()`` and the ledger dict, plus the sha256 of two
 ``to_report(include_pieces=True)`` documents.  It also holds the sha256 of
 ``bisection_solve(...).to_report()`` for the scalar fixtures in every mode,
-and of ``report_bytes`` for one tiny ``run_ladder`` and one tiny
-``run_scalar_ladder`` per stochastic mode.  Any change to the fine chain,
+and of ``report_bytes`` for one tiny ``run_ladder`` per stochastic mode and
+one tiny ``run_scalar_ladder`` per mode.  Any change to the fine chain,
 the exact field integration, the endpoint solver, the ladder runners or the
 estimators that moves a single ulp or a single charge fails here.
 
@@ -40,9 +40,9 @@ EXTRA_SOLVES = (("cos_time_r1", "randomized", 12),)
 REPORT_CASES = (("sin_flow", "randomized", 2), ("cos_time_r1", "quantum_sim", 5))
 # (fixture, eps, delta) bisected in every mode
 BISECTIONS = (("inv1p", 1e-3, 0.1), ("inv1p_r1", 1e-3, 0.1))
-# ladders run in each stochastic mode: (runner, fixture, rungs, delta)
-LADDERS = ((run_ladder, "sin_flow", (2, 3), 0.25),
-           (run_scalar_ladder, "inv1p", (1e-3, 1e-2), 0.1))
+# ladders: (runner, fixture, rungs, delta, modes)
+LADDERS = ((run_ladder, "sin_flow", (2, 3), 0.25, ("randomized", "quantum_sim")),
+           (run_scalar_ladder, "inv1p", (1e-3, 1e-2), 0.1, MODES))
 
 
 def _solve(name, mode, n):
@@ -80,8 +80,8 @@ def compute_digests() -> dict:
             bisections["%s/%s/eps=%g" % (name, mode, eps)] = _sha(
                 json.dumps(res.to_report(), sort_keys=True).encode())
     ladders = {}
-    for runner, name, rungs, delta in LADDERS:
-        for mode in ("randomized", "quantum_sim"):
+    for runner, name, rungs, delta, modes in LADDERS:
+        for mode in modes:
             plan = ExperimentPlan(fixture=name, mode=mode, ladder=rungs,
                                   trials=30, delta=delta, seed=SEED)
             ladders["%s/%s/%s" % (runner.__name__, name, mode)] = _sha(

@@ -9,9 +9,8 @@ import pytest
 
 from rqode.core import CostLedger, residual_bound
 from rqode.fixtures import fixture_names, get_fixture, reference_solver
-from rqode.solver import (SolveConfig, empirical_quantile,
-                          estimate_quant_error, estimate_rand_error,
-                          run_trials, solve, sup_error)
+from rqode.estimators import empirical_quantile, rms_error
+from rqode.solver import SolveConfig, run_trials, solve, sup_error
 
 
 class TestConfigDefaults:
@@ -108,9 +107,6 @@ class TestDeterministicSolve:
         with pytest.warns(UserWarning, match="ln 2"):
             res = solve(fx.problem, fx.params, SolveConfig(n=1, m=2, N=2))
         assert res.warnings
-        with pytest.raises(ValueError, match="ln 2"):
-            solve(fx.problem, fx.params,
-                  SolveConfig(n=1, m=2, N=2, strict=True))
 
 
 class TestResidualItemBound:
@@ -203,8 +199,8 @@ class TestModeDegeneracy:
         cfg = SolveConfig(n=n, mode="randomized", m=m, N=N,
                           eps1=2 * M / math.sqrt(m * N) * 0.999,
                           k_override=1, seed=0)
-        err = estimate_rand_error(fx.problem, fx.params, cfg, trials=3,
-                                  reference=fx.reference)
+        err = rms_error(run_trials(fx.problem, fx.params, cfg, 3,
+                                   fx.reference).errors)
         det = solve(fx.problem, fx.params, SolveConfig(n=n, m=m, N=N))
         assert err == sup_error(det, fx.reference)
 
@@ -257,25 +253,11 @@ class TestTrialEstimates:
         # smallest alpha with at most 25% exceedances among 40 trials
         assert empirical_quantile(errs, 0.25) == 30.0
 
-    def test_rand_error_requires_stochastic_mode(self):
-        fx = get_fixture("sin_flow")
-        with pytest.raises(ValueError):
-            estimate_rand_error(fx.problem, fx.params,
-                                SolveConfig(n=2, mode="deterministic"),
-                                trials=2, reference=fx.reference)
-
-    def test_quant_error_requires_enough_trials(self):
-        fx = get_fixture("sin_flow")
-        cfg = SolveConfig(n=2, mode="quantum_sim", seed=0)
-        with pytest.raises(ValueError, match="trials"):
-            estimate_quant_error(fx.problem, fx.params, cfg, trials=10,
-                                 delta=0.25, reference=fx.reference)
-
     def test_constant_error_zero_all_modes(self):
         fx = get_fixture("constant")
         cfg = SolveConfig(n=3, mode="randomized", seed=8)
-        err = estimate_rand_error(fx.problem, fx.params, cfg, trials=4,
-                                  reference=fx.reference)
+        err = rms_error(run_trials(fx.problem, fx.params, cfg, 4,
+                                   fx.reference).errors)
         assert err < 1e-13
 
     def test_trials_reproducible(self):
