@@ -290,6 +290,11 @@ def _round_floats(obj):
     return obj
 
 
+def json_text(payload) -> str:
+    """Deterministic JSON text: floats to 12 significant digits, sorted keys."""
+    return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -304,8 +309,7 @@ def report_bytes(report: SlopeReport, format: str = "json") -> bytes:
     """Serialize a report deterministically in json, csv, or markdown-table."""
     rep = report.as_dict() if isinstance(report, SlopeReport) else dict(report)
     if format == "json":
-        return (json.dumps(_round_floats(rep), sort_keys=True, indent=2)
-                + "\n").encode()
+        return json_text(rep).encode()
     rows = list(zip(rep["rungs"], rep["costs"], rep["deflated_costs"],
                     rep["errors"]))
     if format == "csv":

@@ -8,14 +8,13 @@ Exit codes: 0 on success/pass, 2 when a slope or validation check fails,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
-from .bench import ExperimentPlan, emit_report, report_bytes, run_ladder, \
-    run_scalar_ladder
+from .bench import ExperimentPlan, emit_report, json_text, report_bytes, \
+    run_ladder, run_scalar_ladder
 from .core import validate_holder
 from .estimators import MODES
 from .fixtures import get_fixture
@@ -32,8 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_out(payload: dict, out):
-    from .bench import _round_floats
-    text = json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+    text = json_text(payload)
     if out:
         with open(out, "w") as fh:
             fh.write(text)

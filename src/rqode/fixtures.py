@@ -1,11 +1,12 @@
 """Problem fixtures: registered oracle families plus a declarative JSON form.
 
-A fixture bundles an :class:`IvpProblem` (evaluation and derivative oracles,
-hand-coded per problem), its smoothness-class declaration, and a reference
-solution where a closed form exists.  The declarative file format carries
-one JSON object per fixture: ``{name, d, r, rho, D, H, p?, a, b, eta}``;
-oracles are bound by name from the registry at load time.  The stock
-fixtures are the entries of the shipped ``fixtures.json``, read on first use.
+A fixture bundles an :class:`IvpProblem` (evaluation and derivative oracles:
+one table row per scalar family, hand-coded for the vector ones), its
+smoothness-class declaration, and a reference solution where a closed form
+exists.  The declarative file format carries one JSON object per fixture:
+``{name, d, r, rho, D, H, p?, a, b, eta}``; oracles are bound by name from
+the registry at load time.  The stock fixtures are the entries of the
+shipped ``fixtures.json``, read on first use.
 
 Derivative bounds are declared on a reachable tube around the solution, not
 on all of R^d; ``validate_holder`` checks them on sampled grids only.
@@ -51,60 +52,17 @@ def _as_batch(y):
 # ---------------------------------------------------------------------------
 # oracle families
 
-def _sin_f(y):
-    return np.sin(y)
-
-
-def _sin_derivs(k, y):
-    y = np.asarray(y, dtype=float)
-    if k == 0:
-        return np.sin(y)
-    if k == 1:
-        return np.cos(y).reshape(1, 1)
-    if k == 2:
-        return (-np.sin(y)).reshape(1, 1, 1)
-    raise ValueError("sin_flow supplies derivatives up to order 2")
-
-
-def _sin_reference(eta, a):
-    c = np.tan(eta / 2.0)
-
-    def ref(t):
-        t = np.asarray(t, dtype=float)
-        th = 2.0 * np.arctan(c * np.exp(t - a))
-        return th[..., None] if th.ndim else np.array([th])
-    return ref
-
-
-def _exp_f(y):
-    return np.asarray(y, dtype=float)
-
-
-def _exp_derivs(k, y):
-    y = np.asarray(y, dtype=float)
-    if k == 0:
-        return y
-    if k == 1:
-        return np.ones((1, 1))
-    if k == 2:
-        return np.zeros((1, 1, 1))
-    raise ValueError("exp_flow supplies derivatives up to order 2")
-
-
-def _const_oracles(c):
-    c = np.asarray(c, dtype=float)
-    d = c.size
-
-    def f(y):
-        Y, batch = _as_batch(y)
-        out = np.broadcast_to(c, Y.shape).copy()
-        return out if batch else out[0]
-
-    def derivs(k, y):
-        if k == 0:
-            return c.copy()
-        return np.zeros((d,) * (k + 1))
-    return f, derivs
+# Scalar families, one row each: (f, f', f'') as elementwise functions of y,
+# and the closed form z(a + s) of the solution from z(a) = eta.
+_SCALAR_FAMILIES = {
+    "sin_flow": ((np.sin, np.cos, lambda y: -np.sin(y)),
+                 lambda eta, s: 2.0 * np.arctan(np.tan(eta / 2.0) * np.exp(s))),
+    "exp_flow": ((lambda y: y, np.ones_like, np.zeros_like),
+                 lambda eta, s: eta * np.exp(s)),
+    "inv1p": ((lambda y: 1.0 / (1.0 + y), lambda y: -((1.0 + y) ** -2.0),
+               lambda y: 2.0 * (1.0 + y) ** -3.0),
+              lambda eta, s: -1.0 + np.sqrt((1.0 + eta) ** 2 + 2.0 * s)),
+}
 
 
 def _cos_time_f(y):
@@ -131,49 +89,49 @@ def _cos_time_derivs(k, y):
     raise ValueError("cos_time supplies derivatives up to order 2")
 
 
-def _inv1p_f(y):
-    return 1.0 / (1.0 + np.asarray(y, dtype=float))
-
-
-def _inv1p_derivs(k, y):
-    y = np.asarray(y, dtype=float)
-    base = 1.0 + y
-    if k == 0:
-        return 1.0 / base
-    if k == 1:
-        return (-(base ** -2.0)).reshape(1, 1)
-    if k == 2:
-        return (2.0 * base ** -3.0).reshape(1, 1, 1)
-    raise ValueError("inv1p supplies derivatives up to order 2")
-
-
 # ---------------------------------------------------------------------------
 # registry
 
-def _build_sin_flow(entry):
+def _build_scalar(entry):
+    """Oracles, reference and endpoint of a ``_SCALAR_FAMILIES`` row.
+
+    ``y_star`` is given when the entry declares the lower bound ``p`` that
+    the endpoint solver needs.
+    """
+    family = entry.get("family", entry["name"])
+    jet, closed_form = _SCALAR_FAMILIES[family]
     a, b = entry["a"], entry["b"]
     eta = np.asarray(entry["eta"], dtype=float)
-    problem = IvpProblem(1, _sin_f, _sin_derivs, eta, (a, b), name=entry["name"])
-    return problem, _sin_reference(float(eta[0]), a), None
+    eta0 = eta[0]
 
+    def f(y):
+        return jet[0](np.asarray(y, dtype=float))
 
-def _build_exp_flow(entry):
-    a, b = entry["a"], entry["b"]
-    eta = np.asarray(entry["eta"], dtype=float)
+    def derivs(k, y):
+        if k not in (0, 1, 2):
+            raise ValueError("%s supplies derivatives up to order 2" % family)
+        return jet[k](np.asarray(y, dtype=float)).reshape((1,) * (k + 1))
 
     def ref(t):
-        t = np.asarray(t, dtype=float)
-        v = eta[0] * np.exp(t - a)
+        v = closed_form(eta0, np.asarray(t, dtype=float) - a)
         return v[..., None] if v.ndim else np.array([v])
-    problem = IvpProblem(1, _exp_f, _exp_derivs, eta, (a, b), name=entry["name"])
-    return problem, ref, None
+    problem = IvpProblem(1, f, derivs, eta, (a, b), name=entry["name"])
+    y_star = None if entry.get("p") is None else float(closed_form(eta0, b - a))
+    return problem, ref, y_star
 
 
 def _build_constant(entry):
     a, b = entry["a"], entry["b"]
     eta = np.asarray(entry["eta"], dtype=float)
     c = np.asarray(entry.get("c", [0.7, -0.3][: len(eta)]), dtype=float)
-    f, derivs = _const_oracles(c)
+
+    def f(y):
+        Y, batch = _as_batch(y)
+        out = np.broadcast_to(c, Y.shape).copy()
+        return out if batch else out[0]
+
+    def derivs(k, y):
+        return c.copy() if k == 0 else np.zeros((c.size,) * (k + 1))
 
     def ref(t):
         t = np.asarray(t, dtype=float)
@@ -194,26 +152,10 @@ def _build_cos_time(entry):
     return problem, ref, None
 
 
-def _build_inv1p(entry):
-    a, b = entry["a"], entry["b"]
-    eta = np.asarray(entry["eta"], dtype=float)
-
-    def ref(t):
-        t = np.asarray(t, dtype=float)
-        v = -1.0 + np.sqrt((1.0 + eta[0]) ** 2 + 2.0 * (t - a))
-        return v[..., None] if v.ndim else np.array([v])
-    problem = IvpProblem(1, _inv1p_f, _inv1p_derivs, eta, (a, b),
-                         name=entry["name"])
-    y_star = float(-1.0 + np.sqrt((1.0 + eta[0]) ** 2 + 2.0 * (b - a)))
-    return problem, ref, y_star
-
-
 _BUILDERS = {
-    "sin_flow": _build_sin_flow,
-    "exp_flow": _build_exp_flow,
+    **dict.fromkeys(_SCALAR_FAMILIES, _build_scalar),
     "constant": _build_constant,
     "cos_time": _build_cos_time,
-    "inv1p": _build_inv1p,
 }
 
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .core import HolderParams, IvpProblem
-from .scalar import inverse_class_params
+from .scalar import inverse_class_params, reciprocal_jet
 
 __all__ = [
     "PlantedProblem",
@@ -134,17 +134,11 @@ class PlantedProblem:
         return out.reshape(y.shape)
 
     def derivs(self, k: int, y):
+        if k not in (0, 1, 2):
+            raise ValueError("planted problems supply derivatives up to order 2")
         y = np.asarray(y, dtype=float).reshape(-1)
-        g0 = self.g(y)
-        if k == 0:
-            return (1.0 / g0).reshape(1)
-        g1 = self.g(y, 1)
-        if k == 1:
-            return (-g1 / g0 ** 2).reshape(1, 1)
-        g2 = self.g(y, 2)
-        if k == 2:
-            return (-g2 / g0 ** 2 + 2.0 * g1 ** 2 / g0 ** 3).reshape(1, 1, 1)
-        raise ValueError("planted problems supply derivatives up to order 2")
+        g_jet = [self.g(y, q) for q in range(k + 1)]
+        return reciprocal_jet(g_jet)[k].reshape((1,) * (k + 1))
 
     def _derive_f_params(self) -> HolderParams:
         """Class declaration for f = 1/g from the g-construction bounds."""

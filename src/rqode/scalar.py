@@ -36,6 +36,7 @@ __all__ = [
     "bisection_solve",
     "BisectionResult",
     "CellGeometry",
+    "reciprocal_jet",
 ]
 
 
@@ -75,24 +76,32 @@ def inverse_class_params(params: HolderParams, span: float) -> dict:
     return {"Dt": Dt, "Ht": Ht, "M": M, "L": L}
 
 
+def reciprocal_jet(jet: list) -> list:
+    """Jet ``[1/g, (1/g)', (1/g)'']`` of 1/g from the jet ``[g, g', g'']``.
+
+    Takes and returns the first r + 1 orders, r <= 2; entries may be arrays.
+    """
+    g = jet[0]
+    out = [1.0 / g]
+    if len(jet) > 1:
+        out.append(-jet[1] / g ** 2)
+    if len(jet) > 2:
+        out.append(-jet[2] / g ** 2 + 2.0 * jet[1] ** 2 / g ** 3)
+    return out
+
+
 def _phi_jet(problem: IvpProblem, pts: np.ndarray, r: int,
              ledger: CostLedger) -> list:
     """Jet of phi = 1/f at an array of points; one ledger call per order."""
-    Y = pts[:, None]
-    fv = np.asarray(problem.f(Y), dtype=float).ravel()
+    fv = np.asarray(problem.f(pts[:, None]), dtype=float).ravel()
     ledger.f_evals += pts.size
-    jet = [1.0 / fv]
-    if r >= 1:
-        f1 = np.array([float(np.asarray(problem.derivs(1, np.array([y])))[0, 0])
-                       for y in pts])
+    f_jet = [fv]
+    for k in range(1, r + 1):
+        corner = (0,) * (k + 1)
+        f_jet.append(np.array([float(np.asarray(
+            problem.derivs(k, np.array([y])))[corner]) for y in pts]))
         ledger.deriv_evals += pts.size
-        jet.append(-f1 / fv ** 2)
-    if r >= 2:
-        f2 = np.array([float(np.asarray(problem.derivs(2, np.array([y])))[0, 0, 0])
-                       for y in pts])
-        ledger.deriv_evals += pts.size
-        jet.append(-f2 / fv ** 2 + 2.0 * f1 ** 2 / fv ** 3)
-    return jet, fv
+    return reciprocal_jet(f_jet), fv
 
 
 class CellGeometry:
@@ -198,6 +207,14 @@ def _estimate_once(problem, params, geom, family, eps1, backend, k, rng):
     return geom.exact_part + resid_scale * float(est.value[0]) - b_minus_a
 
 
+def _require_endpoint_class(problem: IvpProblem, params: HolderParams):
+    """The endpoint solver's input class: d = 1 and a declared bound p."""
+    if problem.dim != 1:
+        raise ValueError("the endpoint solver handles scalar problems only")
+    if params.p is None:
+        raise ValueError("params must declare the lower bound p")
+
+
 def estimate_H(problem: IvpProblem, params: HolderParams, y: float,
                eps1: float, mode: str, rng: Optional[RngStream] = None,
                ledger: Optional[CostLedger] = None):
@@ -212,10 +229,7 @@ def estimate_H(problem: IvpProblem, params: HolderParams, y: float,
     backend = get_backend(mode)
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
-    if problem.dim != 1:
-        raise ValueError("the endpoint solver handles scalar problems only")
-    if params.p is None:
-        raise ValueError("params must declare the lower bound p")
+    _require_endpoint_class(problem, params)
     ledger = ledger if ledger is not None else CostLedger()
     rng = rng if rng is not None else RngStream(0, ledger)
     snap = ledger.snapshot()
@@ -274,8 +288,7 @@ def bisection_solve(problem: IvpProblem, params: HolderParams, eps: float,
     past the budget is reported as a (low-probability) contract breach.
     """
     backend = get_backend(mode)
-    if params.p is None:
-        raise ValueError("params must declare the lower bound p")
+    _require_endpoint_class(problem, params)
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
     if eps <= 0:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,15 @@ from rqode.bench import (ExperimentPlan, SlopeReport, emit_report,
                          exponent_hierarchy, fit_loglog, report_bytes,
                          run_ladder, run_scalar_ladder)
 from rqode.fixtures import get_fixture
+
+GOLDEN = Path(__file__).parent / "data" / "golden_ladder.json"
+
+
+def golden_ladder_bytes() -> bytes:
+    """Report bytes of the frozen-seed miniature ladder pinned in GOLDEN."""
+    plan = ExperimentPlan(fixture="sin_flow", mode="deterministic",
+                          ladder=[4, 8], seed=123)
+    return report_bytes(run_ladder(plan))
 
 
 def synthetic_report(rungs, costs, errors, slope=None, target=-1.5):
@@ -194,14 +204,12 @@ class TestEmission:
         with pytest.raises(ValueError):
             report_bytes(rep, "yaml")
 
-    def test_golden_bytes(self, tmp_path):
-        # frozen-seed miniature ladder; regenerate via tests/data/README
-        import pathlib
-        golden = pathlib.Path(__file__).parent / "data" / "golden_ladder.json"
-        plan = ExperimentPlan(fixture="sin_flow", mode="deterministic",
-                              ladder=[4, 8], seed=123)
-        data = report_bytes(run_ladder(plan))
-        if not golden.exists():  # pragma: no cover - first generation
-            golden.parent.mkdir(exist_ok=True)
-            golden.write_bytes(data)
-        assert data == golden.read_bytes()
+    def test_golden_bytes(self):
+        # frozen-seed miniature ladder; a missing golden file fails, and
+        # regeneration is explicit (see tests/data/README)
+        assert golden_ladder_bytes() == GOLDEN.read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.write_bytes(golden_ladder_bytes())
+    print("wrote %s" % GOLDEN)

@@ -55,6 +55,32 @@ class TestRegistry:
             states = fx.reference(np.linspace(a, b, 41))
             assert validate_holder(fx.problem, fx.params, states, tol=1e-9).passed
 
+    def test_derivatives_match_central_differences(self):
+        # derivs(k)[..., j] is the y_j-derivative of derivs(k-1), k = 1, 2
+        h = 1e-6
+        for name in fixture_names():
+            fx = get_fixture(name)
+            d = fx.problem.dim
+            for offset in (-0.2, 0.0, 0.3):
+                y = fx.problem.eta + offset
+                for k in (1, 2):
+                    exact = np.asarray(fx.problem.derivs(k, y))
+                    assert exact.shape == (d,) * (k + 1), (name, k)
+                    for j, e in enumerate(np.eye(d)):
+                        fd = (np.asarray(fx.problem.derivs(k - 1, y + h * e))
+                              - np.asarray(fx.problem.derivs(k - 1, y - h * e))
+                              ) / (2 * h)
+                        assert np.allclose(exact[..., j], fd, rtol=1e-6,
+                                           atol=1e-8), (name, k, offset, j)
+
+    def test_derivative_order_limit(self):
+        for name in ("sin_flow", "exp_flow", "cos_time", "inv1p"):
+            fx = get_fixture(name)
+            with pytest.raises(ValueError,
+                               match="%s supplies derivatives up to order 2"
+                               % fx.meta["family"]):
+                fx.problem.derivs(3, fx.problem.eta)
+
     def test_inv1p_endpoint(self):
         fx = get_fixture("inv1p")
         assert fx.y_star == pytest.approx(1.0, abs=1e-14)

@@ -12,6 +12,7 @@ from rqode.planted import (TEMPLATE_SUP_DERIV, TEMPLATE_UNIT_INTEGRAL,
 
 PARAMS_R0 = HolderParams(r=0, rho=1.0, D=(1.2,), H=1.0)
 PARAMS_R1 = HolderParams(r=1, rho=1.0, D=(1.2, 1.0), H=1.0)
+PARAMS_R2 = HolderParams(r=2, rho=0.5, D=(1.2, 1.0, 1.0), H=1.0)
 
 
 class TestTemplate:
@@ -126,14 +127,19 @@ class TestPlantedProblem:
         assert glob + (z1 - pl.eta - 0.5) == pytest.approx(1.0, abs=1e-9)
 
     def test_derivative_oracles_consistent(self):
-        # quotient-rule derivatives agree with finite differences
+        # quotient-rule derivatives agree with finite differences of the
+        # order below, up to order r
         rng = np.random.default_rng(2)
-        pl = make_planted(rng.uniform(-1, 1, 4), PARAMS_R1)
         h = 1e-6
-        for y in (0.06, 0.21, 0.3):
-            d1 = float(pl.derivs(1, np.array([y]))[0, 0])
-            fd = (pl.f(np.array([y + h]))[0] - pl.f(np.array([y - h]))[0]) / (2 * h)
-            assert d1 == pytest.approx(fd, rel=5e-5, abs=1e-8)
+        for params in (PARAMS_R1, PARAMS_R2):
+            pl = make_planted(rng.uniform(-1, 1, 4), params)
+            for k in range(1, params.r + 1):
+                for y in (0.06, 0.21, 0.3):
+                    dk = float(pl.derivs(k, np.array([y])).ravel()[0])
+                    lo, hi = (pl.derivs(k - 1, np.array([y + s])).ravel()[0]
+                              for s in (-h, h))
+                    fd = (hi - lo) / (2 * h)
+                    assert dk == pytest.approx(fd, rel=5e-5, abs=1e-8), (k, y)
 
     def test_class_membership_sampled(self):
         # derived class declaration for f = 1/g validates on a fine grid for

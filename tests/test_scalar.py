@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -202,6 +203,13 @@ class TestBisection:
         fx2 = get_fixture("sin_flow")  # no lower bound p declared
         with pytest.raises(ValueError):
             bisection_solve(fx2.problem, fx2.params, 1e-3, 0.1)
+        # a 2-D problem fails at either entry point, even with p declared
+        fx3 = get_fixture("cos_time")
+        params = dataclasses.replace(fx3.params, p=0.5)
+        with pytest.raises(ValueError, match="scalar problems only"):
+            bisection_solve(fx3.problem, params, 1e-3, 0.1)
+        with pytest.raises(ValueError, match="scalar problems only"):
+            estimate_H(fx3.problem, params, 0.5, 1e-3, "deterministic")
 
 
 class TestCostScaling:

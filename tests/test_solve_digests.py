@@ -1,14 +1,18 @@
 """Bit-identity regression: solves, bisections and ladder reports.
 
 ``tests/data/solve_digests.json`` holds, for every shipped fixture x mode x
-n in {2, 5} and for the ``EXTRA_SOLVES`` cases at a fixed seed, the sha256
-of ``y_grid.tobytes()`` and the ledger dict, plus the sha256 of two
+n in {2, 5}, for the ``EXTRA_SOLVES`` cases and for a planted problem of
+each order r = 0, 1, 2 in every mode at a fixed seed, the sha256 of
+``y_grid.tobytes()`` and the ledger dict, plus the sha256 of two
 ``to_report(include_pieces=True)`` documents.  It also holds the sha256 of
-``bisection_solve(...).to_report()`` for the scalar fixtures in every mode,
-and of ``report_bytes`` for one tiny ``run_ladder`` per stochastic mode and
-one tiny ``run_scalar_ladder`` per mode.  Any change to the fine chain,
-the exact field integration, the endpoint solver, the ladder runners or the
-estimators that moves a single ulp or a single charge fails here.
+``bisection_solve(...).to_report()`` for the scalar fixtures in every mode
+and for one r = 2 planted problem, of ``report_bytes`` for one tiny
+``run_ladder`` per stochastic mode and one tiny ``run_scalar_ladder`` per
+mode, and of every stock fixture's oracles (``f``, ``derivs(k)`` for
+k = 0, 1, 2, the reference and ``y_star``) at fixed points.  Any change to
+the oracles, the fine chain, the exact field integration, the endpoint
+solver, the ladder runners or the estimators that moves a single ulp or a
+single charge fails here.
 
 Regenerate (only after an intentional behaviour change, then review)::
 
@@ -25,7 +29,9 @@ import numpy as np
 
 from rqode.bench import (ExperimentPlan, report_bytes, run_ladder,
                          run_scalar_ladder)
+from rqode.core import HolderParams
 from rqode.fixtures import fixture_names, get_fixture
+from rqode.planted import make_planted
 from rqode.scalar import bisection_solve
 from rqode.solver import MODES, SolveConfig, solve
 
@@ -40,6 +46,18 @@ EXTRA_SOLVES = (("cos_time_r1", "randomized", 12),)
 REPORT_CASES = (("sin_flow", "randomized", 2), ("cos_time_r1", "quantum_sim", 5))
 # (fixture, eps, delta) bisected in every mode
 BISECTIONS = (("inv1p", 1e-3, 0.1), ("inv1p_r1", 1e-3, 0.1))
+# planted problems solved in every mode at n = PLANTED_N, one per order r
+PLANTED_LAMBDAS = (0.5, -0.25, 0.75, -1.0)
+PLANTED_PARAMS = (HolderParams(r=0, rho=1.0, D=(1.2,), H=1.0),
+                  HolderParams(r=1, rho=0.5, D=(1.2, 1.0), H=1.0),
+                  HolderParams(r=2, rho=0.5, D=(1.2, 1.0, 1.0), H=1.0))
+PLANTED_N = 3
+# (planted order r, mode, eps, delta) bisected; r = 2 reaches the order-2
+# branch of the 1/f jet
+PLANTED_BISECTIONS = ((2, "randomized", 1e-3, 0.1),)
+# offsets from eta at which the stock oracles are digested (references are
+# digested at 5 times spanning the interval)
+ORACLE_OFFSETS = (-0.25, 0.0, 0.375, 1.5)
 # ladders: (runner, fixture, rungs, delta, modes)
 LADDERS = ((run_ladder, "sin_flow", (2, 3), 0.25, ("randomized", "quantum_sim")),
            (run_scalar_ladder, "inv1p", (1e-3, 1e-2), 0.1, MODES))
@@ -56,6 +74,29 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _arrays_sha(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a, dtype=float)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _oracle_digests(name) -> dict:
+    fx = get_fixture(name)
+    points = [fx.problem.eta + s for s in ORACLE_OFFSETS]
+    out = {"f": _arrays_sha(fx.problem.f(y) for y in points)}
+    for k in range(3):
+        out["derivs%d" % k] = _arrays_sha(fx.problem.derivs(k, y)
+                                          for y in points)
+    ts = np.linspace(fx.problem.a, fx.problem.b, 5)
+    out["reference"] = _arrays_sha([fx.reference(ts)]
+                                   + [fx.reference(t) for t in ts])
+    out["y_star"] = None if fx.y_star is None else repr(fx.y_star)
+    return out
+
+
 def compute_digests() -> dict:
     cases = [(name, mode, n) for name in fixture_names() for mode in MODES
              for n in SIZES] + list(EXTRA_SOLVES)
@@ -66,6 +107,17 @@ def compute_digests() -> dict:
             "y_grid_sha256": _sha(res.y_grid.tobytes()),
             "ledger": res.ledger.as_dict(),
         }
+    for params in PLANTED_PARAMS:
+        pl = make_planted(PLANTED_LAMBDAS, params)
+        for mode in MODES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                res = solve(pl.problem, pl.params_f,
+                            SolveConfig(n=PLANTED_N, mode=mode, seed=SEED))
+            solves["planted_r%d/%s/n=%d" % (params.r, mode, PLANTED_N)] = {
+                "y_grid_sha256": _sha(res.y_grid.tobytes()),
+                "ledger": res.ledger.as_dict(),
+            }
     reports = {}
     for name, mode, n in REPORT_CASES:
         rep = _solve(name, mode, n).to_report(include_pieces=True)
@@ -79,6 +131,12 @@ def compute_digests() -> dict:
                                   mode=mode, seed=SEED)
             bisections["%s/%s/eps=%g" % (name, mode, eps)] = _sha(
                 json.dumps(res.to_report(), sort_keys=True).encode())
+    for r, mode, eps, delta in PLANTED_BISECTIONS:
+        pl = make_planted(PLANTED_LAMBDAS, PLANTED_PARAMS[r])
+        res = bisection_solve(pl.problem, pl.params_f, eps, delta, mode=mode,
+                              seed=SEED)
+        bisections["planted_r%d/%s/eps=%g" % (r, mode, eps)] = _sha(
+            json.dumps(res.to_report(), sort_keys=True).encode())
     ladders = {}
     for runner, name, rungs, delta, modes in LADDERS:
         for mode in modes:
@@ -86,8 +144,9 @@ def compute_digests() -> dict:
                                   trials=30, delta=delta, seed=SEED)
             ladders["%s/%s/%s" % (runner.__name__, name, mode)] = _sha(
                 report_bytes(runner(plan)))
+    oracles = {name: _oracle_digests(name) for name in fixture_names()}
     return {"seed": SEED, "solves": solves, "reports": reports,
-            "bisections": bisections, "ladders": ladders}
+            "bisections": bisections, "ladders": ladders, "oracles": oracles}
 
 
 def test_solve_digests_unchanged():
@@ -101,6 +160,7 @@ def test_solve_digests_unchanged():
     assert now["reports"] == recorded["reports"]
     assert now["bisections"] == recorded["bisections"]
     assert now["ladders"] == recorded["ladders"]
+    assert now["oracles"] == recorded["oracles"]
 
 
 if __name__ == "__main__":
