@@ -142,8 +142,11 @@ class IvpProblem:
     ``f`` maps arrays of shape ``(d,)`` or ``(batch, d)`` to the same shape.
     ``derivs(k, y)`` returns the full order-``k`` derivative tensor of f at a
     single point ``y``: shape ``(d,)`` for k=0, ``(d, d)`` for the Jacobian,
-    ``(d, d, d)`` for the stacked Hessians, and so on.  Oracles must be pure
-    functions of their arguments.
+    ``(d, d, d)`` for the stacked Hessians, and so on.  Scalar problems
+    (d = 1) given to the endpoint solver must also take a batch ``Y`` of
+    shape ``(B, 1)`` and return shape ``(B,) + (1,) * (k + 1)``, row b equal
+    to the single-point call at ``Y[b]``.  Oracles must be pure functions of
+    their arguments.
     """
 
     def __init__(self, dim: int, f: Callable, derivs: Callable,

@@ -19,8 +19,11 @@ bisection every midpoint's defect estimate.
 
 Charges are per index requested, whether an item is computed or read back
 from the family's item table: ``mc_mean`` tabulates the whole family once
-when a single run reads at least as many items as the family holds, so the
-boosted runs that follow share it, but the ledger still pays for every draw.
+when the runs that read it (``median_boost`` records their count k on the
+family) draw at least as many items in total as the family holds, so the
+boosted runs share one table, but the ledger still pays for every draw.
+The family's exact mean is computed once, next to its table, for the
+quantum stub and the estimate-error audit.
 
 ``BACKENDS`` holds one :class:`Backend` record per oracle-cost model, keyed
 by mode name (``MODES``): everything the solvers, the endpoint bisection and
@@ -78,7 +81,11 @@ class IndexedFamily:
     ``tabulate`` fills an item table once, free of charge; ``access`` then
     reads items from it instead of computing them, and still charges per
     index.  The table holds exactly what ``_compute`` returns, so reading it
-    changes no value.
+    changes no value.  ``exact_mean`` caches the mean of that table.
+
+    ``runs`` is the number of estimator runs that will read the family;
+    ``median_boost`` sets it to its k, and ``mc_mean`` reads it to decide
+    whether tabulating pays.
     """
 
     def __init__(self, size: int, dim: int, bound: float,
@@ -93,7 +100,9 @@ class IndexedFamily:
             else np.asarray(bound_vec, dtype=float)
         self.ledger = ledger if ledger is not None else CostLedger()
         self._table = None
+        self._mean = None
         self._peeked = False
+        self.runs = 1
 
     def _compute(self, idx: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -130,6 +139,16 @@ class IndexedFamily:
             self._peeked = True
             self.ledger.sim_evals += self.size
         return items
+
+    def exact_mean(self) -> np.ndarray:
+        """The mean of all items, from ``peek_all``, computed once.
+
+        Read-only; booked like ``peek_all`` (``sim_evals`` once per family).
+        """
+        if self._mean is None:
+            self._mean = self.peek_all().mean(axis=0)
+            self._mean.setflags(write=False)
+        return self._mean
 
 
 class ArrayFamily(IndexedFamily):
@@ -182,18 +201,19 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream) -> MeanEstimate:
     at the family size the sample is replaced by full enumeration and the
     estimate is exact.
 
-    When one run reads at least as many items as the family holds
-    (``reps * sigma >= s``, enumeration included), the family is tabulated
-    first, in blocks of at most sigma items, and the draws read the table;
-    the median repetitions of ``median_boost`` then share it.  The charge is
-    unchanged: every drawn index costs one f evaluation.
+    When the ``family.runs`` runs that read the family draw at least as
+    many items in total as it holds (``runs * reps * sigma >= s``,
+    enumeration included), the family is tabulated first, in blocks of at
+    most sigma items, and the draws read the table; the median repetitions
+    of ``median_boost`` then share it.  The charge is unchanged: every drawn
+    index costs one f evaluation.
     """
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
     snap = family.ledger.snapshot()
     sigma = _sample_size(family, eps1)
     reps = inner_rep_count(family.dim)
-    if reps * sigma >= family.size:
+    if family.runs * reps * sigma >= family.size:
         family.tabulate(sigma)
     if family.bound == 0.0:
         value = np.zeros(family.dim)
@@ -227,14 +247,13 @@ def quantum_sim_mean(family: IndexedFamily, eps1: float,
     M = family.bound
     q = family.size if M == 0.0 else min(
         family.size, int(math.ceil(QUANTUM_COST_CONSTANT * M / eps1)))
+    truth = family.exact_mean()
     if q >= family.size:
-        items = family.peek_all()
         family.ledger.quantum_queries += family.size
-        value = items.mean(axis=0)
-        return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
+        return MeanEstimate(value=truth.copy(),
+                            cost=family.ledger.delta_since(snap),
                             eps_target=float(eps1), success_prob=1.0)
 
-    truth = family.peek_all().mean(axis=0)
     family.ledger.quantum_queries += q
     M_c = family.bound_vec
     reps = inner_rep_count(family.dim)
@@ -258,10 +277,12 @@ def median_boost(base: Callable[..., MeanEstimate], family: IndexedFamily,
 
     k must be odd.  Cost is the sum of the k receipts.  With k from
     ``median_rep_count(n, delta)`` the nominal success probability is
-    ``(1 - delta)^(1/n)``.
+    ``(1 - delta)^(1/n)``.  The family's ``runs`` is set to k first, so a
+    base that tabulates can count every run's reads.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be an odd positive integer")
+    family.runs = k
     snap = family.ledger.snapshot()
     if k == 1:
         est = base(family, eps1, rng)

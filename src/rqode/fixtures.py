@@ -52,6 +52,14 @@ def _as_batch(y):
 # ---------------------------------------------------------------------------
 # oracle families
 
+def _inv1p(y):
+    # 1/(1 + y), divided in place: the endpoint solver tabulates whole cell
+    # families through this oracle, and a second fresh array costs more than
+    # the arithmetic
+    out = 1.0 + y
+    return np.divide(1.0, out, out=out)
+
+
 # Scalar families, one row each: (f, f', f'') as elementwise functions of y,
 # and the closed form z(a + s) of the solution from z(a) = eta.
 _SCALAR_FAMILIES = {
@@ -59,7 +67,7 @@ _SCALAR_FAMILIES = {
                  lambda eta, s: 2.0 * np.arctan(np.tan(eta / 2.0) * np.exp(s))),
     "exp_flow": ((lambda y: y, np.ones_like, np.zeros_like),
                  lambda eta, s: eta * np.exp(s)),
-    "inv1p": ((lambda y: 1.0 / (1.0 + y), lambda y: -((1.0 + y) ** -2.0),
+    "inv1p": ((_inv1p, lambda y: -((1.0 + y) ** -2.0),
                lambda y: 2.0 * (1.0 + y) ** -3.0),
               lambda eta, s: -1.0 + np.sqrt((1.0 + eta) ** 2 + 2.0 * s)),
 }
@@ -110,7 +118,8 @@ def _build_scalar(entry):
     def derivs(k, y):
         if k not in (0, 1, 2):
             raise ValueError("%s supplies derivatives up to order 2" % family)
-        return jet[k](np.asarray(y, dtype=float)).reshape((1,) * (k + 1))
+        y = np.asarray(y, dtype=float)
+        return jet[k](y).reshape(y.shape[:-1] + (1,) * (k + 1))
 
     def ref(t):
         v = closed_form(eta0, np.asarray(t, dtype=float) - a)
@@ -131,7 +140,10 @@ def _build_constant(entry):
         return out if batch else out[0]
 
     def derivs(k, y):
-        return c.copy() if k == 0 else np.zeros((c.size,) * (k + 1))
+        lead = np.shape(y)[:-1]
+        if k == 0:
+            return np.broadcast_to(c, lead + c.shape).copy()
+        return np.zeros(lead + (c.size,) * (k + 1))
 
     def ref(t):
         t = np.asarray(t, dtype=float)

@@ -136,9 +136,9 @@ class PlantedProblem:
     def derivs(self, k: int, y):
         if k not in (0, 1, 2):
             raise ValueError("planted problems supply derivatives up to order 2")
-        y = np.asarray(y, dtype=float).reshape(-1)
-        g_jet = [self.g(y, q) for q in range(k + 1)]
-        return reciprocal_jet(g_jet)[k].reshape((1,) * (k + 1))
+        y = np.asarray(y, dtype=float)
+        g_jet = [self.g(y.reshape(-1), q) for q in range(k + 1)]
+        return reciprocal_jet(g_jet)[k].reshape(y.shape[:-1] + (1,) * (k + 1))
 
     def _derive_f_params(self) -> HolderParams:
         """Class declaration for f = 1/g from the g-construction bounds."""

@@ -41,7 +41,16 @@ __all__ = [
 
 
 class ClassViolationError(RuntimeError):
-    """Raised when sampled values of f violate the declared |f| >= p bound."""
+    """Raised when sampled values of f violate the declared |f| >= p bound
+    or are not finite."""
+
+
+def _require_finite(arrays, what: str, y: float):
+    """Raise ``ClassViolationError`` naming the bisection midpoint ``y``
+    unless every value is finite; one check per array."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ClassViolationError(
+            "%s not finite for the bisection midpoint y = %.6g" % (what, y))
 
 
 def inverse_class_params(params: HolderParams, span: float) -> dict:
@@ -90,42 +99,51 @@ def reciprocal_jet(jet: list) -> list:
     return out
 
 
-def _phi_jet(problem: IvpProblem, pts: np.ndarray, r: int,
-             ledger: CostLedger) -> list:
-    """Jet of phi = 1/f at an array of points; one ledger call per order."""
-    fv = np.asarray(problem.f(pts[:, None]), dtype=float).ravel()
+def _f_jet(problem: IvpProblem, pts: np.ndarray, r: int,
+           ledger: CostLedger) -> list:
+    """Jet ``[f, f', f'']`` (first r + 1 orders) at an array of points.
+
+    One batched oracle call per order, charged one evaluation per point.
+    """
+    Y = pts[:, None]
+    jet = [np.asarray(problem.f(Y), dtype=float).reshape(pts.size)]
     ledger.f_evals += pts.size
-    f_jet = [fv]
     for k in range(1, r + 1):
-        corner = (0,) * (k + 1)
-        f_jet.append(np.array([float(np.asarray(
-            problem.derivs(k, np.array([y])))[corner]) for y in pts]))
+        jet.append(np.asarray(problem.derivs(k, Y),
+                              dtype=float).reshape(pts.size))
         ledger.deriv_evals += pts.size
-    return reciprocal_jet(f_jet), fv
+    return jet
 
 
 class CellGeometry:
-    """Cells, Taylor data of 1/f at the anchors, and the exact polynomial part."""
+    """Cells, Taylor data of 1/f at the anchors, and the exact polynomial part.
+
+    Oracle values at the anchors that are not finite, or with |f| < p, raise
+    ``ClassViolationError``.
+    """
 
     def __init__(self, problem: IvpProblem, params: HolderParams, y: float,
                  cells: int, ledger: CostLedger):
         eta = float(problem.eta[0])
+        self.y = y
         self.sign = 1.0 if y >= eta else -1.0
         self.width = abs(y - eta)
         self.cells = int(cells)
         self.delta = self.width / self.cells if self.cells else 0.0
         self.anchors = eta + self.sign * self.delta * np.arange(self.cells)
-        jet, fv = _phi_jet(problem, self.anchors, params.r, ledger)
+        f_jet = _f_jet(problem, self.anchors, params.r, ledger)
+        _require_finite(f_jet, "f or its derivatives at the cell anchors", y)
+        fv = f_jet[0]
         if np.min(np.abs(fv)) < params.p:
             worst = self.anchors[int(np.argmin(np.abs(fv)))]
             raise ClassViolationError(
                 "|f| >= p violated at y = %.6g: |f| = %.3g < p = %.3g"
                 % (worst, float(np.min(np.abs(fv))), params.p))
-        self.jet = jet
+        self.jet = reciprocal_jet(f_jet)
         step = self.sign * self.delta
         # exact integral of the degree-r Taylor polynomials over their cells
         total = 0.0
-        for k, coeffs in enumerate(jet):
+        for k, coeffs in enumerate(self.jet):
             total += coeffs.sum() * step ** (k + 1) / math.factorial(k + 1)
         self.exact_part = float(total)
 
@@ -133,8 +151,11 @@ class CellGeometry:
 class CellResidualFamily(IndexedFamily):
     """Scaled residuals of 1/f against its per-cell Taylor polynomials.
 
-    Item (i, k) is the residual of cell i at midpoint (k + 1/2)/N_c, scaled
-    by delta^(r+rho); each access costs one f evaluation.
+    Item (i, k), flattened as i*N_c + k, is the residual of cell i at
+    midpoint (k + 1/2)/N_c, scaled by delta^(r+rho); each access costs one f
+    evaluation.  ``_items`` holds the arithmetic once: ``_compute`` feeds it
+    flat index arrays, ``tabulate`` the broadcast grid of every cell and
+    midpoint, and the two agree bit for bit.
     """
 
     def __init__(self, problem: IvpProblem, params: HolderParams,
@@ -146,18 +167,45 @@ class CellResidualFamily(IndexedFamily):
         self._n_mid = int(n_mid)
         super().__init__(geom.cells * self._n_mid, 1, bound, ledger)
 
-    def _compute(self, idx: np.ndarray) -> np.ndarray:
+    def _items(self, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Scaled residuals of cells ``i`` at midpoints ``k``, broadcast
+        together; every element takes the same operations in the same order
+        whatever the shapes."""
         g = self._geom
-        i = idx // self._n_mid
-        k = idx % self._n_mid
         off = g.sign * (k + 0.5) / self._n_mid * g.delta
         zeta = g.anchors[i] + off
-        phi = 1.0 / np.asarray(self._problem.f(zeta[:, None]), dtype=float).ravel()
-        taylor = np.zeros_like(phi)
+        fz = np.asarray(self._problem.f(zeta.reshape(-1, 1)),
+                        dtype=float).reshape(zeta.shape)
+        if np.may_share_memory(fz, zeta):   # f may hand back its input
+            fz = fz.copy()
+        # in place, in zeta's buffer and one more: fresh pages cost more
+        # than the arithmetic on tables this size
+        taylor, out = zeta, np.empty_like(zeta)
+        taylor.fill(0.0)
         for q, coeffs in enumerate(g.jet):
-            taylor += coeffs[i] * off ** q / math.factorial(q)
-        out = (phi - taylor) / g.delta ** self._params.order
-        return out[:, None]
+            np.multiply(coeffs[i], off ** q, out=out)
+            out /= math.factorial(q)
+            taylor += out
+        np.divide(1.0, fz, out=out)
+        out -= taylor
+        out /= g.delta ** self._params.order
+        _require_finite((fz, out), "f or the residual at the cell midpoints",
+                        g.y)
+        return out
+
+    def _compute(self, idx: np.ndarray) -> np.ndarray:
+        return self._items(idx // self._n_mid, idx % self._n_mid)[:, None]
+
+    def tabulate(self, block: int) -> np.ndarray:
+        """All items from one broadcast over the (N_c, cells) grid, one f
+        call; ``block`` is not needed.  Charges nothing.  Midpoints run on
+        the outer axis so the elementwise loops are long; the transposed
+        copy puts the items in index order."""
+        if self._table is None:
+            grid = self._items(np.arange(self._geom.cells),
+                               np.arange(self._n_mid)[:, None])
+            self._table = grid.T.reshape(-1, 1)
+        return self._table
 
 
 def _prepare(problem, params, y, eps1, backend, inv, ledger):
@@ -188,9 +236,11 @@ def _estimate_once(problem, params, geom, family, eps1, backend, k, rng):
     Boosted modes take the ``median_boost`` median of k estimator runs on
     the family mean.  The defect is a monotone affine map of that mean, so
     for odd k this is the median of k defect estimates.  The runs share the
-    family's item table, built by ``mc_mean`` once a run reads at least as
-    many items as the family holds; that is the memoization the cost model
-    allows, as every run still charges one f evaluation per index drawn.
+    family's item table, built by ``mc_mean`` before the first run once the
+    k runs together read at least as many items as the family holds (and by
+    the quantum stub, which needs the exact mean); that is the memoization
+    the cost model allows, as every run still charges one f evaluation per
+    index drawn.
     """
     b_minus_a = problem.b - problem.a
     if family is None:

@@ -8,8 +8,8 @@ midpoint mean, Monte Carlo subsampling or the quantum-cost-model stub, the
 last two median-boosted) and the mesh defaults that go with it.
 
 Residual families are lazy: items are computed on demand, or tabulated once
-when a Monte Carlo run reads at least as many items as the family holds.
-Either way the backends pay per index they touch.
+when the k boosted Monte Carlo runs of a step read at least as many items in
+total as the family holds.  Either way the backends pay per index they touch.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def solve(problem: IvpProblem, params: HolderParams,
             est = estimator(family)
 
         if est_errors is not None:
-            truth = family.peek_all().mean(axis=0)
+            truth = family.exact_mean()
             est_errors.append(float(np.max(np.abs(est.value - truth))))
 
         y = y + w_integral + scale * est.value

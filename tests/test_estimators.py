@@ -382,6 +382,48 @@ class TestItemTable:
         assert est.value.tobytes() == ref.value.tobytes()
         assert est.cost == ref.cost
 
+    def test_boosted_runs_tabulate_up_front(self):
+        # d = 1: reps = 1 and sigma = (2/0.4)^2 = 25, so one run reads
+        # 25 < s = 100 items but the k = 5 runs read 125 >= s together
+        vals = np.random.default_rng(3).uniform(-1, 1, 100)
+        fam = CountingFamily(vals, bound=1.0)
+        est = median_boost(mc_mean, fam, 0.4, 5, RngStream(9))
+        assert fam._table is not None and fam.computed == 100
+        assert est.cost["f_evals"] == 5 * 25
+        plain = UntabulatedFamily(vals, bound=1.0)
+        ref = median_boost(mc_mean, plain, 0.4, 5, RngStream(9))
+        assert est.value.tobytes() == ref.value.tobytes()
+        assert est.cost == ref.cost
+
+    def test_cell_family_tabulated_for_boosted_runs(self, monkeypatch):
+        # inv1p_r1 at y = 1.2, eps1 = 1e-4: sigma < s <= 23 * sigma, so the
+        # 23 runs of a boosted estimate share one table
+        fam, eps1 = self._cell_family(monkeypatch)
+        twin, _ = self._cell_family(monkeypatch)
+        twin.tabulate = lambda block: None
+        k = 23
+        sigma = _sample_size(fam, eps1)
+        assert sigma < fam.size <= k * sigma
+        est = median_boost(mc_mean, fam, eps1, k, RngStream(5))
+        assert fam._table is not None
+        assert est.cost["f_evals"] == k * sigma
+        ref = median_boost(mc_mean, twin, eps1, k, RngStream(5))
+        assert twin._table is None
+        assert est.value.tobytes() == ref.value.tobytes()
+        assert est.cost == ref.cost
+
+    def test_quantum_boost_books_sim_evals_once(self):
+        # q = ceil(1/0.05) = 20 < s = 400: every run perturbs the exact
+        # mean, which is computed once and booked as s sim_evals once
+        fam = CountingFamily(np.linspace(-1, 1, 400) ** 3, bound=1.0)
+        est = median_boost(quantum_sim_mean, fam, 0.05, 7, RngStream(2))
+        assert est.cost["sim_evals"] == 400
+        assert est.cost["quantum_queries"] == 7 * 20
+        assert fam.computed == 400
+        mean = fam.exact_mean()
+        assert mean is fam.exact_mean() and not mean.flags.writeable
+        assert mean.tobytes() == fam._values.mean(axis=0).tobytes()
+
     def test_no_table_when_one_run_reads_less(self):
         vals = np.random.default_rng(2).uniform(-1, 1, size=(1000, 2))
         fam = CountingFamily(vals, bound=1.0)

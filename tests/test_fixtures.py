@@ -73,6 +73,26 @@ class TestRegistry:
                         assert np.allclose(exact[..., j], fd, rtol=1e-6,
                                            atol=1e-8), (name, k, offset, j)
 
+    def test_scalar_derivs_take_a_batch(self):
+        # row b of derivs(k, Y) for Y of shape (B, 1) is the single-point
+        # call at Y[b], bit for bit
+        planted = make_planted([0.5, -0.25, 0.75, -1.0],
+                               HolderParams(r=2, rho=0.5, D=(1.2, 1.0, 1.0),
+                                            H=1.0))
+        problems = [get_fixture(name).problem for name in fixture_names()]
+        problems = [p for p in problems if p.dim == 1] + [planted.problem]
+        assert len(problems) >= 8
+        for prob in problems:
+            Y = prob.eta + np.linspace(-0.3, 0.6, 23)[:, None]
+            for k in (0, 1, 2):
+                batch = np.asarray(prob.derivs(k, Y), dtype=float)
+                assert batch.shape == (23,) + (1,) * (k + 1), (prob.name, k)
+                for b in range(23):
+                    single = np.asarray(prob.derivs(k, Y[b]), dtype=float)
+                    assert batch[b].shape == single.shape
+                    assert batch[b].tobytes() == single.tobytes(), \
+                        (prob.name, k, b)
+
     def test_derivative_order_limit(self):
         for name in ("sin_flow", "exp_flow", "cos_time", "inv1p"):
             fx = get_fixture(name)

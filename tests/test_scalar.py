@@ -7,8 +7,10 @@ import pytest
 from rqode.core import CostLedger, HolderParams, IvpProblem
 from rqode.fixtures import get_fixture
 from rqode.rng import RngStream
-from rqode.scalar import (ClassViolationError, bisection_solve,
-                          estimate_H, inverse_class_params)
+from rqode.planted import make_planted
+from rqode.scalar import (CellGeometry, CellResidualFamily,
+                          ClassViolationError, bisection_solve, estimate_H,
+                          inverse_class_params)
 
 
 def defect_closed_form(y):
@@ -109,6 +111,95 @@ class TestEstimateDefect:
         assert led.total == led.f_evals
 
 
+def planted_r2_cells():
+    # an r = 2 planted field on the bump region [0, 1/2], eta in its middle
+    # so that cells on either side of eta cross bumps
+    pl = make_planted([0.5, -0.25, 0.75, -1.0],
+                      HolderParams(r=2, rho=0.5, D=(1.2, 1.0, 1.0), H=1.0))
+    prob = IvpProblem(1, pl.f, pl.derivs, [0.25], (0.0, 1.0))
+    return prob, pl.params_f, (0.48, 0.02)
+
+
+def fixture_cells(name):
+    fx = get_fixture(name)
+    return fx.problem, fx.params, (1.2, -0.3)
+
+
+CELL_CASES = {"inv1p": lambda: fixture_cells("inv1p"),
+              "inv1p_r1": lambda: fixture_cells("inv1p_r1"),
+              "planted_r2": planted_r2_cells}
+
+
+class TestCellTable:
+    @pytest.mark.parametrize("above", [True, False])
+    @pytest.mark.parametrize("case", sorted(CELL_CASES))
+    def test_table_equals_compute(self, case, above):
+        # the broadcast table and per-index items of an untabulated twin
+        # agree bit for bit, for y on either side of eta
+        prob, params, ys = CELL_CASES[case]()
+        y = ys[0] if above else ys[1]
+
+        def family():
+            led = CostLedger()
+            geom = CellGeometry(prob, params, y, 37, led)
+            return CellResidualFamily(prob, params, geom, 5, 1.0, led)
+        fam, twin = family(), family()
+        table = fam.tabulate(1)
+        assert table.shape == (37 * 5, 1) and np.any(table != 0.0)
+        idx = np.random.default_rng(4).integers(0, fam.size, 400)
+        assert np.array_equal(table[idx], twin.access(idx))
+        assert twin._table is None
+        assert table.tobytes() == twin._compute(np.arange(fam.size)).tobytes()
+
+
+def field_with_hole(r, hole, bad=np.nan, bad_order=0):
+    """inv1p's field and jet, with ``bad`` in place of order ``bad_order``
+    wherever ``hole(y)`` holds."""
+    fx = get_fixture("inv1p_r1" if r else "inv1p")
+    base = fx.problem.derivs
+
+    def derivs(k, y):
+        y = np.asarray(y, dtype=float)
+        out = np.asarray(base(k, y), dtype=float)
+        if k != bad_order:
+            return out
+        return np.where(hole(y).reshape(y.shape[:-1] + (1,) * (k + 1)),
+                        bad, out)
+
+    def f(y):
+        return derivs(0, y)
+    return IvpProblem(1, f, derivs, [0.0], (0.0, 1.5)), fx.params
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("r, bad, bad_order", [(0, np.nan, 0),
+                                                   (0, np.inf, 0),
+                                                   (1, np.nan, 1)])
+    def test_bisection_rejects_at_anchors(self, r, bad, bad_order):
+        # first midpoint y = 0.75 of the bracket [0, 1.5]; its cell anchors
+        # reach past 0.5
+        prob, params = field_with_hole(r, lambda y: y > 0.5, bad, bad_order)
+        with pytest.raises(ClassViolationError,
+                           match=r"not finite .*midpoint y = 0\.75"):
+            bisection_solve(prob, params, 1e-3, 0.1, mode="deterministic")
+
+    def test_rejects_at_cell_midpoints(self):
+        # one cell anchored at 0; its midpoints 0.625 and 0.875 fall in the
+        # hole, its anchor does not
+        prob, params = field_with_hole(0, lambda y: y > 0.5)
+        led = CostLedger()
+        geom = CellGeometry(prob, params, 1.0, 1, led)
+
+        def family():
+            return CellResidualFamily(prob, params, geom, 4, 1.0, led)
+        assert np.isfinite(family().access([0, 1])).all()
+        for read in (lambda fam: fam.access([3]),
+                     lambda fam: fam.tabulate(1)):
+            with pytest.raises(ClassViolationError,
+                               match=r"cell midpoints .*midpoint y = 1\b"):
+                read(family())
+
+
 class TestSandwich:
     def test_defect_increment_bounds(self):
         # (1/D0)|y - y'| <= |H(y) - H(y')| <= (1/p)|y - y'| on a probe grid
@@ -133,6 +224,17 @@ class TestBisection:
         bound = math.ceil(math.log2(params.D[0] * 1.0 / (params.p * eps1)))
         assert res.iters <= bound
         assert not res.breached
+
+    @pytest.mark.parametrize("mode", ["deterministic", "randomized",
+                                      "quantum_sim"])
+    def test_field_returning_its_input(self, mode):
+        # exp_flow's f(y) = y hands back the array it is given; on [1, 2]
+        # it obeys |f| >= 1, and z(1/2) = e^(1/2)
+        fx = get_fixture("exp_flow")
+        params = dataclasses.replace(fx.params, p=1.0)
+        res = bisection_solve(fx.problem, params, 1e-4, 0.1, mode=mode,
+                              seed=3)
+        assert abs(res.y_out - math.exp(0.5)) <= 1e-4
 
     def test_negative_field_mirrored_bracket(self):
         prob, params = constant_field_problem(-0.8)
