@@ -41,8 +41,12 @@ SEED = 11
 SIZES = (2, 5)
 # (fixture, mode, n) solved on top of the grid: cos_time_r1 randomized n=12
 # draws sigma = 9,216 < s = 20,736 <= 5*sigma items per Monte Carlo run, so
-# it goes through the branch that tabulates the residual family
-EXTRA_SOLVES = (("cos_time_r1", "randomized", 12),)
+# it goes through the branch that tabulates the residual family; n=16 is the
+# benchmark's 2-D randomized solve (d = 2, sigma = 16,384 < s = 65,536, read
+# from the table), and cos_time n=12 a tabulated r = 0 case
+EXTRA_SOLVES = (("cos_time_r1", "randomized", 12),
+                ("cos_time_r1", "randomized", 16),
+                ("cos_time", "randomized", 12))
 # (fixture, mode, n) whose full piece report is digested: one r=0, one r=1
 REPORT_CASES = (("sin_flow", "randomized", 2), ("cos_time_r1", "quantum_sim", 5))
 # (fixture, eps, delta, modes) bisected; eps = 1e-4 is the accuracy of the
