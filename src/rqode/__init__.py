@@ -8,8 +8,8 @@ hidden-mean verification fixtures, and a benchmark harness that checks the
 measured error/cost exponents against their targets.
 """
 
-from .core import (CostLedger, HolderParams, IvpProblem, TwoLevelMesh,
-                   ValidationReport, build_mesh, residual_bound,
+from .core import (ClassViolationError, CostLedger, HolderParams, IvpProblem,
+                   TwoLevelMesh, ValidationReport, build_mesh, residual_bound,
                    validate_holder)
 from .estimators import (ArrayFamily, IndexedFamily, MeanEstimate, full_mean,
                          mc_mean, median_boost, median_rep_count,
@@ -17,8 +17,8 @@ from .estimators import (ArrayFamily, IndexedFamily, MeanEstimate, full_mean,
 from .taylor import (PiecewiseTaylorApprox, fetch_jet, flow_coeffs_from_jet,
                      integrate_field_along)
 from .solver import SolveConfig, SolveResult, run_trials, solve, sup_error
-from .scalar import (BisectionResult, ClassViolationError, bisection_solve,
-                     estimate_H, inverse_class_params)
+from .scalar import (BisectionResult, bisection_solve, estimate_H,
+                     inverse_class_params)
 from .planted import PlantedProblem, make_planted, recover_mean
 from .fixtures import (Fixture, fixture_names, get_fixture, load_fixture_file,
                        reference_solver)

@@ -26,7 +26,21 @@ __all__ = [
     "build_mesh",
     "validate_holder",
     "residual_bound",
+    "ClassViolationError",
+    "require_finite",
 ]
+
+
+class ClassViolationError(RuntimeError):
+    """Raised when oracle values leave the declared class: values that are
+    not finite, or |f| below the declared lower bound p."""
+
+
+def require_finite(arrays, message: str, *args) -> None:
+    """Raise ``ClassViolationError`` with ``message % args`` unless every
+    value is finite; one check per array, the message built only on failure."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ClassViolationError(message % args)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,12 @@ boosted runs share one table, but the ledger still pays for every draw.
 The family's exact mean is computed once, next to its table, for the
 quantum stub and the estimate-error audit.
 
+The sampled and exact means read a family through ``IndexedFamily.mean_at``.
+From a table it takes each draw's items component by component and sums
+them in the order numpy's ``items.mean(axis=0)`` would (pairwise for d = 1,
+row after row for d >= 2), so a table changes wall time only, never a value
+or a charge.
+
 ``BACKENDS`` holds one :class:`Backend` record per oracle-cost model, keyed
 by mode name (``MODES``): everything the solvers, the endpoint bisection and
 the ladders do differently per model.  A new cost model is one entry and
@@ -81,7 +87,9 @@ class IndexedFamily:
     ``tabulate`` fills an item table once, free of charge; ``access`` then
     reads items from it instead of computing them, and still charges per
     index.  The table holds exactly what ``_compute`` returns, so reading it
-    changes no value.  ``exact_mean`` caches the mean of that table.
+    changes no value.  ``mean_at`` reads and reduces in one step, from a
+    component-major copy of the table.  ``exact_mean`` caches the mean of
+    the table.
 
     ``runs`` is the number of estimator runs that will read the family;
     ``median_boost`` sets it to its k, and ``mc_mean`` reads it to decide
@@ -100,6 +108,7 @@ class IndexedFamily:
             else np.asarray(bound_vec, dtype=float)
         self.ledger = ledger if ledger is not None else CostLedger()
         self._table = None
+        self._columns = None
         self._mean = None
         self._peeked = False
         self.runs = 1
@@ -123,9 +132,35 @@ class IndexedFamily:
     def access(self, idx) -> np.ndarray:
         """Items at the given indices, charged to the ledger."""
         idx = np.atleast_1d(np.asarray(idx, dtype=int))
-        out = self._compute(idx) if self._table is None else self._table[idx]
+        out = (self._compute(idx) if self._table is None
+               else np.take(self._table, idx, axis=0))
         self.ledger.f_evals += idx.size
         return out
+
+    def mean_at(self, idx) -> np.ndarray:
+        """Mean of the items at the given indices, charged like ``access``.
+
+        Equal bit for bit to ``access(idx).mean(axis=0)``, which is what it
+        returns when there is no table.  With a table it gathers from the
+        ``(d, s)`` component-major copy (built once; for d = 1 a view of
+        the table) without copying ``(sigma, d)`` rows, and sums in numpy's
+        own axis-0 order: one pairwise sum for d = 1, where numpy reduces
+        the ``(sigma, 1)`` array as one contiguous run, and a row-sequential
+        sum per component for d >= 2, where it adds row after row.  The
+        total is then divided by ``idx.size``.
+        """
+        idx = np.atleast_1d(np.asarray(idx, dtype=int))
+        if self._table is None:
+            return self.access(idx).mean(axis=0)
+        if self._columns is None:
+            self._columns = np.ascontiguousarray(self._table.T)
+        items = self._columns.take(idx, axis=1)
+        if self.dim == 1:
+            total = items.sum(axis=1)
+        else:
+            total = np.cumsum(items, axis=1, out=items)[:, -1]
+        self.ledger.f_evals += idx.size
+        return total / idx.size
 
     def peek_all(self) -> np.ndarray:
         """All items without ledger charges (simulation overhead only).
@@ -179,8 +214,7 @@ class MeanEstimate:
 def full_mean(family: IndexedFamily) -> MeanEstimate:
     """Exact arithmetic mean of the whole family; cost = size accesses."""
     snap = family.ledger.snapshot()
-    items = family.access(np.arange(family.size))
-    value = items.mean(axis=0)
+    value = family.mean_at(np.arange(family.size))
     return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
                         eps_target=0.0, success_prob=1.0)
 
@@ -207,6 +241,10 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream) -> MeanEstimate:
     most sigma items, and the draws read the table; the median repetitions
     of ``median_boost`` then share it.  The charge is unchanged: every drawn
     index costs one f evaluation.
+
+    Each draw is reduced by ``family.mean_at``: from the table it is one
+    gather and one sum in numpy's axis-0 order, with no ``(sigma, d)`` row
+    copy, so the value equals that of the computed items bit for bit.
     """
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
@@ -218,12 +256,12 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream) -> MeanEstimate:
     if family.bound == 0.0:
         value = np.zeros(family.dim)
     elif sigma >= family.size:
-        value = family.access(np.arange(family.size)).mean(axis=0)
+        value = family.mean_at(np.arange(family.size))
     else:
         draws = np.empty((reps, family.dim))
         for t in range(reps):
-            idx = rng.integers(0, family.size, size=sigma)
-            draws[t] = family.access(idx).mean(axis=0)
+            draws[t] = family.mean_at(rng.integers(0, family.size,
+                                                   size=sigma))
         value = draws[0] if reps == 1 else np.median(draws, axis=0)
     return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
                         eps_target=float(eps1), success_prob=0.75)

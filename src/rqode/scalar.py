@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CostLedger, HolderParams, IvpProblem
+from .core import (ClassViolationError, CostLedger, HolderParams, IvpProblem,
+                   require_finite)
 from .estimators import (IndexedFamily, full_mean, get_backend, mc_mean,
                          median_boost, median_rep_count, quantum_sim_mean)
 from .rng import RngStream
@@ -38,19 +39,6 @@ __all__ = [
     "CellGeometry",
     "reciprocal_jet",
 ]
-
-
-class ClassViolationError(RuntimeError):
-    """Raised when sampled values of f violate the declared |f| >= p bound
-    or are not finite."""
-
-
-def _require_finite(arrays, what: str, y: float):
-    """Raise ``ClassViolationError`` naming the bisection midpoint ``y``
-    unless every value is finite; one check per array."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ClassViolationError(
-            "%s not finite for the bisection midpoint y = %.6g" % (what, y))
 
 
 def inverse_class_params(params: HolderParams, span: float) -> dict:
@@ -132,7 +120,8 @@ class CellGeometry:
         self.delta = self.width / self.cells if self.cells else 0.0
         self.anchors = eta + self.sign * self.delta * np.arange(self.cells)
         f_jet = _f_jet(problem, self.anchors, params.r, ledger)
-        _require_finite(f_jet, "f or its derivatives at the cell anchors", y)
+        require_finite(f_jet, "f or its derivatives at the cell anchors not "
+                       "finite for the bisection midpoint y = %.6g", y)
         fv = f_jet[0]
         if np.min(np.abs(fv)) < params.p:
             worst = self.anchors[int(np.argmin(np.abs(fv)))]
@@ -189,8 +178,8 @@ class CellResidualFamily(IndexedFamily):
         np.divide(1.0, fz, out=out)
         out -= taylor
         out /= g.delta ** self._params.order
-        _require_finite((fz, out), "f or the residual at the cell midpoints",
-                        g.y)
+        require_finite((fz, out), "f or the residual at the cell midpoints "
+                       "not finite for the bisection midpoint y = %.6g", g.y)
         return out
 
     def _compute(self, idx: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (CostLedger, HolderParams, IvpProblem, build_mesh,
-                   residual_bound, residual_bound_vector)
+                   require_finite, residual_bound, residual_bound_vector)
 from .estimators import (MODES, IndexedFamily, full_mean, get_backend,
                          mc_mean, median_boost, median_rep_count,
                          quantum_sim_mean)
@@ -96,11 +96,13 @@ class ResidualFamily(IndexedFamily):
     Item (j, k), flattened as j*N + k, is the residual of piece j evaluated
     at the composite midpoint u_k = (k + 1/2)/N of its fine cell.  Each
     access costs one f evaluation; the field-expansion value is free.
+    Residuals that are not finite raise ``ClassViolationError`` naming the
+    coarse step ``step``.
     """
 
     def __init__(self, problem: IvpProblem, params: HolderParams,
                  piece_coeffs: np.ndarray, jets: list, hbar: float, N: int,
-                 ledger: CostLedger):
+                 ledger: CostLedger, step: int = 0):
         self._problem = problem
         self._params = params
         self._C = piece_coeffs              # (m, deg+1, d)
@@ -108,6 +110,7 @@ class ResidualFamily(IndexedFamily):
         self._T = jets                      # list of stacked tensors by order
         self._hbar = float(hbar)
         self._N = int(N)
+        self._step = int(step)
         super().__init__(piece_coeffs.shape[0] * self._N, problem.dim,
                          residual_bound(params, problem.dim), ledger,
                          bound_vec=residual_bound_vector(params, problem.dim))
@@ -123,7 +126,10 @@ class ResidualFamily(IndexedFamily):
             W += np.einsum("bij,bj->bi", self._T[1][j], delta)
         if len(self._T) >= 3:
             W += 0.5 * np.einsum("bijk,bj,bk->bi", self._T[2][j], delta, delta)
-        return (F - W) / self._hbar ** self._params.order
+        out = (F - W) / self._hbar ** self._params.order
+        require_finite((out,), "f or the residual at the fine-cell midpoints "
+                       "not finite at coarse step %d", self._step)
+        return out
 
 
 @dataclass
@@ -213,13 +219,15 @@ def solve(problem: IvpProblem, params: HolderParams,
             y_j = c[order]
             for q in range(order - 1, -1, -1):
                 y_j = y_j * tau + c[q]
+        require_finite(jets + [C], "f, its derivatives or the flow "
+                       "coefficients not finite at coarse step %d", i)
         # a sequential sum in piece order (not pairwise) keeps y_grid equal,
         # bit for bit, to a running sum along the chain
         w_integral = np.cumsum(integrate_field_along(jets, C, steps[i]),
                                axis=0)[-1]
 
         family = ResidualFamily(problem, params, C, jets, mesh.hbar, cfg.N,
-                                ledger)
+                                ledger, step=i)
         if backend.boosted:
             est = median_boost(estimator, family, cfg.eps1, k_rep,
                                step_streams[i])

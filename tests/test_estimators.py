@@ -446,3 +446,44 @@ class TestItemTable:
         fam.peek_all()
         assert led.sim_evals == 50 and led.f_evals == 0
         assert fam.computed == 50
+
+
+class TestMeanAt:
+    """``mean_at`` reads and reduces in one step, bit for bit like
+    ``access(idx).mean(axis=0)`` and with the same charge."""
+
+    @given(dim=st.integers(1, 3), size=st.integers(1, 3000),
+           sigma=st.integers(1, 20000), tabulated=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_access_mean(self, dim, size, sigma, tabulated, seed):
+        gen = np.random.default_rng(seed)
+        vals = gen.standard_normal((size, dim)) * 10.0 ** gen.uniform(-3, 3)
+        led = CostLedger()
+        fam = ArrayFamily(vals, ledger=led)
+        if tabulated:
+            fam.tabulate(size)
+        idx = gen.integers(0, size, size=sigma)
+        got = fam.mean_at(idx)
+        assert led.f_evals == sigma
+        ref = fam.access(idx).mean(axis=0)
+        assert led.f_evals == 2 * sigma
+        assert got.shape == (dim,)
+        assert got.tobytes() == ref.tobytes()
+        assert got.tobytes() == vals[idx].mean(axis=0).tobytes()
+
+    def test_boosted_tabulated_d2_keeps_bytes(self):
+        # d = 2: sigma = (2/0.2)^2 = 100 and reps = 5, so one run reads
+        # 500 >= s = 400 items and every draw is reduced from the table; the
+        # value was recorded when each draw was a (sigma, 2) row gather
+        # reduced by .mean(axis=0)
+        vals = np.random.default_rng(5).uniform(-1, 1, size=(400, 2))
+        led = CostLedger()
+        fam = ArrayFamily(vals, bound=1.0, ledger=led)
+        est = median_boost(mc_mean, fam, 0.2, 5, RngStream(17, led))
+        assert fam._table is not None
+        assert [float(v).hex() for v in est.value] == [
+            "-0x1.12443406c5f5cp-11", "-0x1.4c9844f6bac9bp-5"]
+        assert est.cost == {"f_evals": 2500, "deriv_evals": 0,
+                            "quantum_queries": 0, "rng_draws": 2500,
+                            "sim_evals": 0}

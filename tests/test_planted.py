@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rqode.core import HolderParams, validate_holder
 from rqode.fixtures import reference_solver
@@ -177,6 +178,23 @@ class TestRecoverMean:
             shifted = recover_mean(z + e, pl.eta, 16, pl.mean_scale, 1.0)
             assert shifted - base == pytest.approx(
                 -e * 16.0 / pl.mean_scale, rel=1e-12)
+
+    @given(lambdas=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
+           e=st.floats(1e-4, 0.25), sign=st.sampled_from((-1.0, 1.0)),
+           params=st.sampled_from((PARAMS_R0, PARAMS_R1)))
+    @settings(max_examples=100, deadline=None)
+    def test_amplification_exact_for_any_lambdas(self, lambdas, e, sign,
+                                                 params):
+        pl = make_planted(lambdas, params)
+        n, order = pl.n, params.order
+        z = pl.closed_form_endpoint()
+        base = recover_mean(z, pl.eta, n, pl.mean_scale, order)
+        gain = n ** order / pl.mean_scale
+        assert base == pytest.approx(np.mean(lambdas), rel=0,
+                                     abs=1e-15 * gain)
+        shift = (z + sign * e) - z      # the shift the float endpoint holds
+        moved = recover_mean(z + shift, pl.eta, n, pl.mean_scale, order)
+        assert moved - base == pytest.approx(-shift * gain, rel=1e-12)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -2,12 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rqode.core import CostLedger, residual_bound
+from rqode.core import (ClassViolationError, CostLedger, HolderParams,
+                        IvpProblem, residual_bound)
 from rqode.fixtures import fixture_names, get_fixture, reference_solver
 from rqode.estimators import empirical_quantile, rms_error
 from rqode.solver import SolveConfig, run_trials, solve, sup_error
@@ -171,6 +173,56 @@ class TestLedgerInvariant:
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert "deriv_evals" in out.stdout
+
+
+def clock_with_hole(r, hole, bad_order=0):
+    """z' = 1 on [0, 1] whose order-``bad_order`` oracle is NaN where
+    ``hole(y)``; the chain visits 0, 0.25, 0.5, 0.75 at n = m = 2."""
+    def f(y):
+        y = np.asarray(y, dtype=float)
+        return np.where(hole(y) & (bad_order == 0), np.nan, 1.0)
+
+    def derivs(k, y):
+        if k == 0:
+            return f(y)
+        y = np.asarray(y, dtype=float)
+        out = np.zeros(y.shape + (1,) * k)
+        return np.where(hole(y).reshape(out.shape) & (bad_order == k),
+                        np.nan, out)
+    params = HolderParams(r=r, rho=1.0, D=(1.0,) * (r + 1), H=1.0)
+    return IvpProblem(1, f, derivs, [0.0], (0.0, 1.0)), params
+
+
+class TestNonFinite:
+    def _solve(self, prob, params, mode="deterministic"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return solve(prob, params, SolveConfig(n=2, m=2, N=2, mode=mode,
+                                                   seed=3))
+
+    @pytest.mark.parametrize("r, bad_order", [(0, 0), (1, 1)])
+    def test_chain_rejected_at_its_coarse_step(self, r, bad_order):
+        # the chain point 0.75 (step 1) is in the hole; no earlier point is
+        prob, params = clock_with_hole(r, lambda y: y > 0.6, bad_order)
+        with pytest.raises(ClassViolationError,
+                           match=r"derivatives or the flow coefficients not "
+                                 r"finite at coarse step 1$"):
+            self._solve(prob, params)
+
+    @pytest.mark.parametrize("mode", ["deterministic", "quantum_sim"])
+    def test_residual_rejected_at_its_coarse_step(self, mode):
+        # the fine-cell midpoint 0.3125 of step 0 is in the hole; no chain
+        # point is
+        prob, params = clock_with_hole(0, lambda y: (y > 0.3) & (y < 0.35))
+        with pytest.raises(ClassViolationError,
+                           match=r"fine-cell midpoints not finite at coarse "
+                                 r"step 0$"):
+            self._solve(prob, params, mode)
+
+    def test_finite_field_passes(self):
+        prob, params = clock_with_hole(1, lambda y: y > 2.0, 1)
+        res = self._solve(prob, params)
+        assert np.isfinite(res.y_grid).all()
 
 
 class TestModeDegeneracy:
