@@ -39,6 +39,7 @@ __all__ = [
 
 SLOPE_TOLERANCE = 0.12
 RESIDUAL_THRESHOLD = 0.35
+PROBE_COUNT = 192       # sup-error probe points per IVP trial
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,7 @@ class ExperimentPlan:
     trials: int = 30
     delta: float = 0.25
     seed: int = 0
-    probe_count: int = 192
     det_N: int = 1
-    tolerance: float = SLOPE_TOLERANCE
     target: Optional[float] = None
     workers: int = 1
 
@@ -108,10 +107,11 @@ def fit_loglog(xs, ys):
     return float(coef[0]), resid
 
 
-def _passes(slope, residual, target, tolerance):
+def _passes(slope, residual, target):
     if slope is None:
         return None
-    return bool(abs(slope - target) <= tolerance and residual <= RESIDUAL_THRESHOLD)
+    return bool(abs(slope - target) <= SLOPE_TOLERANCE
+                and residual <= RESIDUAL_THRESHOLD)
 
 
 def default_target(mode: str, order: float, kind: str = "ivp") -> float:
@@ -141,7 +141,7 @@ def _run_ivp_rung(args):
     if fx.reference is None:
         raise ValueError("ladders need a fixture with a reference solution")
     stats = run_trials(fx.problem, fx.params, _rung_config(plan, n),
-                       _trial_count(plan), fx.reference, plan.probe_count)
+                       _trial_count(plan), fx.reference, PROBE_COUNT)
     err = get_backend(plan.mode).ivp_error(stats.errors, plan.delta)
     return {"n": n, "error": err, "cost": float(np.mean(stats.costs)),
             "deflated": float(np.mean(stats.deflated_costs)),
@@ -171,8 +171,8 @@ def run_ladder(plan: ExperimentPlan) -> SlopeReport:
     return SlopeReport(
         fixture=fx.name, mode=plan.mode, kind="ivp", points=points,
         slope=slope, raw_slope=raw_slope, residual=residual, target=target,
-        tolerance=plan.tolerance,
-        passed=_passes(slope, residual, target, plan.tolerance),
+        tolerance=SLOPE_TOLERANCE,
+        passed=_passes(slope, residual, target),
         rungs=[int(n) for n in plan.ladder], errors=errors, costs=costs,
         deflated_costs=deflated, trials=plan.trials, seed=plan.seed,
         header=get_backend(plan.mode).header,
@@ -240,8 +240,8 @@ def run_scalar_ladder(plan: ExperimentPlan) -> SlopeReport:
     return SlopeReport(
         fixture=fx.name, mode=plan.mode, kind="scalar", points=points,
         slope=slope, raw_slope=raw_slope, residual=residual, target=target,
-        tolerance=plan.tolerance,
-        passed=_passes(slope, residual, target, plan.tolerance),
+        tolerance=SLOPE_TOLERANCE,
+        passed=_passes(slope, residual, target),
         rungs=[row["eps"] for row in rows], errors=[row["error"] for row in rows],
         costs=costs, deflated_costs=deflated, trials=plan.trials,
         seed=plan.seed, header=backend.header,

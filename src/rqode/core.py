@@ -12,6 +12,7 @@ simulated quantum queries).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -28,6 +29,7 @@ __all__ = [
     "residual_bound",
     "ClassViolationError",
     "require_finite",
+    "require_finite_input",
 ]
 
 
@@ -41,6 +43,13 @@ def require_finite(arrays, message: str, *args) -> None:
     value is finite; one check per array, the message built only on failure."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise ClassViolationError(message % args)
+
+
+def require_finite_input(name: str, *values) -> None:
+    """Raise ``ValueError`` naming the input ``name`` unless every value is
+    finite."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("%s must be finite" % name)
 
 
 @dataclass(frozen=True)
@@ -70,18 +79,22 @@ class HolderParams:
         D = tuple(float(x) for x in self.D)
         if len(D) != self.r + 1:
             raise ValueError("D must list r+1 derivative bounds D_0..D_r")
+        require_finite_input("D", *D)
         if any(x <= 0 for x in D):
             raise ValueError("all derivative bounds D_i must be positive")
         object.__setattr__(self, "D", D)
+        require_finite_input("H", self.H)
         if self.H <= 0:
             raise ValueError("H must be positive")
         if self.p is not None:
+            require_finite_input("p", self.p)
             if self.p <= 0:
                 raise ValueError("p must be positive when given")
             if self.p > D[0]:
                 raise ValueError("p must not exceed D_0")
         if self.component_H is not None:
             cH = tuple(float(x) for x in self.component_H)
+            require_finite_input("component_H", *cH)
             if any(x < 0 or x > self.H for x in cH):
                 raise ValueError("component_H entries must lie in [0, H]")
             object.__setattr__(self, "component_H", cH)
@@ -106,45 +119,33 @@ class CostLedger:
     quantum-cost-model stub (which charges queries, not evaluations).
     """
 
-    __slots__ = ("f_evals", "deriv_evals", "quantum_queries", "rng_draws", "sim_evals")
+    COUNTERS = ("f_evals", "deriv_evals", "quantum_queries", "rng_draws",
+                "sim_evals")
+    __slots__ = COUNTERS
+    _read = operator.attrgetter(*COUNTERS)
 
     def __init__(self):
-        self.f_evals = 0
-        self.deriv_evals = 0
-        self.quantum_queries = 0
-        self.rng_draws = 0
-        self.sim_evals = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     @property
     def total(self) -> int:
         return self.f_evals + self.deriv_evals + self.quantum_queries
 
     def snapshot(self) -> tuple:
-        return (self.f_evals, self.deriv_evals, self.quantum_queries,
-                self.rng_draws, self.sim_evals)
+        return self._read(self)
 
     def delta_since(self, snap: tuple) -> dict:
-        now = self.snapshot()
-        keys = ("f_evals", "deriv_evals", "quantum_queries", "rng_draws", "sim_evals")
-        return {k: now[i] - snap[i] for i, k in enumerate(keys)}
+        return {name: now - then for name, now, then
+                in zip(self.COUNTERS, self.snapshot(), snap)}
 
     def merge(self, other: "CostLedger") -> "CostLedger":
-        self.f_evals += other.f_evals
-        self.deriv_evals += other.deriv_evals
-        self.quantum_queries += other.quantum_queries
-        self.rng_draws += other.rng_draws
-        self.sim_evals += other.sim_evals
+        for name, value in zip(self.COUNTERS, other.snapshot()):
+            setattr(self, name, getattr(self, name) + value)
         return self
 
     def as_dict(self) -> dict:
-        return {
-            "f_evals": self.f_evals,
-            "deriv_evals": self.deriv_evals,
-            "quantum_queries": self.quantum_queries,
-            "rng_draws": self.rng_draws,
-            "sim_evals": self.sim_evals,
-            "total": self.total,
-        }
+        return dict(zip(self.COUNTERS, self.snapshot()), total=self.total)
 
     def __repr__(self):
         return "CostLedger(%s)" % ", ".join("%s=%d" % kv for kv in self.as_dict().items())
@@ -168,12 +169,14 @@ class IvpProblem:
         if dim < 1:
             raise ValueError("dim must be a positive integer")
         a, b = float(interval[0]), float(interval[1])
+        require_finite_input("interval", a, b)
         if not a < b:
             raise ValueError("interval must satisfy a < b")
         self.dim = int(dim)
         self.f = f
         self.derivs = derivs
         self.eta = np.asarray(eta, dtype=float).reshape(self.dim)
+        require_finite_input("eta", *self.eta)
         self.interval = (a, b)
         self.name = name
         self._check_construction()

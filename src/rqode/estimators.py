@@ -78,16 +78,21 @@ QUANTUM_COST_CONSTANT = 1.0
 
 
 class IndexedFamily:
-    """An indexed family of bounded d-vectors behind a charging oracle.
+    """A (cells x n_mid) grid of bounded d-vectors behind a charging oracle.
 
-    Subclasses implement ``_compute(idx)``; ``access`` charges one f
-    evaluation per index requested.  ``bound`` is a uniform sup-norm bound
-    on the items, used by the sampled backends for calibration.
+    Item ``i*n_mid + k`` is ``_items(i, k)``: subclasses implement
+    ``_items`` over index arrays ``i`` (cell) and ``k`` (midpoint) that
+    broadcast together, returning their broadcast shape plus ``(dim,)``, and
+    must put every element through the same operations in the same order
+    whatever the shapes.  ``_compute`` feeds it flat index arrays and
+    ``tabulate`` the whole grid, so the two agree bit for bit.  ``access``
+    charges one f evaluation per index requested.  ``bound`` is a uniform
+    sup-norm bound on the items, used by the sampled backends for
+    calibration.
 
     ``tabulate`` fills an item table once, free of charge; ``access`` then
     reads items from it instead of computing them, and still charges per
-    index.  The table holds exactly what ``_compute`` returns, so reading it
-    changes no value.  ``mean_at`` reads and reduces in one step, from a
+    index.  ``mean_at`` reads and reduces in one step, from a
     component-major copy of the table.  ``exact_mean`` caches the mean of
     the table.
 
@@ -96,12 +101,13 @@ class IndexedFamily:
     whether tabulating pays.
     """
 
-    def __init__(self, size: int, dim: int, bound: float,
+    def __init__(self, cells: int, n_mid: int, dim: int, bound: float,
                  ledger: Optional[CostLedger] = None,
                  bound_vec: Optional[np.ndarray] = None):
-        if size < 1:
+        self.cells, self.n_mid = int(cells), int(n_mid)
+        self.size = self.cells * self.n_mid
+        if self.size < 1:
             raise ValueError("family must contain at least one item")
-        self.size = int(size)
         self.dim = int(dim)
         self.bound = float(bound)
         self.bound_vec = np.full(self.dim, self.bound) if bound_vec is None \
@@ -113,20 +119,23 @@ class IndexedFamily:
         self._peeked = False
         self.runs = 1
 
-    def _compute(self, idx: np.ndarray) -> np.ndarray:
+    def _items(self, i: np.ndarray, k: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def tabulate(self, block: int) -> np.ndarray:
-        """All items, computed once in index blocks of at most ``block``.
+    def _compute(self, idx: np.ndarray) -> np.ndarray:
+        return self._items(idx // self.n_mid, idx % self.n_mid)
 
-        Charges nothing; later calls return the same table.
+    def tabulate(self) -> np.ndarray:
+        """All items from one broadcast over the grid; charges nothing.
+
+        Midpoints run on the outer axis so the elementwise loops are long;
+        one transposed copy puts the items in index order.  Later calls
+        return the same table.
         """
         if self._table is None:
-            table = np.empty((self.size, self.dim))
-            for start in range(0, self.size, block):
-                stop = min(start + block, self.size)
-                table[start:stop] = self._compute(np.arange(start, stop))
-            self._table = table
+            grid = self._items(np.arange(self.cells),
+                               np.arange(self.n_mid)[:, None])
+            self._table = grid.swapaxes(0, 1).reshape(self.size, self.dim)
         return self._table
 
     def access(self, idx) -> np.ndarray:
@@ -169,7 +178,7 @@ class IndexedFamily:
         it perturbs; the classical work is recorded as ``sim_evals``, once
         per family, even when the table was already built for sampling.
         """
-        items = self.tabulate(self.size)
+        items = self.tabulate()
         if not self._peeked:
             self._peeked = True
             self.ledger.sim_evals += self.size
@@ -187,7 +196,8 @@ class IndexedFamily:
 
 
 class ArrayFamily(IndexedFamily):
-    """A family backed by an explicit (size, dim) array (tests, fixtures)."""
+    """A family backed by an explicit (size, dim) array (tests, fixtures):
+    the grid with one midpoint per cell."""
 
     def __init__(self, values, bound=None, ledger=None):
         values = np.asarray(values, dtype=float)
@@ -195,10 +205,10 @@ class ArrayFamily(IndexedFamily):
             values = values[:, None]
         self._values = values
         b = float(np.max(np.abs(values))) if bound is None else float(bound)
-        super().__init__(values.shape[0], values.shape[1], b, ledger)
+        super().__init__(values.shape[0], 1, values.shape[1], b, ledger)
 
-    def _compute(self, idx):
-        return self._values[idx]
+    def _items(self, i, k):
+        return self._values[i + k]      # k == 0; adding it broadcasts i
 
 
 @dataclass
@@ -237,8 +247,8 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream) -> MeanEstimate:
 
     When the ``family.runs`` runs that read the family draw at least as
     many items in total as it holds (``runs * reps * sigma >= s``,
-    enumeration included), the family is tabulated first, in blocks of at
-    most sigma items, and the draws read the table; the median repetitions
+    enumeration included), the family is tabulated first and the draws
+    read the table; the median repetitions
     of ``median_boost`` then share it.  The charge is unchanged: every drawn
     index costs one f evaluation.
 
@@ -252,7 +262,7 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream) -> MeanEstimate:
     sigma = _sample_size(family, eps1)
     reps = inner_rep_count(family.dim)
     if family.runs * reps * sigma >= family.size:
-        family.tabulate(sigma)
+        family.tabulate()
     if family.bound == 0.0:
         value = np.zeros(family.dim)
     elif sigma >= family.size:

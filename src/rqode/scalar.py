@@ -25,10 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .core import (ClassViolationError, CostLedger, HolderParams, IvpProblem,
-                   require_finite)
+                   require_finite, require_finite_input)
 from .estimators import (IndexedFamily, full_mean, get_backend, mc_mean,
                          median_boost, median_rep_count, quantum_sim_mean)
 from .rng import RngStream
+from .taylor import fetch_jet
 
 __all__ = [
     "ClassViolationError",
@@ -87,22 +88,6 @@ def reciprocal_jet(jet: list) -> list:
     return out
 
 
-def _f_jet(problem: IvpProblem, pts: np.ndarray, r: int,
-           ledger: CostLedger) -> list:
-    """Jet ``[f, f', f'']`` (first r + 1 orders) at an array of points.
-
-    One batched oracle call per order, charged one evaluation per point.
-    """
-    Y = pts[:, None]
-    jet = [np.asarray(problem.f(Y), dtype=float).reshape(pts.size)]
-    ledger.f_evals += pts.size
-    for k in range(1, r + 1):
-        jet.append(np.asarray(problem.derivs(k, Y),
-                              dtype=float).reshape(pts.size))
-        ledger.deriv_evals += pts.size
-    return jet
-
-
 class CellGeometry:
     """Cells, Taylor data of 1/f at the anchors, and the exact polynomial part.
 
@@ -119,7 +104,8 @@ class CellGeometry:
         self.cells = int(cells)
         self.delta = self.width / self.cells if self.cells else 0.0
         self.anchors = eta + self.sign * self.delta * np.arange(self.cells)
-        f_jet = _f_jet(problem, self.anchors, params.r, ledger)
+        f_jet = [t.reshape(self.cells) for t in fetch_jet(
+            problem, self.anchors[:, None], params.r, ledger)]
         require_finite(f_jet, "f or its derivatives at the cell anchors not "
                        "finite for the bisection midpoint y = %.6g", y)
         fv = f_jet[0]
@@ -142,9 +128,7 @@ class CellResidualFamily(IndexedFamily):
 
     Item (i, k), flattened as i*N_c + k, is the residual of cell i at
     midpoint (k + 1/2)/N_c, scaled by delta^(r+rho); each access costs one f
-    evaluation.  ``_items`` holds the arithmetic once: ``_compute`` feeds it
-    flat index arrays, ``tabulate`` the broadcast grid of every cell and
-    midpoint, and the two agree bit for bit.
+    evaluation.
     """
 
     def __init__(self, problem: IvpProblem, params: HolderParams,
@@ -153,15 +137,11 @@ class CellResidualFamily(IndexedFamily):
         self._problem = problem
         self._params = params
         self._geom = geom
-        self._n_mid = int(n_mid)
-        super().__init__(geom.cells * self._n_mid, 1, bound, ledger)
+        super().__init__(geom.cells, n_mid, 1, bound, ledger)
 
     def _items(self, i: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Scaled residuals of cells ``i`` at midpoints ``k``, broadcast
-        together; every element takes the same operations in the same order
-        whatever the shapes."""
         g = self._geom
-        off = g.sign * (k + 0.5) / self._n_mid * g.delta
+        off = g.sign * (k + 0.5) / self.n_mid * g.delta
         zeta = g.anchors[i] + off
         fz = np.asarray(self._problem.f(zeta.reshape(-1, 1)),
                         dtype=float).reshape(zeta.shape)
@@ -180,21 +160,7 @@ class CellResidualFamily(IndexedFamily):
         out /= g.delta ** self._params.order
         require_finite((fz, out), "f or the residual at the cell midpoints "
                        "not finite for the bisection midpoint y = %.6g", g.y)
-        return out
-
-    def _compute(self, idx: np.ndarray) -> np.ndarray:
-        return self._items(idx // self._n_mid, idx % self._n_mid)[:, None]
-
-    def tabulate(self, block: int) -> np.ndarray:
-        """All items from one broadcast over the (N_c, cells) grid, one f
-        call; ``block`` is not needed.  Charges nothing.  Midpoints run on
-        the outer axis so the elementwise loops are long; the transposed
-        copy puts the items in index order."""
-        if self._table is None:
-            grid = self._items(np.arange(self._geom.cells),
-                               np.arange(self._n_mid)[:, None])
-            self._table = grid.T.reshape(-1, 1)
-        return self._table
+        return out[..., None]
 
 
 def _prepare(problem, params, y, eps1, backend, inv, ledger):
@@ -266,6 +232,7 @@ def estimate_H(problem: IvpProblem, params: HolderParams, y: float,
     Returns ``(A, cost_receipt)``.
     """
     backend = get_backend(mode)
+    require_finite_input("eps1", eps1)
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
     _require_endpoint_class(problem, params)
@@ -330,6 +297,7 @@ def bisection_solve(problem: IvpProblem, params: HolderParams, eps: float,
     _require_endpoint_class(problem, params)
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
+    require_finite_input("eps", eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
 

@@ -22,7 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (CostLedger, HolderParams, IvpProblem, build_mesh,
-                   require_finite, residual_bound, residual_bound_vector)
+                   require_finite, require_finite_input, residual_bound,
+                   residual_bound_vector)
 from .estimators import (MODES, IndexedFamily, full_mean, get_backend,
                          mc_mean, median_boost, median_rep_count,
                          quantum_sim_mean)
@@ -75,6 +76,7 @@ class SolveConfig:
             eps1 = 1.0 / self.n if backend.boosted else 0.0
         if m < 1 or N < 1:
             raise ValueError("m and N must be positive integers")
+        require_finite_input("eps1", eps1)
         if backend.boosted:
             if eps1 <= 0:
                 raise ValueError("stochastic modes need eps1 > 0")
@@ -106,26 +108,27 @@ class ResidualFamily(IndexedFamily):
         self._problem = problem
         self._params = params
         self._C = piece_coeffs              # (m, deg+1, d)
-        self._centers = piece_coeffs[:, 0, :]
         self._T = jets                      # list of stacked tensors by order
         self._hbar = float(hbar)
-        self._N = int(N)
         self._step = int(step)
-        super().__init__(piece_coeffs.shape[0] * self._N, problem.dim,
+        super().__init__(piece_coeffs.shape[0], N, problem.dim,
                          residual_bound(params, problem.dim), ledger,
                          bound_vec=residual_bound_vector(params, problem.dim))
 
-    def _compute(self, idx: np.ndarray) -> np.ndarray:
-        j = idx // self._N
-        k = idx % self._N
-        Y = horner(self._C[j], (k + 0.5) / self._N * self._hbar)
-        F = np.asarray(self._problem.f(Y), dtype=float)
-        delta = Y - self._centers[j]
-        W = self._T[0][j].copy()
+    def _items(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        C = self._C[j]
+        Y = horner(C, (k + 0.5) / self.n_mid * self._hbar)
+        F = np.asarray(self._problem.f(Y.reshape(-1, self.dim)),
+                       dtype=float).reshape(Y.shape)
+        delta = (Y - C[..., 0, :])[..., None, :]
+        # products summed over trailing axes: np.einsum is several times
+        # slower on the broadcast grid of ``tabulate``
+        W = self._T[0][j]
         if len(self._T) >= 2:
-            W += np.einsum("bij,bj->bi", self._T[1][j], delta)
+            W = W + (self._T[1][j] * delta).sum(-1)
         if len(self._T) >= 3:
-            W += 0.5 * np.einsum("bijk,bj,bk->bi", self._T[2][j], delta, delta)
+            W = W + 0.5 * (self._T[2][j] * delta[..., None]
+                           * delta[..., None, :]).sum((-2, -1))
         out = (F - W) / self._hbar ** self._params.order
         require_finite((out,), "f or the residual at the fine-cell midpoints "
                        "not finite at coarse step %d", self._step)

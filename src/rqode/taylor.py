@@ -32,15 +32,18 @@ __all__ = [
 
 def fetch_jet(problem: IvpProblem, y: np.ndarray, r: int,
               ledger: Optional[CostLedger] = None) -> List[np.ndarray]:
-    """Derivative tensors of f at y, orders 0..r; one ledger call per order."""
+    """Derivative tensors of f, orders 0..r, at a ``(d,)`` point or a
+    ``(B, d)`` batch (which the oracles must accept); one oracle call per
+    order, charged one evaluation per point."""
     y = np.asarray(y, dtype=float)
+    points = 1 if y.ndim == 1 else y.shape[0]
     jet = [np.asarray(problem.f(y), dtype=float)]
     if ledger is not None:
-        ledger.f_evals += 1
+        ledger.f_evals += points
     for k in range(1, r + 1):
         jet.append(np.asarray(problem.derivs(k, y), dtype=float))
         if ledger is not None:
-            ledger.deriv_evals += 1
+            ledger.deriv_evals += points
     return jet
 
 
@@ -74,10 +77,11 @@ def flow_coeffs_from_jet(y: np.ndarray, jet: List[np.ndarray], order: int,
 
 
 def horner(C: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Values sum_q C[b, q] tau[b]^q of a batch of (deg+1, d) polynomials."""
-    out = C[:, -1, :]
-    for q in range(C.shape[1] - 2, -1, -1):
-        out = out * tau[:, None] + C[:, q, :]
+    """Values sum_q C[..., q, :] tau^q of (deg+1, d) polynomials ``C[...]``
+    at points ``tau`` whose shape broadcasts with ``C.shape[:-2]``."""
+    out = C[..., -1, :]
+    for q in range(C.shape[-2] - 2, -1, -1):
+        out = out * tau[..., None] + C[..., q, :]
     return out
 
 

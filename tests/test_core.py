@@ -102,6 +102,19 @@ class TestHolderParams:
         with pytest.raises(ValueError):
             HolderParams(r=0, rho=1.0, D=(1.0,), H=1.0, component_H=(2.0,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name, kwargs", [
+        ("D", lambda x: {"D": (1.0, x)}),
+        ("H", lambda x: {"H": x}),
+        ("p", lambda x: {"p": x}),
+        ("component_H", lambda x: {"component_H": (0.5, x)}),
+    ])
+    def test_non_finite_rejected(self, name, kwargs, bad):
+        fields = dict(r=1, rho=1.0, D=(1.0, 1.0), H=1.0)
+        fields.update(kwargs(bad))
+        with pytest.raises(ValueError, match="^%s must be finite" % name):
+            HolderParams(**fields)
+
 
 class TestProblemConstruction:
     def test_zero_initial_field_rejected(self):
@@ -124,6 +137,18 @@ class TestProblemConstruction:
         with pytest.raises(ValueError, match="disagrees"):
             IvpProblem(1, f, derivs, [1.0], (0, 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name, eta, interval", [
+        ("eta", lambda x: [1.0, x], lambda x: (0.0, 1.0)),
+        ("interval", lambda x: [1.0, 1.0], lambda x: (0.0, x)),
+        ("interval", lambda x: [1.0, 1.0], lambda x: (x, 1.0)),
+    ])
+    def test_non_finite_rejected(self, name, eta, interval, bad):
+        def f(y):
+            return np.asarray(y, dtype=float)
+        with pytest.raises(ValueError, match="^%s must be finite" % name):
+            IvpProblem(2, f, lambda k, y: f(y), eta(bad), interval(bad))
+
 
 class TestLedger:
     def test_totals_and_merge(self):
@@ -138,6 +163,20 @@ class TestLedger:
         b.merge(a)
         assert b.total == 11
         assert b.rng_draws == 11
+
+    def test_counter_names_listed_once(self):
+        led = CostLedger()
+        for i, name in enumerate(CostLedger.COUNTERS):
+            setattr(led, name, i + 1)
+        assert led.snapshot() == (1, 2, 3, 4, 5)
+        assert list(led.as_dict().items()) == [
+            ("f_evals", 1), ("deriv_evals", 2), ("quantum_queries", 3),
+            ("rng_draws", 4), ("sim_evals", 5), ("total", 6)]
+        assert led.delta_since((1, 1, 1, 1, 1)) == {
+            "f_evals": 0, "deriv_evals": 1, "quantum_queries": 2,
+            "rng_draws": 3, "sim_evals": 4}
+        assert CostLedger().merge(led).merge(led).snapshot() == (
+            2, 4, 6, 8, 10)
 
     def test_delta_since(self):
         led = CostLedger()

@@ -316,19 +316,19 @@ def _first_family(monkeypatch, module, name, run):
 
 
 class CountingFamily(ArrayFamily):
-    """Counts the items its ``_compute`` is asked for."""
+    """Counts the items its ``_items`` is asked for."""
 
     computed = 0
 
-    def _compute(self, idx):
-        self.computed += idx.size
-        return super()._compute(idx)
+    def _items(self, i, k):
+        self.computed += np.broadcast(i, k).size
+        return super()._items(i, k)
 
 
 class UntabulatedFamily(ArrayFamily):
     """Never builds an item table: every access computes its items."""
 
-    def tabulate(self, block):
+    def tabulate(self):
         return None
 
 
@@ -350,20 +350,15 @@ class TestItemTable:
 
     @pytest.mark.parametrize("which", ["residual", "cell"])
     def test_tabulate_bit_identical_to_compute(self, monkeypatch, which):
-        fam, eps1 = (self._residual_family(monkeypatch) if which == "residual"
-                     else self._cell_family(monkeypatch))
-        sigma = _sample_size(fam, eps1)
-        assert 7 < sigma < fam.size
+        fam, _ = (self._residual_family(monkeypatch) if which == "residual"
+                  else self._cell_family(monkeypatch))
         whole = fam._compute(np.arange(fam.size))
-        for block in (1, 7, sigma, fam.size):
-            fam._table = None
-            table = fam.tabulate(block)
-            assert table.tobytes() == whole.tobytes(), block
+        assert fam.tabulate().tobytes() == whole.tobytes()
 
     def test_access_charges_per_index_from_table(self):
         led = CostLedger()
         fam = CountingFamily(np.linspace(-1, 1, 40), bound=1.0, ledger=led)
-        fam.tabulate(16)
+        fam.tabulate()
         assert fam.computed == 40 and led.f_evals == 0
         out = fam.access(np.array([3, 3, 39]))
         assert out[:, 0].tolist() == fam._values[[3, 3, 39], 0].tolist()
@@ -400,7 +395,7 @@ class TestItemTable:
         # 23 runs of a boosted estimate share one table
         fam, eps1 = self._cell_family(monkeypatch)
         twin, _ = self._cell_family(monkeypatch)
-        twin.tabulate = lambda block: None
+        twin.tabulate = lambda: None
         k = 23
         sigma = _sample_size(fam, eps1)
         assert sigma < fam.size <= k * sigma
@@ -440,7 +435,7 @@ class TestItemTable:
     def test_peek_all_after_tabulate_books_sim_evals_once(self):
         led = CostLedger()
         fam = CountingFamily(np.linspace(-1, 1, 50), bound=1.0, ledger=led)
-        table = fam.tabulate(7)
+        table = fam.tabulate()
         assert led.sim_evals == 0
         assert fam.peek_all() is table
         fam.peek_all()
@@ -462,7 +457,7 @@ class TestMeanAt:
         led = CostLedger()
         fam = ArrayFamily(vals, ledger=led)
         if tabulated:
-            fam.tabulate(size)
+            fam.tabulate()
         idx = gen.integers(0, size, size=sigma)
         got = fam.mean_at(idx)
         assert led.f_evals == sigma

@@ -11,6 +11,8 @@ from rqode.planted import make_planted
 from rqode.scalar import (CellGeometry, CellResidualFamily,
                           ClassViolationError, bisection_solve, estimate_H,
                           inverse_class_params)
+from rqode.solver import ResidualFamily, SolveConfig, solve
+from rqode.taylor import fetch_jet
 
 
 def defect_closed_form(y):
@@ -111,41 +113,67 @@ class TestEstimateDefect:
         assert led.total == led.f_evals
 
 
-def planted_r2_cells():
+def planted_r2_problem():
     # an r = 2 planted field on the bump region [0, 1/2], eta in its middle
     # so that cells on either side of eta cross bumps
     pl = make_planted([0.5, -0.25, 0.75, -1.0],
                       HolderParams(r=2, rho=0.5, D=(1.2, 1.0, 1.0), H=1.0))
-    prob = IvpProblem(1, pl.f, pl.derivs, [0.25], (0.0, 1.0))
-    return prob, pl.params_f, (0.48, 0.02)
+    return IvpProblem(1, pl.f, pl.derivs, [0.25], (0.0, 1.0)), pl.params_f
 
 
-def fixture_cells(name):
+def cell_family(prob, params, y):
+    def family():
+        led = CostLedger()
+        geom = CellGeometry(prob, params, y, 37, led)
+        return CellResidualFamily(prob, params, geom, 5, 1.0, led)
+    return family
+
+
+def residual_family(prob, params):
+    # the first coarse step of a deterministic solve, m = 8 pieces and
+    # N = 5 midpoints, jets refetched at the piece starts
+    res = solve(prob, params, SolveConfig(n=2, m=8, N=5))
+    C = res.approx.coeffs[:8]
+    jets = [np.stack(t) for t in
+            zip(*(fetch_jet(prob, c[0], params.r) for c in C))]
+
+    def family():
+        return ResidualFamily(prob, params, C, jets, res.approx.mesh.hbar, 5,
+                              CostLedger())
+    return family
+
+
+def fixture_family(name, y=None):
     fx = get_fixture(name)
-    return fx.problem, fx.params, (1.2, -0.3)
+    if y is None:
+        return residual_family(fx.problem, fx.params)
+    return cell_family(fx.problem, fx.params, y)
 
 
-CELL_CASES = {"inv1p": lambda: fixture_cells("inv1p"),
-              "inv1p_r1": lambda: fixture_cells("inv1p_r1"),
-              "planted_r2": planted_r2_cells}
+TABLE_CASES = {
+    "inv1p-True": lambda: fixture_family("inv1p", 1.2),
+    "inv1p-False": lambda: fixture_family("inv1p", -0.3),
+    "inv1p_r1-True": lambda: fixture_family("inv1p_r1", 1.2),
+    "inv1p_r1-False": lambda: fixture_family("inv1p_r1", -0.3),
+    "planted_r2-True": lambda: cell_family(*planted_r2_problem(), 0.48),
+    "planted_r2-False": lambda: cell_family(*planted_r2_problem(), 0.02),
+    "ivp-sin_flow": lambda: fixture_family("sin_flow"),
+    "ivp-cos_time_r1": lambda: fixture_family("cos_time_r1"),
+    "ivp-planted_r2": lambda: residual_family(*planted_r2_problem()),
+}
 
 
 class TestCellTable:
-    @pytest.mark.parametrize("above", [True, False])
-    @pytest.mark.parametrize("case", sorted(CELL_CASES))
-    def test_table_equals_compute(self, case, above):
-        # the broadcast table and per-index items of an untabulated twin
-        # agree bit for bit, for y on either side of eta
-        prob, params, ys = CELL_CASES[case]()
-        y = ys[0] if above else ys[1]
-
-        def family():
-            led = CostLedger()
-            geom = CellGeometry(prob, params, y, 37, led)
-            return CellResidualFamily(prob, params, geom, 5, 1.0, led)
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_table_equals_compute(self, case):
+        # the broadcast table, the flat-index items and the per-index items
+        # of an untabulated twin agree bit for bit: cell families for y on
+        # either side of eta, and IVP residual families (d = 1 and 2,
+        # r = 0, 1 and 2)
+        family = TABLE_CASES[case]()
         fam, twin = family(), family()
-        table = fam.tabulate(1)
-        assert table.shape == (37 * 5, 1) and np.any(table != 0.0)
+        table = fam.tabulate()
+        assert table.shape == (fam.size, fam.dim) and np.any(table != 0.0)
         idx = np.random.default_rng(4).integers(0, fam.size, 400)
         assert np.array_equal(table[idx], twin.access(idx))
         assert twin._table is None
@@ -194,10 +222,22 @@ class TestNonFinite:
             return CellResidualFamily(prob, params, geom, 4, 1.0, led)
         assert np.isfinite(family().access([0, 1])).all()
         for read in (lambda fam: fam.access([3]),
-                     lambda fam: fam.tabulate(1)):
+                     lambda fam: fam.tabulate()):
             with pytest.raises(ClassViolationError,
                                match=r"cell midpoints .*midpoint y = 1\b"):
                 read(family())
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("mode", ["deterministic", "randomized",
+                                      "quantum_sim"])
+    def test_bisection_rejects_eps(self, mode, bad):
+        fx = get_fixture("inv1p")
+        with pytest.raises(ValueError, match="^eps must be finite"):
+            bisection_solve(fx.problem, fx.params, bad, 0.25, mode=mode)
+        with pytest.raises(ValueError, match="^eps1 must be finite"):
+            estimate_H(fx.problem, fx.params, 1.2, bad, mode)
 
 
 class TestSandwich:

@@ -36,6 +36,13 @@ class TestConfigDefaults:
         with pytest.raises(ValueError):
             SolveConfig(n=4, mode="randomized", delta=0.7).resolved()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("mode", ["deterministic", "randomized",
+                                      "quantum_sim"])
+    def test_non_finite_eps1_rejected(self, mode, bad):
+        with pytest.raises(ValueError, match="^eps1 must be finite"):
+            SolveConfig(n=4, mode=mode, eps1=bad).resolved()
+
 
 class TestConstantField:
     @pytest.mark.parametrize("mode", ["deterministic", "randomized", "quantum_sim"])

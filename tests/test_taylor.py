@@ -91,6 +91,23 @@ class TestFlowCoeffs:
         flow_coeffs(fx.problem, [1.0], 2, led)
         assert led.f_evals == 1 and led.deriv_evals == 1
 
+    @pytest.mark.parametrize("name", ["inv1p", "inv1p_r1"])
+    def test_batched_jet_charges_per_point(self, name):
+        # a (B, d) batch charges B evaluations per order, a (d,) point one;
+        # row b of the batch equals the single-point jet at Y[b]
+        fx = get_fixture(name)
+        r = fx.params.r
+        Y = np.linspace(0.0, 1.5, 7)[:, None]
+        led = CostLedger()
+        jet = fetch_jet(fx.problem, Y, r, led)
+        assert (led.f_evals, led.deriv_evals) == (7, 7 * r)
+        for b in range(7):
+            one = CostLedger()
+            single = fetch_jet(fx.problem, Y[b], r, one)
+            assert (one.f_evals, one.deriv_evals) == (1, r)
+            assert [t[b].tobytes() for t in jet] == [
+                t.tobytes() for t in single]
+
 
 class TestTaylorStep:
     def test_constant_field_exact(self):
