@@ -122,6 +122,11 @@ def default_target(mode: str, order: float, kind: str = "ivp") -> float:
     return 1.0 / (order + backend.scalar_offset)
 
 
+def _fixture(plan: ExperimentPlan):
+    return get_fixture(plan.fixture) if isinstance(plan.fixture, str) \
+        else plan.fixture
+
+
 def _rung_config(plan: ExperimentPlan, n: int) -> SolveConfig:
     # an exact backend reads det_N midpoints per fine cell; det_N = 0 requests
     # the class-faithful count N = n
@@ -137,13 +142,13 @@ def _trial_count(plan: ExperimentPlan) -> int:
 
 def _run_ivp_rung(args):
     plan, n = args
-    fx = get_fixture(plan.fixture) if isinstance(plan.fixture, str) else plan.fixture
+    fx = _fixture(plan)
     if fx.reference is None:
         raise ValueError("ladders need a fixture with a reference solution")
     stats = run_trials(fx.problem, fx.params, _rung_config(plan, n),
                        _trial_count(plan), fx.reference, PROBE_COUNT)
     err = get_backend(plan.mode).ivp_error(stats.errors, plan.delta)
-    return {"n": n, "error": err, "cost": float(np.mean(stats.costs)),
+    return {"rung": n, "error": err, "cost": float(np.mean(stats.costs)),
             "deflated": float(np.mean(stats.deflated_costs)),
             "k_rep": stats.k_rep}
 
@@ -155,34 +160,49 @@ def _map_rungs(fn, jobs, workers):
     return [fn(job) for job in jobs]
 
 
-def run_ladder(plan: ExperimentPlan) -> SlopeReport:
-    """Error-versus-cost ladder over increasing n; fits the decay exponent."""
-    fx = get_fixture(plan.fixture) if isinstance(plan.fixture, str) else plan.fixture
-    rows = _map_rungs(_run_ivp_rung, [(plan, int(n)) for n in plan.ladder],
-                      plan.workers)
-    errors = [row["error"] for row in rows]
-    costs = [row["cost"] for row in rows]
-    deflated = [row["deflated"] for row in rows]
-    slope, residual = fit_loglog(deflated, errors)
-    raw_slope, _ = fit_loglog(costs, errors)
+def _column(rows, key) -> list:
+    return [row[key] for row in rows]
+
+
+def _slope_report(plan: ExperimentPlan, kind: str, rows, fit, raw_fit,
+                  **extras) -> SlopeReport:
+    """The report of one ladder from its rung rows and fitted data.
+
+    Each row holds the rung's ``rung``, ``error``, ``cost``, ``deflated``
+    and ``k_rep``.  ``fit`` and ``raw_fit`` are the (x, y) data of the slope
+    and of the raw-cost slope; ``points`` are the log10 pairs of ``fit``.
+    """
+    fx = _fixture(plan)
+    slope, residual = fit_loglog(*fit)
+    raw_slope, _ = fit_loglog(*raw_fit)
     target = plan.target if plan.target is not None else \
-        default_target(plan.mode, fx.params.order, "ivp")
-    points = [[math.log10(c), math.log10(e)] for c, e in zip(deflated, errors)]
+        default_target(plan.mode, fx.params.order, kind)
     return SlopeReport(
-        fixture=fx.name, mode=plan.mode, kind="ivp", points=points,
+        fixture=fx.name, mode=plan.mode, kind=kind,
+        points=[[math.log10(x), math.log10(y)] for x, y in zip(*fit)],
         slope=slope, raw_slope=raw_slope, residual=residual, target=target,
         tolerance=SLOPE_TOLERANCE,
         passed=_passes(slope, residual, target),
-        rungs=[int(n) for n in plan.ladder], errors=errors, costs=costs,
-        deflated_costs=deflated, trials=plan.trials, seed=plan.seed,
+        rungs=_column(rows, "rung"), errors=_column(rows, "error"),
+        costs=_column(rows, "cost"), deflated_costs=_column(rows, "deflated"),
+        trials=plan.trials, seed=plan.seed,
         header=get_backend(plan.mode).header,
-        extras={"k_rep": [row["k_rep"] for row in rows]},
+        extras={"k_rep": _column(rows, "k_rep"), **extras},
     )
+
+
+def run_ladder(plan: ExperimentPlan) -> SlopeReport:
+    """Error-versus-cost ladder over increasing n; fits the decay exponent."""
+    rows = _map_rungs(_run_ivp_rung, [(plan, int(n)) for n in plan.ladder],
+                      plan.workers)
+    errors = _column(rows, "error")
+    return _slope_report(plan, "ivp", rows, (_column(rows, "deflated"), errors),
+                         (_column(rows, "cost"), errors))
 
 
 def _run_scalar_rung(args):
     plan, rung, eps = args
-    fx = get_fixture(plan.fixture) if isinstance(plan.fixture, str) else plan.fixture
+    fx = _fixture(plan)
     if fx.y_star is None:
         raise ValueError("scalar ladders need a fixture with a known endpoint")
     trials = _trial_count(plan)
@@ -201,7 +221,7 @@ def _run_scalar_rung(args):
         deflated[t] = res.ledger.total / (res.k_rep * res.iters)
         iters[t] = res.iters
         k_rep = res.k_rep
-    return {"eps": eps, "error": empirical_quantile(errs, plan.delta),
+    return {"rung": eps, "error": empirical_quantile(errs, plan.delta),
             "cost": float(np.mean(costs)),
             "deflated": float(np.mean(deflated)), "k_rep": k_rep,
             "mean_iters": float(np.mean(iters))}
@@ -219,38 +239,21 @@ def run_scalar_ladder(plan: ExperimentPlan) -> SlopeReport:
     (log 1/eps)^2 randomized, log 1/eps quantum).  The log-power deflation
     itself is recorded too.
     """
-    fx = get_fixture(plan.fixture) if isinstance(plan.fixture, str) else plan.fixture
-    backend = get_backend(plan.mode)
+    log_power = get_backend(plan.mode).log_power
     eps_rungs = sorted((float(e) for e in plan.ladder), reverse=True)
     rows = _map_rungs(_run_scalar_rung,
                       [(plan, i, e) for i, e in enumerate(eps_rungs)],
                       plan.workers)
-    inv_eps = [1.0 / row["eps"] for row in rows]
-    costs = [row["cost"] for row in rows]
-    deflated = [row["deflated"] for row in rows]
-    log_power = backend.log_power
+    inv_eps = [1.0 / e for e in eps_rungs]
+    costs = _column(rows, "cost")
     log_deflated = [c / math.log2(ie) ** log_power
                     for c, ie in zip(costs, inv_eps)]
-    slope, residual = fit_loglog(inv_eps, deflated)
-    raw_slope, _ = fit_loglog(inv_eps, costs)
-    log_slope, _ = fit_loglog(inv_eps, log_deflated)
-    target = plan.target if plan.target is not None else \
-        default_target(plan.mode, fx.params.order, "scalar")
-    points = [[math.log10(ie), math.log10(c)] for ie, c in zip(inv_eps, deflated)]
-    return SlopeReport(
-        fixture=fx.name, mode=plan.mode, kind="scalar", points=points,
-        slope=slope, raw_slope=raw_slope, residual=residual, target=target,
-        tolerance=SLOPE_TOLERANCE,
-        passed=_passes(slope, residual, target),
-        rungs=[row["eps"] for row in rows], errors=[row["error"] for row in rows],
-        costs=costs, deflated_costs=deflated, trials=plan.trials,
-        seed=plan.seed, header=backend.header,
-        extras={"k_rep": [row["k_rep"] for row in rows],
-                "mean_iters": [row["mean_iters"] for row in rows],
-                "log_power": log_power,
-                "log_deflated_slope": log_slope,
-                "log_deflated_costs": log_deflated},
-    )
+    return _slope_report(
+        plan, "scalar", rows, (inv_eps, _column(rows, "deflated")),
+        (inv_eps, costs), mean_iters=_column(rows, "mean_iters"),
+        log_power=log_power,
+        log_deflated_slope=fit_loglog(inv_eps, log_deflated)[0],
+        log_deflated_costs=log_deflated)
 
 
 def exponent_hierarchy(fixture: str, ladder, trials: int = 30,

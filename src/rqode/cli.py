@@ -45,6 +45,13 @@ def _add_common(sp):
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+def _add_ladder_options(sp, delta):
+    sp.add_argument("--trials", type=int, default=30)
+    sp.add_argument("--delta", type=float, default=delta)
+    sp.add_argument("--format", default="json",
+                    choices=["json", "csv", "markdown-table"])
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="rqode",
                 description="solvers and benchmark ladders for initial value "
@@ -75,20 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", default="deterministic", choices=MODES)
     sp.add_argument("--n", type=int, nargs="+", required=True,
                     help="ladder of n values")
-    sp.add_argument("--trials", type=int, default=30)
-    sp.add_argument("--delta", type=float, default=0.25)
-    sp.add_argument("--format", default="json",
-                    choices=["json", "csv", "markdown-table"])
+    _add_ladder_options(sp, delta=0.25)
 
     sp = sub.add_parser("scalar-ladder", help="cost-vs-accuracy bisection ladder")
     _add_common(sp)
     sp.add_argument("--mode", default="randomized", choices=MODES)
     sp.add_argument("--eps", type=float, nargs="+", required=True,
                     help="accuracy rungs")
-    sp.add_argument("--trials", type=int, default=30)
-    sp.add_argument("--delta", type=float, default=0.1)
-    sp.add_argument("--format", default="json",
-                    choices=["json", "csv", "markdown-table"])
+    _add_ladder_options(sp, delta=0.1)
 
     sp = sub.add_parser("validate-class", help="sampled smoothness-class check")
     _add_common(sp)
@@ -134,20 +135,11 @@ def _emit(report, args) -> int:
     return 0
 
 
-def _cmd_ladder(args) -> int:
-    plan = ExperimentPlan(fixture=args.fixture, mode=args.mode,
-                          ladder=args.n, trials=args.trials, delta=args.delta,
-                          seed=args.seed,
-                          workers=int(os.environ.get("RQODE_WORKERS", "1")))
-    return _emit(run_ladder(plan), args)
-
-
-def _cmd_scalar_ladder(args) -> int:
-    rungs = sorted(args.eps)
+def _cmd_ladder(args, run, rungs) -> int:
     plan = ExperimentPlan(fixture=args.fixture, mode=args.mode, ladder=rungs,
                           trials=args.trials, delta=args.delta, seed=args.seed,
                           workers=int(os.environ.get("RQODE_WORKERS", "1")))
-    return _emit(run_scalar_ladder(plan), args)
+    return _emit(run(plan), args)
 
 
 def _cmd_validate(args) -> int:
@@ -191,8 +183,9 @@ def _cmd_plant(args) -> int:
 _COMMANDS = {
     "solve": _cmd_solve,
     "bisect": _cmd_bisect,
-    "ladder": _cmd_ladder,
-    "scalar-ladder": _cmd_scalar_ladder,
+    "ladder": lambda args: _cmd_ladder(args, run_ladder, args.n),
+    "scalar-ladder": lambda args: _cmd_ladder(args, run_scalar_ladder,
+                                              sorted(args.eps)),
     "validate-class": _cmd_validate,
     "plant": _cmd_plant,
 }

@@ -388,12 +388,6 @@ def inner_rep_count(dim: int) -> int:
     return k
 
 
-def single_solve_error(errors, delta=None) -> float:
-    """The sup error of the single solve an exact backend needs."""
-    (error,) = errors
-    return float(error)
-
-
 def rms_error(errors, delta=None) -> float:
     """Empirical second-moment error: sqrt(mean of squared sup errors)."""
     return float(np.sqrt(np.mean(np.asarray(errors) ** 2)))
@@ -442,7 +436,7 @@ BACKENDS = {
     "deterministic": Backend(
         estimator="full_mean", boosted=False, mesh_power=1, ivp_offset=0.5,
         scalar_offset=0.0, cell_bound="L", cell_coeff=0.25,
-        bias_midpoints=False, log_power=0, ivp_error=single_solve_error),
+        bias_midpoints=False, log_power=0, ivp_error=empirical_quantile),
     "randomized": Backend(
         estimator="mc_mean", boosted=True, mesh_power=2, ivp_offset=1.0 / 3.0,
         scalar_offset=0.5, cell_bound="M", cell_coeff=2.0 * MC_CALIBRATION,
