@@ -241,6 +241,11 @@ def run_scalar_ladder(plan: ExperimentPlan) -> SlopeReport:
     """
     log_power = get_backend(plan.mode).log_power
     eps_rungs = sorted((float(e) for e in plan.ladder), reverse=True)
+    for eps in eps_rungs:
+        if not 0.0 < eps < 1.0:
+            raise ValueError("scalar ladder rung eps = %g is outside (0, 1): "
+                             "the log-power deflation needs log2(1/eps) > 0"
+                             % eps)
     rows = _map_rungs(_run_scalar_rung,
                       [(plan, i, e) for i, e in enumerate(eps_rungs)],
                       plan.workers)

@@ -420,11 +420,11 @@ class Backend:
     mesh_power: int         # default m = N = n**mesh_power
     ivp_offset: float       # IVP error ~ cost^-(order + ivp_offset)
     # bisection cost ~ (1/eps)^(1/(order + scalar_offset)); the cell law
-    # (cell_coeff * inv[cell_bound] * width^(order+1) / eps1) has that power
+    # (cell_coeff * bound * width^(order+1) / eps1) has that power, with the
+    # bound M of a boosted backend (which also takes enough midpoints per
+    # cell to hold the bias to eps1/2) and L of an exact one (one midpoint)
     scalar_offset: float
-    cell_bound: str
     cell_coeff: float
-    bias_midpoints: bool    # midpoints per cell hold the bias to eps1/2; else 1
     log_power: int          # power of log2(1/eps) the scalar ladder divides out
     ivp_error: Callable[..., float]     # ladder-rung statistic of sup errors
     header: str = ""
@@ -435,17 +435,17 @@ class Backend:
 BACKENDS = {
     "deterministic": Backend(
         estimator="full_mean", boosted=False, mesh_power=1, ivp_offset=0.5,
-        scalar_offset=0.0, cell_bound="L", cell_coeff=0.25,
-        bias_midpoints=False, log_power=0, ivp_error=empirical_quantile),
+        scalar_offset=0.0, cell_coeff=0.25, log_power=0,
+        ivp_error=empirical_quantile),
     "randomized": Backend(
         estimator="mc_mean", boosted=True, mesh_power=2, ivp_offset=1.0 / 3.0,
-        scalar_offset=0.5, cell_bound="M", cell_coeff=2.0 * MC_CALIBRATION,
-        bias_midpoints=True, log_power=2, ivp_error=rms_error),
+        scalar_offset=0.5, cell_coeff=2.0 * MC_CALIBRATION, log_power=2,
+        ivp_error=rms_error),
     "quantum_sim": Backend(
         estimator="quantum_sim_mean", boosted=True, mesh_power=1,
-        ivp_offset=0.5, scalar_offset=1.0, cell_bound="M",
-        cell_coeff=2.0 * QUANTUM_COST_CONSTANT, bias_midpoints=True,
-        log_power=1, ivp_error=empirical_quantile,
+        ivp_offset=0.5, scalar_offset=1.0,
+        cell_coeff=2.0 * QUANTUM_COST_CONSTANT, log_power=1,
+        ivp_error=empirical_quantile,
         header="quantum_sim results validate the algorithm against the "
                "modeled oracle cost law min(s, c_q*M/eps1), not real "
                "quantum execution"),

@@ -174,11 +174,11 @@ def _prepare(problem, params, y, eps1, backend, inv, ledger):
     if width == 0.0:
         return CellGeometry(problem, params, y, 1, ledger), None
     exponent = 1.0 / (order + backend.scalar_offset)
-    raw = (backend.cell_coeff * inv[backend.cell_bound]
+    raw = (backend.cell_coeff * inv["M" if backend.boosted else "L"]
            * width ** (order + 1.0) / eps1) ** exponent
     geom = CellGeometry(problem, params, y, max(1, int(math.ceil(raw))), ledger)
     n_mid = 1
-    if backend.bias_midpoints:
+    if backend.boosted:
         bias_scale = width * geom.delta ** order * inv["L"]
         n_mid = max(1, int(math.ceil(bias_scale / (2.0 * eps1))))
     return geom, CellResidualFamily(problem, params, geom, n_mid, inv["M"],

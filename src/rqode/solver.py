@@ -263,14 +263,6 @@ def solve(problem: IvpProblem, params: HolderParams,
     )
 
 
-def _reference_values(reference: Callable, ts: np.ndarray, dim: int) -> np.ndarray:
-    vals = np.asarray(reference(ts), dtype=float)
-    if vals.shape == (ts.size, dim):
-        return vals
-    return np.stack([np.asarray(reference(float(t)), dtype=float).reshape(dim)
-                     for t in ts])
-
-
 def sup_error(result: SolveResult, reference: Callable,
               probe_count: int = 256) -> float:
     """Max-norm distance to a reference trajectory on a probe grid.
@@ -284,7 +276,10 @@ def sup_error(result: SolveResult, reference: Callable,
     ts = np.union1d(np.linspace(mesh.a, mesh.b, probe_count),
                     np.append(mesh.pieces()[0], mesh.b))
     approx = result.approx.eval(ts)
-    ref = _reference_values(reference, ts, result.y_grid.shape[1])
+    ref = np.asarray(reference(ts), dtype=float)
+    if ref.shape != approx.shape:
+        raise ValueError("reference values have shape %s; expected "
+                         "(len(ts), d) = %s" % (ref.shape, approx.shape))
     return float(np.max(np.abs(approx - ref)))
 
 

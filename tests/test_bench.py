@@ -136,6 +136,17 @@ class TestLadders:
         assert sorted(seeds) == [1e-7, 2e-7]
         assert len(set(seeds[1e-7]) | set(seeds[2e-7])) == 60
 
+    @pytest.mark.parametrize("mode, eps", [("randomized", 1.0),
+                                           ("quantum_sim", 2.0),
+                                           ("deterministic", 0.0)])
+    def test_scalar_rungs_outside_unit_interval_rejected(self, mode, eps):
+        # the log-power deflation divides by log2(1/eps)^log_power
+        plan = ExperimentPlan(fixture="inv1p", mode=mode,
+                              ladder=sorted([0.1, eps]), trials=30)
+        with pytest.raises(ValueError,
+                           match=r"rung eps = %g is outside \(0, 1\)" % eps):
+            run_scalar_ladder(plan)
+
     def test_deterministic_scalar_rung_bisects_once(self, monkeypatch):
         # an exact backend's bisection does not depend on the seed, so each
         # rung runs one of the plan's trials; the report still names them all

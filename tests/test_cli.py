@@ -89,6 +89,12 @@ class TestLadderCommands:
         assert lines[0] == "rung,cost,deflated_cost,error"
         assert len(lines) == 3
 
+    def test_scalar_rung_outside_unit_interval_named(self, capsys):
+        code = run_cli(["scalar-ladder", "--fixture", "inv1p", "--eps", "1",
+                        "0.1", "--mode", "randomized"])
+        assert code == 1
+        assert "rung eps = 1 is outside (0, 1)" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_pass_exit_zero(self, tmp_path):

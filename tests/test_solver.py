@@ -302,6 +302,15 @@ class TestEvalAndSupError:
         with pytest.raises(ValueError):
             sup_error(res, fx.reference, probe_count=1)
 
+    def test_misshapen_reference_rejected(self):
+        # a reference giving (len(ts),) values for a d = 1 problem would
+        # broadcast against the (len(ts), 1) approximation without a word
+        fx = get_fixture("sin_flow")
+        res = solve(fx.problem, fx.params, SolveConfig(n=2, m=2, N=2))
+        with pytest.raises(ValueError, match=r"shape \(\d+,\); expected "
+                           r"\(len\(ts\), d\) = \(\d+, 1\)"):
+            sup_error(res, lambda t: np.squeeze(fx.reference(t), -1))
+
 
 class TestTrialEstimates:
     def test_identical_trials_quantile(self):
