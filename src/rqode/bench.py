@@ -127,12 +127,17 @@ def _fixture(plan: ExperimentPlan):
         else plan.fixture
 
 
-def _rung_config(plan: ExperimentPlan, n: int) -> SolveConfig:
+def _seed(plan: ExperimentPlan, *key) -> int:
+    return int(np.random.SeedSequence(
+        entropy=plan.seed, spawn_key=key).generate_state(1)[0])
+
+
+def _rung_config(plan: ExperimentPlan, rung: int, n: int) -> SolveConfig:
     # an exact backend reads det_N midpoints per fine cell; det_N = 0 requests
     # the class-faithful count N = n
     N = None if get_backend(plan.mode).boosted else plan.det_N or n
     return SolveConfig(n=n, mode=plan.mode, N=N, delta=plan.delta,
-                       seed=plan.seed)
+                       seed=_seed(plan, rung))
 
 
 def _trial_count(plan: ExperimentPlan) -> int:
@@ -141,11 +146,11 @@ def _trial_count(plan: ExperimentPlan) -> int:
 
 
 def _run_ivp_rung(args):
-    plan, n = args
+    plan, rung, n = args
     fx = _fixture(plan)
     if fx.reference is None:
         raise ValueError("ladders need a fixture with a reference solution")
-    stats = run_trials(fx.problem, fx.params, _rung_config(plan, n),
+    stats = run_trials(fx.problem, fx.params, _rung_config(plan, rung, n),
                        _trial_count(plan), fx.reference, PROBE_COUNT)
     err = get_backend(plan.mode).ivp_error(stats.errors, plan.delta)
     return {"rung": n, "error": err, "cost": float(np.mean(stats.costs)),
@@ -192,8 +197,14 @@ def _slope_report(plan: ExperimentPlan, kind: str, rows, fit, raw_fit,
 
 
 def run_ladder(plan: ExperimentPlan) -> SlopeReport:
-    """Error-versus-cost ladder over increasing n; fits the decay exponent."""
-    rows = _map_rungs(_run_ivp_rung, [(plan, int(n)) for n in plan.ladder],
+    """Error-versus-cost ladder over increasing n; fits the decay exponent.
+
+    The i-th rung solves on the seed spawned from ``(plan.seed,
+    spawn_key=(i,))`` and ``run_trials`` spawns its trials from that, so no
+    two rungs share trials.  An exact backend runs one trial per rung.
+    """
+    rows = _map_rungs(_run_ivp_rung,
+                      [(plan, i, int(n)) for i, n in enumerate(plan.ladder)],
                       plan.workers)
     errors = _column(rows, "error")
     return _slope_report(plan, "ivp", rows, (_column(rows, "deflated"), errors),
@@ -212,10 +223,8 @@ def _run_scalar_rung(args):
     iters = np.empty(trials)
     k_rep = 1
     for t in range(trials):
-        seed = int(np.random.SeedSequence(
-            entropy=plan.seed, spawn_key=(rung, t)).generate_state(1)[0])
         res = bisection_solve(fx.problem, fx.params, eps, plan.delta,
-                              mode=plan.mode, seed=seed)
+                              mode=plan.mode, seed=_seed(plan, rung, t))
         errs[t] = abs(res.y_out - fx.y_star)
         costs[t] = res.ledger.total
         deflated[t] = res.ledger.total / (res.k_rep * res.iters)

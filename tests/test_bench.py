@@ -136,6 +136,23 @@ class TestLadders:
         assert sorted(seeds) == [1e-7, 2e-7]
         assert len(set(seeds[1e-7]) | set(seeds[2e-7])) == 60
 
+    def test_ivp_rungs_get_distinct_seeds(self, monkeypatch):
+        # run_trials keys trial t by (t,) under its rung's seed, and each rung
+        # gets its own seed, so trial t does not repeat its draws across rungs
+        from rqode import solver
+        seeds = {}
+        real_solve = solver.solve
+
+        def recorded(problem, params, config):
+            seeds.setdefault(config.n, []).append(config.seed)
+            return real_solve(problem, params, config)
+        monkeypatch.setattr(solver, "solve", recorded)
+        plan = ExperimentPlan(fixture="sin_flow", mode="randomized",
+                              ladder=[2, 3], trials=30, seed=5)
+        run_ladder(plan)
+        assert sorted(seeds) == [2, 3]
+        assert len(set(seeds[2]) | set(seeds[3])) == 60
+
     @pytest.mark.parametrize("mode, eps", [("randomized", 1.0),
                                            ("quantum_sim", 2.0),
                                            ("deterministic", 0.0)])
