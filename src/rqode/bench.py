@@ -199,9 +199,8 @@ def _slope_report(plan: ExperimentPlan, kind: str, rows, fit, raw_fit,
 def run_ladder(plan: ExperimentPlan) -> SlopeReport:
     """Error-versus-cost ladder over increasing n; fits the decay exponent.
 
-    The i-th rung solves on the seed spawned from ``(plan.seed,
-    spawn_key=(i,))`` and ``run_trials`` spawns its trials from that, so no
-    two rungs share trials.  An exact backend runs one trial per rung.
+    The i-th rung runs its trials on the seed spawned from ``(plan.seed,
+    spawn_key=(i,))``, so no two rungs share trials.
     """
     rows = _map_rungs(_run_ivp_rung,
                       [(plan, i, int(n)) for i, n in enumerate(plan.ladder)],
@@ -216,24 +215,16 @@ def _run_scalar_rung(args):
     fx = _fixture(plan)
     if fx.y_star is None:
         raise ValueError("scalar ladders need a fixture with a known endpoint")
-    trials = _trial_count(plan)
-    errs = np.empty(trials)
-    costs = np.empty(trials)
-    deflated = np.empty(trials)
-    iters = np.empty(trials)
-    k_rep = 1
-    for t in range(trials):
-        res = bisection_solve(fx.problem, fx.params, eps, plan.delta,
-                              mode=plan.mode, seed=_seed(plan, rung, t))
-        errs[t] = abs(res.y_out - fx.y_star)
-        costs[t] = res.ledger.total
-        deflated[t] = res.ledger.total / (res.k_rep * res.iters)
-        iters[t] = res.iters
-        k_rep = res.k_rep
-    return {"rung": eps, "error": empirical_quantile(errs, plan.delta),
-            "cost": float(np.mean(costs)),
-            "deflated": float(np.mean(deflated)), "k_rep": k_rep,
-            "mean_iters": float(np.mean(iters))}
+    runs = [bisection_solve(fx.problem, fx.params, eps, plan.delta,
+                            mode=plan.mode, seed=_seed(plan, rung, t))
+            for t in range(_trial_count(plan))]
+    errors = [abs(res.y_out - fx.y_star) for res in runs]
+    return {"rung": eps, "error": empirical_quantile(errors, plan.delta),
+            "cost": float(np.mean([res.ledger.total for res in runs])),
+            "deflated": float(np.mean(
+                [res.ledger.total / (res.k_rep * res.iters) for res in runs])),
+            "k_rep": runs[-1].k_rep,
+            "mean_iters": float(np.mean([res.iters for res in runs]))}
 
 
 def run_scalar_ladder(plan: ExperimentPlan) -> SlopeReport:
