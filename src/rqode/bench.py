@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimators import MODES, empirical_quantile, get_backend
-from .fixtures import get_fixture
+from .fixtures import Fixture, get_fixture
 from .scalar import bisection_solve
 # solve and sup_error stay bound here for instrumentation that patches them
 from .solver import SolveConfig, run_trials, solve, sup_error
@@ -44,9 +44,14 @@ PROBE_COUNT = 192       # sup-error probe points per IVP trial
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One ladder experiment: fixture, mode, rungs, trials, seed, workers."""
+    """One ladder experiment: fixture, mode, rungs, trials, seed, workers.
 
-    fixture: str
+    A stock fixture name is resolved to its ``Fixture`` here.  Workers
+    rebuild the fixture from its entry, so a hand-built one (no ``meta``)
+    needs ``workers=1``.
+    """
+
+    fixture: Fixture
     mode: str
     ladder: Sequence
     trials: int = 30
@@ -57,6 +62,8 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self):
+        if isinstance(self.fixture, str):
+            object.__setattr__(self, "fixture", get_fixture(self.fixture))
         rungs = tuple(self.ladder)
         if any(b <= a for a, b in zip(rungs, rungs[1:])):
             raise ValueError("ladder must be strictly increasing")
@@ -65,6 +72,9 @@ class ExperimentPlan:
             raise ValueError("stochastic ladders need at least 30 trials")
         if self.workers < 1:
             raise ValueError("workers must be a positive integer")
+        if self.workers > 1 and self.fixture.meta is None:
+            raise ValueError("fixture %r has no entry to rebuild in workers; "
+                             "use workers=1" % self.fixture.name)
 
 
 @dataclass
@@ -122,11 +132,6 @@ def default_target(mode: str, order: float, kind: str = "ivp") -> float:
     return 1.0 / (order + backend.scalar_offset)
 
 
-def _fixture(plan: ExperimentPlan):
-    return get_fixture(plan.fixture) if isinstance(plan.fixture, str) \
-        else plan.fixture
-
-
 def _seed(plan: ExperimentPlan, *key) -> int:
     return int(np.random.SeedSequence(
         entropy=plan.seed, spawn_key=key).generate_state(1)[0])
@@ -147,9 +152,7 @@ def _trial_count(plan: ExperimentPlan) -> int:
 
 def _run_ivp_rung(args):
     plan, rung, n = args
-    fx = _fixture(plan)
-    if fx.reference is None:
-        raise ValueError("ladders need a fixture with a reference solution")
+    fx = plan.fixture
     stats = run_trials(fx.problem, fx.params, _rung_config(plan, rung, n),
                        _trial_count(plan), fx.reference, PROBE_COUNT)
     err = get_backend(plan.mode).ivp_error(stats.errors, plan.delta)
@@ -177,7 +180,7 @@ def _slope_report(plan: ExperimentPlan, kind: str, rows, fit, raw_fit,
     and ``k_rep``.  ``fit`` and ``raw_fit`` are the (x, y) data of the slope
     and of the raw-cost slope; ``points`` are the log10 pairs of ``fit``.
     """
-    fx = _fixture(plan)
+    fx = plan.fixture
     slope, residual = fit_loglog(*fit)
     raw_slope, _ = fit_loglog(*raw_fit)
     target = plan.target if plan.target is not None else \
@@ -202,6 +205,8 @@ def run_ladder(plan: ExperimentPlan) -> SlopeReport:
     The i-th rung runs its trials on the seed spawned from ``(plan.seed,
     spawn_key=(i,))``, so no two rungs share trials.
     """
+    if plan.fixture.reference is None:
+        raise ValueError("ladders need a fixture with a reference solution")
     rows = _map_rungs(_run_ivp_rung,
                       [(plan, i, int(n)) for i, n in enumerate(plan.ladder)],
                       plan.workers)
@@ -212,9 +217,7 @@ def run_ladder(plan: ExperimentPlan) -> SlopeReport:
 
 def _run_scalar_rung(args):
     plan, rung, eps = args
-    fx = _fixture(plan)
-    if fx.y_star is None:
-        raise ValueError("scalar ladders need a fixture with a known endpoint")
+    fx = plan.fixture
     runs = [bisection_solve(fx.problem, fx.params, eps, plan.delta,
                             mode=plan.mode, seed=_seed(plan, rung, t))
             for t in range(_trial_count(plan))]
@@ -239,6 +242,8 @@ def run_scalar_ladder(plan: ExperimentPlan) -> SlopeReport:
     (log 1/eps)^2 randomized, log 1/eps quantum).  The log-power deflation
     itself is recorded too.
     """
+    if plan.fixture.y_star is None:
+        raise ValueError("scalar ladders need a fixture with a known endpoint")
     log_power = get_backend(plan.mode).log_power
     eps_rungs = sorted((float(e) for e in plan.ladder), reverse=True)
     for eps in eps_rungs:
@@ -315,7 +320,7 @@ def _fmt(x) -> str:
 
 def report_bytes(report: SlopeReport, format: str = "json") -> bytes:
     """Serialize a report deterministically in json, csv, or markdown-table."""
-    rep = report.as_dict() if isinstance(report, SlopeReport) else dict(report)
+    rep = report.as_dict()
     if format == "json":
         return json_text(rep).encode()
     rows = list(zip(rep["rungs"], rep["costs"], rep["deflated_costs"],

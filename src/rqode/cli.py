@@ -136,9 +136,12 @@ def _emit(report, args) -> int:
 
 
 def _cmd_ladder(args, run, rungs) -> int:
+    raw = os.environ.get("RQODE_WORKERS", "1")
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ValueError("RQODE_WORKERS must be a positive integer: %r" % raw)
     plan = ExperimentPlan(fixture=args.fixture, mode=args.mode, ladder=rungs,
                           trials=args.trials, delta=args.delta, seed=args.seed,
-                          workers=int(os.environ.get("RQODE_WORKERS", "1")))
+                          workers=int(raw))
     return _emit(run(plan), args)
 
 

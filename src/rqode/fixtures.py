@@ -1,12 +1,12 @@
 """Problem fixtures: registered oracle families plus a declarative JSON form.
 
-A fixture bundles an :class:`IvpProblem` (evaluation and derivative oracles:
-one table row per scalar family, hand-coded for the vector ones), its
-smoothness-class declaration, and a reference solution where a closed form
-exists.  The declarative file format carries one JSON object per fixture:
-``{name, d, r, rho, D, H, p?, a, b, eta}``; oracles are bound by name from
-the registry at load time.  The stock fixtures are the entries of the
-shipped ``fixtures.json``, read on first use.
+A fixture bundles an :class:`IvpProblem` (evaluation and derivative oracles
+from its family's builder), its smoothness-class declaration, and a reference
+solution where a closed form exists.  The declarative file format carries one
+JSON object per fixture: ``{name, family?, d, r, rho, D, H, p?, a, b, eta}``.
+The stock fixtures are the entries of the shipped ``fixtures.json``, read on
+first use.  A fixture keeps its entry as ``meta`` and pickles as that entry,
+so worker processes rebuild it.
 
 Derivative bounds are declared on a reachable tube around the solution, not
 on all of R^d; ``validate_holder`` checks them on sampled grids only.
@@ -24,6 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .core import HolderParams, IvpProblem
+from .planted import PlantedProblem
 
 __all__ = [
     "Fixture",
@@ -41,7 +42,13 @@ class Fixture:
     params: HolderParams
     reference: Optional[Callable]   # t (scalar or array) -> states
     y_star: Optional[float] = None  # endpoint value for scalar fixtures
-    meta: Optional[dict] = None
+    meta: Optional[dict] = None     # the declarative entry it was built from
+
+    def __reduce__(self):
+        if self.meta is None:
+            raise TypeError("fixture %r has no entry to rebuild it from"
+                            % self.name)
+        return _fixture_from_entry, (self.meta,)
 
 
 def _as_batch(y):
@@ -100,7 +107,7 @@ def _cos_time_derivs(k, y):
 # ---------------------------------------------------------------------------
 # registry
 
-def _build_scalar(entry):
+def _build_scalar(entry, params):
     """Oracles, reference and endpoint of a ``_SCALAR_FAMILIES`` row.
 
     ``y_star`` is given when the entry declares the lower bound ``p`` that
@@ -126,10 +133,10 @@ def _build_scalar(entry):
         return v[..., None] if v.ndim else np.array([v])
     problem = IvpProblem(1, f, derivs, eta, (a, b), name=entry["name"])
     y_star = None if entry.get("p") is None else float(closed_form(eta0, b - a))
-    return problem, ref, y_star
+    return problem, params, ref, y_star
 
 
-def _build_constant(entry):
+def _build_constant(entry, params):
     a, b = entry["a"], entry["b"]
     eta = np.asarray(entry["eta"], dtype=float)
     c = np.asarray(entry.get("c", [0.7, -0.3][: len(eta)]), dtype=float)
@@ -149,10 +156,10 @@ def _build_constant(entry):
         t = np.asarray(t, dtype=float)
         return eta + np.multiply.outer(t - a, c)
     problem = IvpProblem(len(eta), f, derivs, eta, (a, b), name=entry["name"])
-    return problem, ref, None
+    return problem, params, ref, None
 
 
-def _build_cos_time(entry):
+def _build_cos_time(entry, params):
     a, b = entry["a"], entry["b"]
     eta = np.asarray(entry["eta"], dtype=float)
 
@@ -161,29 +168,35 @@ def _build_cos_time(entry):
         return np.stack([t, np.sin(t)], axis=-1)
     problem = IvpProblem(2, _cos_time_f, _cos_time_derivs, eta, (a, b),
                          name=entry["name"])
-    return problem, ref, None
+    return problem, params, ref, None
 
 
+def _build_planted(entry, params):
+    # an entry of PlantedProblem.to_entry; params is the class of g, not 1/g
+    pl = PlantedProblem(entry["lambdas"], params, eta=entry["eta"][0],
+                        peak_coeff=entry.get("peak_coeff"))
+    return pl.problem, pl.params_f, None, pl.closed_form_endpoint()
+
+
+# family -> builder(entry, params) -> (problem, params of f, reference, y_star)
 _BUILDERS = {
     **dict.fromkeys(_SCALAR_FAMILIES, _build_scalar),
     "constant": _build_constant,
     "cos_time": _build_cos_time,
+    "planted": _build_planted,
 }
 
 
 def _fixture_from_entry(entry: dict) -> Fixture:
     family = entry.get("family", entry["name"])
-    if family == "planted":
-        from .planted import planted_fixture_from_entry
-        return planted_fixture_from_entry(entry)
     if family not in _BUILDERS:
         raise KeyError("unknown fixture family %r" % family)
-    problem, reference, y_star = _BUILDERS[family](entry)
     cH = entry.get("component_H")
     params = HolderParams(r=int(entry["r"]), rho=float(entry["rho"]),
                           D=tuple(entry["D"]), H=float(entry["H"]),
                           p=entry.get("p"),
                           component_H=None if cH is None else tuple(cH))
+    problem, params, reference, y_star = _BUILDERS[family](entry, params)
     return Fixture(name=entry["name"], problem=problem, params=params,
                    reference=reference, y_star=y_star, meta=dict(entry))
 

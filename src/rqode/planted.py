@@ -198,15 +198,3 @@ def recover_mean(z1_est: float, eta: float, n: int, mean_scale: float,
         raise ValueError("mean_scale must be positive")
     return (1.0 - z1_est + eta) / (mean_scale * float(n) ** (-float(order)))
 
-
-def planted_fixture_from_entry(entry: dict):
-    from .fixtures import Fixture
-    params = HolderParams(r=int(entry["r"]), rho=float(entry["rho"]),
-                          D=tuple(entry["D"]), H=float(entry["H"]))
-    planted = PlantedProblem(entry["lambdas"], params,
-                             eta=float(entry["eta"][0]),
-                             peak_coeff=entry.get("peak_coeff"))
-    return Fixture(name=entry["name"], problem=planted.problem,
-                   params=planted.params_f, reference=None,
-                   y_star=planted.closed_form_endpoint(),
-                   meta={"planted": planted, **entry})

@@ -163,31 +163,11 @@ class CellResidualFamily(IndexedFamily):
         return out[..., None]
 
 
-def _prepare(problem, params, y, eps1, backend, inv, ledger):
-    """Cells, their geometry and the residual family of the defect at y.
+def _defect(problem, params, y, eps1, backend, inv, k, rng, ledger):
+    """One estimate of the arrival-time defect at y.
 
     The cell count balances discretization bias against estimator cost; a
     cell gets enough midpoints to keep the quadrature bias in budget.
-    """
-    order = params.order
-    width = abs(y - float(problem.eta[0]))
-    if width == 0.0:
-        return CellGeometry(problem, params, y, 1, ledger), None
-    exponent = 1.0 / (order + backend.scalar_offset)
-    raw = (backend.cell_coeff * inv["M" if backend.boosted else "L"]
-           * width ** (order + 1.0) / eps1) ** exponent
-    geom = CellGeometry(problem, params, y, max(1, int(math.ceil(raw))), ledger)
-    n_mid = 1
-    if backend.boosted:
-        bias_scale = width * geom.delta ** order * inv["L"]
-        n_mid = max(1, int(math.ceil(bias_scale / (2.0 * eps1))))
-    return geom, CellResidualFamily(problem, params, geom, n_mid, inv["M"],
-                                    ledger)
-
-
-def _estimate_once(problem, params, geom, family, eps1, backend, k, rng):
-    """One defect estimate from a prepared geometry and residual family.
-
     Boosted modes take the ``median_boost`` median of k estimator runs on
     the family mean.  The defect is a monotone affine map of that mean, so
     for odd k this is the median of k defect estimates.  The runs share the
@@ -197,19 +177,29 @@ def _estimate_once(problem, params, geom, family, eps1, backend, k, rng):
     the cost model allows, as every run still charges one f evaluation per
     index drawn.
     """
+    order = params.order
     b_minus_a = problem.b - problem.a
-    if family is None:
+    width = abs(y - float(problem.eta[0]))
+    if width == 0.0:
+        CellGeometry(problem, params, y, 1, ledger)   # charges the anchor jet
         return -b_minus_a
-    resid_scale = geom.sign * geom.width * geom.delta ** params.order
+    exponent = 1.0 / (order + backend.scalar_offset)
+    raw = (backend.cell_coeff * inv["M" if backend.boosted else "L"]
+           * width ** (order + 1.0) / eps1) ** exponent
+    geom = CellGeometry(problem, params, y, max(1, int(math.ceil(raw))), ledger)
+    scale = width * geom.delta ** order
+    n_mid = max(1, int(math.ceil(scale * inv["L"] / (2.0 * eps1)))) \
+        if backend.boosted else 1
+    family = CellResidualFamily(problem, params, geom, n_mid, inv["M"], ledger)
     # looked up by name at call time: see Backend.estimator
     estimator = globals()[backend.estimator]
     if backend.boosted:
         # estimator budget: eps1/2 after scaling back by width * delta^(r+rho)
-        eps_fam = eps1 / (2.0 * geom.width * geom.delta ** params.order)
-        est = median_boost(estimator, family, eps_fam, k, rng)
+        est = median_boost(estimator, family, eps1 / (2.0 * scale), k, rng)
     else:
         est = estimator(family)
-    return geom.exact_part + resid_scale * float(est.value[0]) - b_minus_a
+    return (geom.exact_part + geom.sign * width * geom.delta ** order
+            * float(est.value[0]) - b_minus_a)
 
 
 def _require_endpoint_class(problem: IvpProblem, params: HolderParams):
@@ -242,9 +232,7 @@ def estimate_H(problem: IvpProblem, params: HolderParams, y: float,
     width = abs(float(y) - float(problem.eta[0]))
     span = max(width, params.D[0] * (problem.b - problem.a))
     inv = inverse_class_params(params, span)
-    geom, family = _prepare(problem, params, float(y), eps1, backend, inv,
-                            ledger)
-    A = _estimate_once(problem, params, geom, family, eps1, backend, 1, rng)
+    A = _defect(problem, params, float(y), eps1, backend, inv, 1, rng, ledger)
     return A, ledger.delta_since(snap)
 
 
@@ -328,10 +316,8 @@ def bisection_solve(problem: IvpProblem, params: HolderParams, eps: float,
 
     for it in range(1, max_iters + 1):
         y_mid = 0.5 * (lo + hi)
-        geom, family = _prepare(problem, params, y_mid, eps1, backend, inv,
-                                ledger)
-        A = _estimate_once(problem, params, geom, family, eps1, backend,
-                           k_rep, rng)
+        A = _defect(problem, params, y_mid, eps1, backend, inv, k_rep, rng,
+                    ledger)
         if abs(A) <= 2.0 * eps1:
             history.append((y_mid, A, "stop"))
             return BisectionResult(y_out=y_mid, iters=it, ledger=ledger,

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 from rqode.bench import (ExperimentPlan, SlopeReport, emit_report,
                          exponent_hierarchy, fit_loglog, report_bytes,
                          run_ladder, run_scalar_ladder)
-from rqode.fixtures import get_fixture
+from rqode.core import HolderParams
+from rqode.fixtures import (Fixture, fixture_names, get_fixture,
+                            load_fixture_file)
+from rqode.planted import make_planted
 
 GOLDEN = Path(__file__).parent / "data" / "golden_ladder.json"
 
@@ -75,6 +79,62 @@ class TestPlans:
         run_scalar_ladder(ExperimentPlan(fixture="inv1p", mode="deterministic",
                                          ladder=[1e-3, 1e-2], trials=1))
         assert seen == [1, 1]
+
+
+class TestWorkers:
+    """Rungs in worker processes rebuild the plan's fixture from its entry."""
+
+    def both_worker_counts(self, run, **plan):
+        return [report_bytes(run(ExperimentPlan(workers=w, **plan)))
+                for w in (1, 2)]
+
+    def test_stock_name(self):
+        serial, pooled = self.both_worker_counts(
+            run_ladder, fixture="sin_flow", mode="randomized", ladder=[2, 3],
+            trials=30, seed=3)
+        assert pooled == serial
+
+    def test_stock_fixture_object(self):
+        serial, pooled = self.both_worker_counts(
+            run_ladder, fixture=get_fixture("sin_flow"), mode="randomized",
+            ladder=[2, 3], trials=30, seed=3)
+        assert pooled == serial
+
+    def test_planted_fixture_from_file(self, tmp_path):
+        pl = make_planted(np.random.default_rng(2024).uniform(-1, 1, 16),
+                          HolderParams(r=0, rho=1.0, D=(1.2,), H=1.0))
+        path = tmp_path / "planted.json"
+        path.write_text(json.dumps([pl.to_entry("planted_l16")]))
+        (fx,) = load_fixture_file(path)
+        serial, pooled = self.both_worker_counts(
+            run_scalar_ladder, fixture=fx, mode="deterministic",
+            ladder=[1e-3, 1e-2], trials=1)
+        assert pooled == serial
+        assert json.loads(serial)["fixture"] == "planted_l16"
+
+    def test_unknown_name_rejected_at_construction(self):
+        with pytest.raises(KeyError, match="unknown fixture 'nope'"):
+            ExperimentPlan(fixture="nope", mode="deterministic", ladder=[2, 3])
+
+    def test_hand_built_fixture_needs_one_worker(self):
+        pl = make_planted([0.1], HolderParams(r=0, rho=1.0, D=(1.2,), H=1.0))
+        fx = Fixture(name="by_hand", problem=pl.problem, params=pl.params_f,
+                     reference=None)
+        with pytest.raises(ValueError, match="'by_hand'.*workers=1"):
+            ExperimentPlan(fixture=fx, mode="deterministic", ladder=[2, 4],
+                           workers=2)
+        assert ExperimentPlan(fixture=fx, mode="deterministic",
+                              ladder=[2, 4]).fixture is fx
+        with pytest.raises(TypeError, match="'by_hand' has no entry"):
+            pickle.dumps(fx)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_stock_fixture_pickles_as_its_entry(self, name):
+        fx = get_fixture(name)
+        copy = pickle.loads(pickle.dumps(fx))
+        assert copy.params == fx.params
+        eta = fx.problem.eta
+        assert copy.problem.f(eta).tobytes() == fx.problem.f(eta).tobytes()
 
 
 class TestLadders:

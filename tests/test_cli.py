@@ -95,6 +95,13 @@ class TestLadderCommands:
         assert code == 1
         assert "rung eps = 1 is outside (0, 1)" in capsys.readouterr().err
 
+    def test_bad_worker_count_named(self, monkeypatch, capsys):
+        monkeypatch.setenv("RQODE_WORKERS", "two")
+        code = run_cli(["ladder", "--fixture", "sin_flow", "--n", "4", "8"])
+        assert code == 1
+        assert "RQODE_WORKERS must be a positive integer: 'two'" in \
+            capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_pass_exit_zero(self, tmp_path):
