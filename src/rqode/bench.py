@@ -58,7 +58,6 @@ class ExperimentPlan:
     delta: float = 0.25
     seed: int = 0
     det_N: int = 1
-    target: Optional[float] = None
     workers: int = 1
 
     def __post_init__(self):
@@ -183,8 +182,7 @@ def _slope_report(plan: ExperimentPlan, kind: str, rows, fit, raw_fit,
     fx = plan.fixture
     slope, residual = fit_loglog(*fit)
     raw_slope, _ = fit_loglog(*raw_fit)
-    target = plan.target if plan.target is not None else \
-        default_target(plan.mode, fx.params.order, kind)
+    target = default_target(plan.mode, fx.params.order, kind)
     return SlopeReport(
         fixture=fx.name, mode=plan.mode, kind=kind,
         points=[[math.log10(x), math.log10(y)] for x, y in zip(*fit)],

@@ -201,7 +201,9 @@ def main(argv=None) -> int:
     except SystemExit:
         raise
     except Exception as exc:
-        sys.stderr.write("error: %s\n" % exc)
+        # str() of a KeyError is the repr of its message, quotes included
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        sys.stderr.write("error: %s\n" % msg)
         return 1
 
 

@@ -160,8 +160,10 @@ class IvpProblem:
     ``(d, d, d)`` for the stacked Hessians, and so on.  Scalar problems
     (d = 1) given to the endpoint solver must also take a batch ``Y`` of
     shape ``(B, 1)`` and return shape ``(B,) + (1,) * (k + 1)``, row b equal
-    to the single-point call at ``Y[b]``.  Oracles must be pure functions of
-    their arguments.
+    to the single-point call at ``Y[b]``.  Every stock fixture's ``f`` and
+    ``derivs`` take a batch ``(B, d)`` this way; scalar and planted problems
+    keep a separate ``f`` for speed, the others use ``derivs(0, .)``.
+    Oracles must be pure functions of their arguments.
     """
 
     def __init__(self, dim: int, f: Callable, derivs: Callable,
@@ -175,7 +177,11 @@ class IvpProblem:
         self.dim = int(dim)
         self.f = f
         self.derivs = derivs
-        self.eta = np.asarray(eta, dtype=float).reshape(self.dim)
+        eta = np.asarray(eta, dtype=float)
+        if eta.size != self.dim:
+            raise ValueError("problem %r: eta has %d entries but dim is %d"
+                             % (name, eta.size, self.dim))
+        self.eta = eta.reshape(self.dim)
         require_finite_input("eta", *self.eta)
         self.interval = (a, b)
         self.name = name

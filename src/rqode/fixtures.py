@@ -51,11 +51,6 @@ class Fixture:
         return _fixture_from_entry, (self.meta,)
 
 
-def _as_batch(y):
-    y = np.asarray(y, dtype=float)
-    return (y[None, :], False) if y.ndim == 1 else (y, True)
-
-
 # ---------------------------------------------------------------------------
 # oracle families
 
@@ -80,28 +75,21 @@ _SCALAR_FAMILIES = {
 }
 
 
-def _cos_time_f(y):
-    Y, batch = _as_batch(y)
-    out = np.empty_like(Y)
-    out[:, 0] = 1.0
-    out[:, 1] = np.cos(Y[:, 0])
-    return out if batch else out[0]
-
-
 def _cos_time_derivs(k, y):
+    # the jet of f(t, x) = (1, cos t) at a point (2,) or a batch (B, 2)
+    if k not in (0, 1, 2):
+        raise ValueError("cos_time supplies derivatives up to order 2")
     y = np.asarray(y, dtype=float)
-    u = float(y[0])
+    u = y[..., 0]
+    out = np.zeros(y.shape[:-1] + (2,) * (k + 1))
     if k == 0:
-        return np.array([1.0, np.cos(u)])
-    if k == 1:
-        J = np.zeros((2, 2))
-        J[1, 0] = -np.sin(u)
-        return J
-    if k == 2:
-        T = np.zeros((2, 2, 2))
-        T[1, 0, 0] = -np.cos(u)
-        return T
-    raise ValueError("cos_time supplies derivatives up to order 2")
+        out[..., 0] = 1.0
+        out[..., 1] = np.cos(u)
+    elif k == 1:
+        out[..., 1, 0] = -np.sin(u)
+    else:
+        out[..., 1, 0, 0] = -np.cos(u)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +107,9 @@ def _build_scalar(entry, params):
     eta = np.asarray(entry["eta"], dtype=float)
     eta0 = eta[0]
 
+    # scalar and planted problems keep f as their own single-point oracle
+    # rather than derivs(0, .): the solvers call it once per fine piece, and
+    # derivs would add a k check and a reshape to every call
     def f(y):
         return jet[0](np.asarray(y, dtype=float))
 
@@ -141,11 +132,6 @@ def _build_constant(entry, params):
     eta = np.asarray(entry["eta"], dtype=float)
     c = np.asarray(entry.get("c", [0.7, -0.3][: len(eta)]), dtype=float)
 
-    def f(y):
-        Y, batch = _as_batch(y)
-        out = np.broadcast_to(c, Y.shape).copy()
-        return out if batch else out[0]
-
     def derivs(k, y):
         lead = np.shape(y)[:-1]
         if k == 0:
@@ -155,7 +141,8 @@ def _build_constant(entry, params):
     def ref(t):
         t = np.asarray(t, dtype=float)
         return eta + np.multiply.outer(t - a, c)
-    problem = IvpProblem(len(eta), f, derivs, eta, (a, b), name=entry["name"])
+    problem = IvpProblem(len(eta), functools.partial(derivs, 0), derivs, eta,
+                         (a, b), name=entry["name"])
     return problem, params, ref, None
 
 
@@ -166,8 +153,8 @@ def _build_cos_time(entry, params):
     def ref(t):
         t = np.asarray(t, dtype=float)
         return np.stack([t, np.sin(t)], axis=-1)
-    problem = IvpProblem(2, _cos_time_f, _cos_time_derivs, eta, (a, b),
-                         name=entry["name"])
+    problem = IvpProblem(2, functools.partial(_cos_time_derivs, 0),
+                         _cos_time_derivs, eta, (a, b), name=entry["name"])
     return problem, params, ref, None
 
 
@@ -187,17 +174,25 @@ _BUILDERS = {
 }
 
 
+def _check_dim(name, what, n, d):
+    if n != d:
+        raise ValueError("fixture %r: %s is %d but d is %d" % (name, what, n, d))
+
+
 def _fixture_from_entry(entry: dict) -> Fixture:
     family = entry.get("family", entry["name"])
     if family not in _BUILDERS:
         raise KeyError("unknown fixture family %r" % family)
+    name, d = entry["name"], int(entry["d"])
+    _check_dim(name, "len(eta)", len(entry["eta"]), d)
     cH = entry.get("component_H")
     params = HolderParams(r=int(entry["r"]), rho=float(entry["rho"]),
                           D=tuple(entry["D"]), H=float(entry["H"]),
                           p=entry.get("p"),
                           component_H=None if cH is None else tuple(cH))
     problem, params, reference, y_star = _BUILDERS[family](entry, params)
-    return Fixture(name=entry["name"], problem=problem, params=params,
+    _check_dim(name, "the problem's dim", problem.dim, d)
+    return Fixture(name=name, problem=problem, params=params,
                    reference=reference, y_star=y_star, meta=dict(entry))
 
 

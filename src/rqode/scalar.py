@@ -312,17 +312,13 @@ def bisection_solve(problem: IvpProblem, params: HolderParams, eps: float,
     span = D0 * b_minus_a
     inv = inverse_class_params(params, span)
     history = []
-    y_mid = 0.5 * (lo + hi)
-
-    for it in range(1, max_iters + 1):
+    for _ in range(max_iters):
         y_mid = 0.5 * (lo + hi)
         A = _defect(problem, params, y_mid, eps1, backend, inv, k_rep, rng,
                     ledger)
         if abs(A) <= 2.0 * eps1:
             history.append((y_mid, A, "stop"))
-            return BisectionResult(y_out=y_mid, iters=it, ledger=ledger,
-                                   history=history, breached=False, eps1=eps1,
-                                   k_rep=k_rep, max_iters=max_iters, seed=seed)
+            break
         # positive defect means the arrival time is already past b - a
         go_left = (A > 0) == increasing
         if go_left:
@@ -331,6 +327,7 @@ def bisection_solve(problem: IvpProblem, params: HolderParams, eps: float,
             lo = y_mid
         history.append((y_mid, A, "left" if go_left else "right"))
 
-    return BisectionResult(y_out=y_mid, iters=max_iters, ledger=ledger,
-                           history=history, breached=True, eps1=eps1,
-                           k_rep=k_rep, max_iters=max_iters, seed=seed)
+    return BisectionResult(y_out=y_mid, iters=len(history), ledger=ledger,
+                           history=history, breached=history[-1][2] != "stop",
+                           eps1=eps1, k_rep=k_rep, max_iters=max_iters,
+                           seed=seed)

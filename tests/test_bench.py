@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rqode.bench import (ExperimentPlan, SlopeReport, emit_report,
-                         exponent_hierarchy, fit_loglog, report_bytes,
-                         run_ladder, run_scalar_ladder)
+from rqode.bench import (RESIDUAL_THRESHOLD, SLOPE_TOLERANCE, ExperimentPlan,
+                         SlopeReport, _passes, emit_report, exponent_hierarchy,
+                         fit_loglog, report_bytes, run_ladder,
+                         run_scalar_ladder)
 from rqode.core import HolderParams
 from rqode.fixtures import (Fixture, fixture_names, get_fixture,
                             load_fixture_file)
@@ -46,6 +47,12 @@ class TestFit:
     def test_single_point_undefined(self):
         slope, resid = fit_loglog([10.0], [1.0])
         assert slope is None and resid is None
+
+    def test_passes_verdict(self):
+        assert _passes(-1.5, 0.0, -1.5) is True
+        assert _passes(-1.5 - 2 * SLOPE_TOLERANCE, 0.0, -1.5) is False
+        assert _passes(-1.5, 2 * RESIDUAL_THRESHOLD, -1.5) is False
+        assert _passes(None, None, -1.5) is None
 
 
 class TestPlans:

@@ -35,6 +35,11 @@ class TestSolveCommand:
         assert run_cli(["solve", "--fixture", "nope", "--n", "4"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_key_error_message_is_unquoted(self, capsys):
+        assert run_cli(["ladder", "--fixture", "nope", "--n", "4", "8"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: unknown fixture 'nope'")
+
 
 class TestBisectCommand:
     def test_emits_trace_record(self, tmp_path):
@@ -63,15 +68,16 @@ class TestLadderCommands:
         assert rep["passed"] is True
 
     def test_failing_slope_exits_2(self, tmp_path):
-        # a two-rung deterministic ladder fit against an impossible target
+        # a two-rung deterministic ladder whose verdict is marked failed
+        import dataclasses
+
         from rqode.bench import ExperimentPlan, run_ladder
         import rqode.cli as cli
 
         out_path = str(tmp_path / "r.json")
         plan = ExperimentPlan(fixture="sin_flow", mode="deterministic",
-                              ladder=[4, 8], target=-9.0)
-        rep = run_ladder(plan)
-        assert rep.passed is False
+                              ladder=[4, 8])
+        rep = dataclasses.replace(run_ladder(plan), passed=False)
 
         class Args:
             fixture = "sin_flow"

@@ -73,20 +73,30 @@ class TestRegistry:
                         assert np.allclose(exact[..., j], fd, rtol=1e-6,
                                            atol=1e-8), (name, k, offset, j)
 
-    def test_scalar_derivs_take_a_batch(self):
-        # row b of derivs(k, Y) for Y of shape (B, 1) is the single-point
-        # call at Y[b], bit for bit
+    def test_oracles_take_a_batch(self):
+        # row b of derivs(k, Y) for Y of shape (B, d) is the single-point
+        # call at Y[b], bit for bit, and row b of f(Y) is f(Y[b]) and
+        # derivs(0, Y[b])
         planted = make_planted([0.5, -0.25, 0.75, -1.0],
                                HolderParams(r=2, rho=0.5, D=(1.2, 1.0, 1.0),
                                             H=1.0))
         problems = [get_fixture(name).problem for name in fixture_names()]
-        problems = [p for p in problems if p.dim == 1] + [planted.problem]
-        assert len(problems) >= 8
+        problems.append(planted.problem)
+        assert len(problems) >= 11
         for prob in problems:
-            Y = prob.eta + np.linspace(-0.3, 0.6, 23)[:, None]
+            d = prob.dim
+            Y = prob.eta + np.multiply.outer(np.linspace(-0.3, 0.6, 23),
+                                             np.arange(1.0, d + 1.0))
+            F = np.asarray(prob.f(Y), dtype=float)
+            assert F.shape == (23, d), prob.name
+            for b in range(23):
+                for single in (prob.f(Y[b]), prob.derivs(0, Y[b])):
+                    assert F[b].tobytes() == \
+                        np.asarray(single, dtype=float).tobytes(), \
+                        (prob.name, b)
             for k in (0, 1, 2):
                 batch = np.asarray(prob.derivs(k, Y), dtype=float)
-                assert batch.shape == (23,) + (1,) * (k + 1), (prob.name, k)
+                assert batch.shape == (23,) + (d,) * (k + 1), (prob.name, k)
                 for b in range(23):
                     single = np.asarray(prob.derivs(k, Y[b]), dtype=float)
                     assert batch[b].shape == single.shape
@@ -127,6 +137,35 @@ class TestFixtureFile:
         assert np.allclose(fx.problem.f(ys[:, None]),
                            pl.f(ys)[:, None])
         assert fx.y_star == pl.closed_form_endpoint()
+
+    @pytest.mark.parametrize("name", ["sin_flow", "cos_time"])
+    def test_eta_length_must_match_d(self, tmp_path, name):
+        entry = dict(get_fixture(name).meta, d=2, eta=[0.0])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(ValueError,
+                           match=r"fixture '%s': len\(eta\) is 1 but d is 2"
+                           % name):
+            load_fixture_file(path)
+
+    def test_problem_dim_must_match_d(self, tmp_path):
+        # the planted family reads eta[0] only, so it builds a 1-D problem
+        params = HolderParams(r=0, rho=1.0, D=(1.2,), H=1.0)
+        entry = dict(make_planted([0.5, -0.25], params).to_entry("wide"),
+                     d=2, eta=[0.0, 0.0])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(ValueError, match="fixture 'wide': the problem's "
+                                             "dim is 1 but d is 2"):
+            load_fixture_file(path)
+
+    def test_family_dim_must_match_eta(self, tmp_path):
+        entry = dict(get_fixture("sin_flow").meta, d=2, eta=[1.0, 1.0])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(ValueError, match="problem 'sin_flow': eta has 2 "
+                                             "entries but dim is 1"):
+            load_fixture_file(path)
 
 
 class TestReferenceSolver:

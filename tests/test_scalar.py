@@ -336,6 +336,17 @@ class TestBisection:
         assert rep["success_event_trace"]["history"][0].keys() == \
             {"midpoint", "estimate", "side"}
 
+    def test_breach_exit(self, monkeypatch):
+        # a defect that never falls within 2 eps1 runs the whole budget
+        monkeypatch.setattr("rqode.scalar._defect", lambda *args: 1.0)
+        fx = get_fixture("inv1p")
+        res = bisection_solve(fx.problem, fx.params, 1e-3, 0.1,
+                              mode="deterministic")
+        assert res.breached
+        assert res.iters == res.max_iters == len(res.history)
+        assert all(side != "stop" for (_, _, side) in res.history)
+        assert res.y_out == res.history[-1][0]
+
     def test_parameter_validation(self):
         fx = get_fixture("inv1p")
         with pytest.raises(ValueError):
