@@ -24,6 +24,7 @@ import numpy as np
 
 from .estimators import MODES, empirical_quantile, get_backend
 from .fixtures import Fixture, get_fixture
+from .rng import check_seed
 from .scalar import bisection_solve
 # solve and sup_error stay bound here for instrumentation that patches them
 from .solver import SolveConfig, run_trials, solve, sup_error
@@ -63,6 +64,7 @@ class ExperimentPlan:
     def __post_init__(self):
         if isinstance(self.fixture, str):
             object.__setattr__(self, "fixture", get_fixture(self.fixture))
+        check_seed(self.seed)
         rungs = tuple(self.ladder)
         if any(b <= a for a, b in zip(rungs, rungs[1:])):
             raise ValueError("ladder must be strictly increasing")

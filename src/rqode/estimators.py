@@ -13,9 +13,10 @@ Three backends estimate the mean of an indexed family of bounded vectors:
 ``median_boost`` raises any 3/4-success estimator to success probability
 ``(1 - delta)^(1/n)`` by taking the component-wise median of
 ``median_rep_count(n, delta)`` independent runs; the count comes from an
-exact binomial-tail computation, not an asymptotic formula.  The IVP
-solvers boost every step's residual mean through it, and the endpoint
-bisection every midpoint's defect estimate.
+exact binomial-tail computation, not an asymptotic formula.  The runs draw
+in turn from one stream, each in one call, so no child stream is built.
+The IVP solvers boost every step's residual mean through it, and the
+endpoint bisection every midpoint's defect estimate.
 
 Charges are per index requested, whether an item is computed or read back
 from the family's item table: ``mc_mean`` tabulates the whole family once
@@ -247,14 +248,13 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream) -> MeanEstimate:
 
     When the ``family.runs`` runs that read the family draw at least as
     many items in total as it holds (``runs * reps * sigma >= s``,
-    enumeration included), the family is tabulated first and the draws
-    read the table; the median repetitions
-    of ``median_boost`` then share it.  The charge is unchanged: every drawn
-    index costs one f evaluation.
+    enumeration included), they share one table built first; every drawn
+    index is still charged one f evaluation.
 
-    Each draw is reduced by ``family.mean_at``: from the table it is one
-    gather and one sum in numpy's axis-0 order, with no ``(sigma, d)`` row
-    copy, so the value equals that of the computed items bit for bit.
+    A run draws one ``(reps, sigma)`` index block and reduces each row by
+    ``family.mean_at``: from the table, one gather and one sum in numpy's
+    axis-0 order with no ``(sigma, d)`` row copy, equal to the computed
+    items' mean bit for bit.
     """
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
@@ -268,10 +268,8 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream) -> MeanEstimate:
     elif sigma >= family.size:
         value = family.mean_at(np.arange(family.size))
     else:
-        draws = np.empty((reps, family.dim))
-        for t in range(reps):
-            draws[t] = family.mean_at(rng.integers(0, family.size,
-                                                   size=sigma))
+        idx = rng.integers(0, family.size, size=(reps, sigma))
+        draws = np.stack([family.mean_at(row) for row in idx])
         value = draws[0] if reps == 1 else np.median(draws, axis=0)
     return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
                         eps_target=float(eps1), success_prob=0.75)
@@ -287,7 +285,8 @@ def quantum_sim_mean(family: IndexedFamily, eps1: float,
     plus per-component noise: uniform in [-eps1, eps1] with probability 3/4,
     uniform in [-2M, 2M] otherwise, the output clamped into [-2M, 2M].
     Clamping projects toward the box containing the true mean, so it never
-    hurts the contract.
+    hurts the contract.  A run draws all its noise as one ``(3, reps, d)``
+    uniform block: the failure mask, the wide and the narrow noise.
     """
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
@@ -305,15 +304,10 @@ def quantum_sim_mean(family: IndexedFamily, eps1: float,
     family.ledger.quantum_queries += q
     M_c = family.bound_vec
     reps = inner_rep_count(family.dim)
-    draws = np.empty((reps, family.dim))
-    for t in range(reps):
-        fail = rng.uniform(size=family.dim) < 0.25
-        noise = np.where(
-            fail,
-            rng.uniform(-1.0, 1.0, size=family.dim) * 2.0 * M_c,
-            rng.uniform(-eps1, eps1, size=family.dim),
-        )
-        draws[t] = np.clip(truth + noise, -2.0 * M_c, 2.0 * M_c)
+    fail, wide, narrow = rng.uniform(size=(3, reps, family.dim))
+    noise = np.where(fail < 0.25, (2.0 * wide - 1.0) * 2.0 * M_c,
+                     (2.0 * narrow - 1.0) * eps1)
+    draws = np.clip(truth + noise, -2.0 * M_c, 2.0 * M_c)
     value = draws[0] if reps == 1 else np.median(draws, axis=0)
     return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
                         eps_target=float(eps1), success_prob=0.75)
@@ -323,21 +317,21 @@ def median_boost(base: Callable[..., MeanEstimate], family: IndexedFamily,
                  eps1: float, k: int, rng: RngStream) -> MeanEstimate:
     """Component-wise median of k independent runs of ``base``.
 
-    k must be odd.  Cost is the sum of the k receipts.  With k from
-    ``median_rep_count(n, delta)`` the nominal success probability is
-    ``(1 - delta)^(1/n)``.  The family's ``runs`` is set to k first, so a
-    base that tabulates can count every run's reads.
+    The runs draw in turn from ``rng``; a base must draw only from the
+    stream it is given.  k must be odd.  Cost is the sum of the k receipts.
+    With k from ``median_rep_count(n, delta)`` the nominal success
+    probability is ``(1 - delta)^(1/n)``.  The family's ``runs`` is set to
+    k first, so a base that tabulates can count every run's reads.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be an odd positive integer")
     family.runs = k
     snap = family.ledger.snapshot()
+    runs = [base(family, eps1, rng) for _ in range(k)]
     if k == 1:
-        est = base(family, eps1, rng)
-        value, success = est.value, est.success_prob
+        value, success = runs[0].value, runs[0].success_prob
     else:
-        values = np.stack([base(family, eps1, s).value for s in rng.spawn(k)])
-        value = np.median(values, axis=0)
+        value = np.median([est.value for est in runs], axis=0)
         success = 1.0 - float(binomial_fail_tail(k))
     return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
                         eps_target=float(eps1), success_prob=success)

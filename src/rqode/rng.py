@@ -1,9 +1,10 @@
 """Seeded, splittable random streams with draw accounting.
 
-All stochastic components take an explicit stream so that every run is
-reproducible from a single root seed.  Streams are backed by the Philox
-counter-based bit generator and split via ``numpy.random.SeedSequence``,
-which guarantees independent substreams without coordination.
+All stochastic components take an explicit stream, so every run is
+reproducible from one non-negative root seed.  Streams are backed by the
+Philox bit generator.  A solve splits its root into one stream per step
+(``numpy.random.SeedSequence`` spawning, independent without coordination);
+the median runs of a boosted estimate draw in turn from one stream.
 """
 
 from __future__ import annotations
@@ -13,23 +14,28 @@ import math
 import numpy as np
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int; a negative one raises a ``ValueError`` naming it."""
+    if int(seed) < 0:
+        raise ValueError("seed must be a non-negative integer, got %r" % seed)
+    return int(seed)
+
+
 class RngStream:
     """A seeded random stream that counts its draws on a ledger.
 
     Parameters
     ----------
     seed : int | numpy.random.SeedSequence
-        Root seed or an already-spawned seed sequence.
+        Non-negative root seed or an already-spawned seed sequence.
     ledger : CostLedger | None
         If given, every variate drawn increments ``ledger.rng_draws``.
         Draws are an audit quantity, never part of the query cost.
     """
 
     def __init__(self, seed, ledger=None):
-        if isinstance(seed, np.random.SeedSequence):
-            self._seq = seed
-        else:
-            self._seq = np.random.SeedSequence(int(seed))
+        self._seq = (seed if isinstance(seed, np.random.SeedSequence)
+                     else np.random.SeedSequence(check_seed(seed)))
         self._gen = np.random.Generator(np.random.Philox(key=None, seed=self._seq))
         self.ledger = ledger
 

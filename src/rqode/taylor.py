@@ -138,18 +138,15 @@ class PiecewiseTaylorApprox:
         self.coeffs = coeffs
         self.basepoints = basepoints
 
-    def piece_index(self, t) -> np.ndarray:
-        mesh = self.mesh
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.floor((t - mesh.a) / mesh.h).astype(int), 0, mesh.n - 1)
-        j = np.clip(np.floor((t - mesh.x[i]) / mesh.hbar).astype(int), 0, mesh.m - 1)
-        return i * mesh.m + j
-
     def eval(self, t):
         """Value of the unique covering piece at scalar or array t in [a, b]."""
+        mesh = self.mesh
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < self.mesh.a) or np.any(t_arr > self.mesh.b):
-            raise ValueError("t outside the domain [%g, %g]" % (self.mesh.a, self.mesh.b))
-        idx = self.piece_index(t_arr)
+        if np.any(t_arr < mesh.a) or np.any(t_arr > mesh.b):
+            raise ValueError("t outside the domain [%g, %g]" % (mesh.a, mesh.b))
+        i = np.clip(np.floor((t_arr - mesh.a) / mesh.h).astype(int), 0, mesh.n - 1)
+        j = np.clip(np.floor((t_arr - mesh.x[i]) / mesh.hbar).astype(int), 0,
+                    mesh.m - 1)
+        idx = i * mesh.m + j
         out = horner(self.coeffs[idx], t_arr - self.basepoints[idx])
         return out if np.ndim(t) else out[0]

@@ -13,6 +13,7 @@ from rqode import scalar, solver
 from rqode.bench import ExperimentPlan
 from rqode.cli import build_parser
 from rqode.fixtures import get_fixture
+from rqode.rng import RngStream
 from rqode.scalar import bisection_solve, estimate_H
 from rqode.solver import MODES, SolveConfig
 
@@ -96,3 +97,16 @@ def test_bisection_calls_the_scalar_attributes(monkeypatch, mode):
         assert res.k_rep > 1
         assert calls == {"median_boost": res.iters,
                          ESTIMATOR[mode]: res.iters * res.k_rep}
+
+
+@pytest.mark.parametrize("mode", ["randomized", "quantum_sim"])
+def test_only_solve_steps_spawn_streams(monkeypatch, mode):
+    # a boosted estimate's k runs draw in turn from the stream they are
+    # given: a solve spawns its n step streams once, a bisection never
+    calls = _count_calls(monkeypatch, RngStream, ("spawn",))
+    fx = get_fixture("inv1p")
+    res = scalar.bisection_solve(fx.problem, fx.params, 1e-2, 0.1, mode=mode)
+    assert res.k_rep > 1 and calls["spawn"] == 0
+    fx = get_fixture("sin_flow")
+    res = solver.solve(fx.problem, fx.params, SolveConfig(n=3, mode=mode))
+    assert res.k_rep > 1 and calls["spawn"] == 1

@@ -71,6 +71,14 @@ class TestPlans:
             ExperimentPlan(fixture="sin_flow", mode="deterministic",
                            ladder=[2, 3], workers=0)
 
+    @pytest.mark.parametrize("fixture,mode", [("sin_flow", "deterministic"),
+                                              ("inv1p", "randomized")])
+    def test_negative_seed_rejected_at_construction(self, fixture, mode):
+        with pytest.raises(ValueError, match="seed must be a non-negative "
+                           "integer, got -1"):
+            ExperimentPlan(fixture=fixture, mode=mode, ladder=[2, 3],
+                           seed=-1)
+
     def test_workers_used_as_given(self, monkeypatch):
         # the ladders read plan.workers only; RQODE_WORKERS is the CLI's
         from rqode import bench

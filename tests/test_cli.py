@@ -130,6 +130,19 @@ class TestPlantCommand:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--fixture", "sin_flow", "--n", "2"],
+        ["bisect", "--fixture", "inv1p", "--eps", "1e-2"],
+        ["ladder", "--fixture", "sin_flow", "--n", "2", "3"],
+        ["scalar-ladder", "--fixture", "inv1p", "--eps", "1e-3", "1e-2",
+         "--trials", "1"],
+    ])
+    @pytest.mark.parametrize("mode", ["deterministic", "quantum_sim"])
+    def test_negative_seed_named(self, argv, mode, capsys):
+        assert run_cli(argv + ["--mode", mode, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: seed must be a non-negative integer, got -1\n")
+
     def test_bad_arguments_exit_1(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["solve", "--fixture", "sin_flow"])  # missing --n

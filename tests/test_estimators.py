@@ -218,6 +218,48 @@ class TestMedianBoost:
         with pytest.raises(ValueError):
             median_boost(mc_mean, fam, 0.1, 4, RngStream(0))
 
+    def test_runs_draw_in_turn_from_one_stream(self):
+        seen, draws = [], []
+
+        def stub(family, eps1, rng):
+            seen.append(rng)
+            draws.append(rng.uniform())
+            return MeanEstimate(value=np.zeros(1), cost={}, eps_target=eps1,
+                                success_prob=0.75)
+        rng = RngStream(31)
+        median_boost(stub, ArrayFamily([0.0]), 0.1, 7, rng)
+        assert len(seen) == 7 and all(s is rng for s in seen)
+        fresh = RngStream(31)
+        assert draws == [fresh.uniform() for _ in range(7)]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rng_draws_of_one_boost(self, dim):
+        # sigma = (2/0.4)^2 = 25 < s = 400 and q = ceil(1/0.4) = 3 < s
+        k, reps = 5, inner_rep_count(dim)
+        vals = np.random.default_rng(4).uniform(-1, 1, size=(400, dim))
+        for base, per_run in ((mc_mean, reps * 25),
+                              (quantum_sim_mean, 3 * reps * dim)):
+            led = CostLedger()
+            fam = ArrayFamily(vals, bound=1.0, ledger=led)
+            median_boost(base, fam, 0.4, k, RngStream(6, led))
+            assert led.rng_draws == k * per_run
+
+    def test_in_turn_quantum_runs_fail_a_quarter(self):
+        # 800 boosts of k = 5 runs on one stream: each run misses the true
+        # mean by more than eps1 w.p. 1/4 * (1 - eps1/2) = 0.24875
+        fam = ArrayFamily(np.full((1000, 1), 0.25), bound=1.0)
+        misses = []
+
+        def run(family, eps1, rng):
+            est = quantum_sim_mean(family, eps1, rng)
+            misses.append(abs(est.value[0] - 0.25) > eps1)
+            return est
+        rng = RngStream(2026)
+        for _ in range(800):
+            median_boost(run, fam, 0.01, 5, rng)
+        assert len(misses) == 4000
+        assert abs(np.mean(misses) - 0.25) <= 0.03
+
 
 class TestRepetitionCounts:
     def test_single_call_suffices_at_quarter(self):
@@ -470,7 +512,8 @@ class TestMeanAt:
     def test_boosted_tabulated_d2_keeps_bytes(self):
         # d = 2: sigma = (2/0.2)^2 = 100 and reps = 5, so one run reads
         # 500 >= s = 400 items and every draw is reduced from the table; the
-        # value was recorded when each draw was a (sigma, 2) row gather
+        # value was recorded when the k runs drew in turn from one stream,
+        # and it equals the untabulated twin's (sigma, 2) row gathers
         # reduced by .mean(axis=0)
         vals = np.random.default_rng(5).uniform(-1, 1, size=(400, 2))
         led = CostLedger()
@@ -478,7 +521,13 @@ class TestMeanAt:
         est = median_boost(mc_mean, fam, 0.2, 5, RngStream(17, led))
         assert fam._table is not None
         assert [float(v).hex() for v in est.value] == [
-            "-0x1.12443406c5f5cp-11", "-0x1.4c9844f6bac9bp-5"]
+            "-0x1.fb53490fbbc28p-5", "-0x1.08565a2c3e81dp-4"]
         assert est.cost == {"f_evals": 2500, "deriv_evals": 0,
                             "quantum_queries": 0, "rng_draws": 2500,
                             "sim_evals": 0}
+        twin_led = CostLedger()
+        twin = UntabulatedFamily(vals, bound=1.0, ledger=twin_led)
+        ref = median_boost(mc_mean, twin, 0.2, 5, RngStream(17, twin_led))
+        assert twin._table is None
+        assert ref.value.tobytes() == est.value.tobytes()
+        assert ref.cost == est.cost
