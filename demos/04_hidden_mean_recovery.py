@@ -31,5 +31,5 @@ pl = make_planted([1.0], params)
 print("\nsingle planted bump: closed-form endpoint %.12f "
       "(= eta + 1 - mean_scale)" % pl.closed_form_endpoint())
 print("field stays within [3/4, 3/2]: f in [%.4f, %.4f]"
-      % (pl.f(np.linspace(0, 0.5, 2001)).min(),
-         pl.f(np.linspace(0, 0.5, 2001)).max()))
+      % (pl.problem.f(np.linspace(0, 0.5, 2001)[:, None]).min(),
+         pl.problem.f(np.linspace(0, 0.5, 2001)[:, None]).max()))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .estimators import MODES, empirical_quantile, get_backend
 from .fixtures import Fixture, get_fixture
-from .rng import check_seed
+from .rng import check_seed, child_seed
 from .scalar import bisection_solve
 # solve and sup_error stay bound here for instrumentation that patches them
 from .solver import SolveConfig, run_trials, solve, sup_error
@@ -133,17 +133,12 @@ def default_target(mode: str, order: float, kind: str = "ivp") -> float:
     return 1.0 / (order + backend.scalar_offset)
 
 
-def _seed(plan: ExperimentPlan, *key) -> int:
-    return int(np.random.SeedSequence(
-        entropy=plan.seed, spawn_key=key).generate_state(1)[0])
-
-
 def _rung_config(plan: ExperimentPlan, rung: int, n: int) -> SolveConfig:
     # an exact backend reads det_N midpoints per fine cell; det_N = 0 requests
     # the class-faithful count N = n
     N = None if get_backend(plan.mode).boosted else plan.det_N or n
     return SolveConfig(n=n, mode=plan.mode, N=N, delta=plan.delta,
-                       seed=_seed(plan, rung))
+                       seed=child_seed(plan.seed, rung))
 
 
 def _trial_count(plan: ExperimentPlan) -> int:
@@ -219,7 +214,7 @@ def _run_scalar_rung(args):
     plan, rung, eps = args
     fx = plan.fixture
     runs = [bisection_solve(fx.problem, fx.params, eps, plan.delta,
-                            mode=plan.mode, seed=_seed(plan, rung, t))
+                            mode=plan.mode, seed=child_seed(plan.seed, rung, t))
             for t in range(_trial_count(plan))]
     errors = [abs(res.y_out - fx.y_star) for res in runs]
     return {"rung": eps, "error": empirical_quantile(errors, plan.delta),

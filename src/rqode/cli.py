@@ -19,6 +19,7 @@ from .core import validate_holder
 from .estimators import MODES
 from .fixtures import get_fixture
 from .planted import make_planted
+from .rng import check_seed
 from .scalar import bisection_solve
 from .solver import SolveConfig, solve
 
@@ -173,7 +174,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_plant(args) -> int:
     from .core import HolderParams
-    rng = np.random.default_rng(args.seed)
+    if args.n < 1:
+        raise ValueError("--n must be a positive integer, got %d" % args.n)
+    rng = np.random.default_rng(check_seed(args.seed))
     lambdas = rng.uniform(-1.0, 1.0, size=args.n)
     D = tuple([1.0] * (args.r + 1))
     params = HolderParams(r=args.r, rho=args.rho, D=D, H=args.H)

@@ -11,6 +11,7 @@ simulated quantum queries).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -152,22 +153,21 @@ class CostLedger:
 
 
 class IvpProblem:
-    """An initial-value problem with evaluation and derivative oracles.
+    """An initial-value problem given by one exact derivative-tensor oracle.
 
-    ``f`` maps arrays of shape ``(d,)`` or ``(batch, d)`` to the same shape.
-    ``derivs(k, y)`` returns the full order-``k`` derivative tensor of f at a
-    single point ``y``: shape ``(d,)`` for k=0, ``(d, d)`` for the Jacobian,
-    ``(d, d, d)`` for the stacked Hessians, and so on.  Scalar problems
-    (d = 1) given to the endpoint solver must also take a batch ``Y`` of
-    shape ``(B, 1)`` and return shape ``(B,) + (1,) * (k + 1)``, row b equal
-    to the single-point call at ``Y[b]``.  Every stock fixture's ``f`` and
-    ``derivs`` take a batch ``(B, d)`` this way; scalar and planted problems
-    keep a separate ``f`` for speed, the others use ``derivs(0, .)``.
-    Oracles must be pure functions of their arguments.
+    ``derivs(k, y)`` returns the order-``k`` derivative tensor of f at a point
+    ``y`` of shape ``(d,)``: shape ``(d,) * (k + 1)``.  Order 0 must also take
+    a batch ``Y`` of shape ``(B, d)`` and return shape ``(B, d)``, row b equal
+    to the single-point call at ``Y[b]``: the residual families and the
+    bisection's cell tables evaluate f on batches.  Scalar problems (d = 1)
+    given to the endpoint solver take a batch at every order and return shape
+    ``(B,) + (1,) * (k + 1)``; every stock fixture takes a batch this way.
+    ``f`` is the order-0 entry ``functools.partial(derivs, 0)``, bound to the
+    ``derivs`` given here.  Oracles must be pure functions of their arguments.
     """
 
-    def __init__(self, dim: int, f: Callable, derivs: Callable,
-                 eta, interval: tuple, name: str = ""):
+    def __init__(self, dim: int, derivs: Callable, eta, interval: tuple,
+                 name: str = ""):
         if dim < 1:
             raise ValueError("dim must be a positive integer")
         a, b = float(interval[0]), float(interval[1])
@@ -175,7 +175,7 @@ class IvpProblem:
         if not a < b:
             raise ValueError("interval must satisfy a < b")
         self.dim = int(dim)
-        self.f = f
+        self.f = functools.partial(derivs, 0)
         self.derivs = derivs
         eta = np.asarray(eta, dtype=float)
         if eta.size != self.dim:
@@ -193,12 +193,10 @@ class IvpProblem:
             raise ValueError("f must map (d,) arrays to (d,) arrays")
         if np.all(f_eta == 0.0):
             raise ValueError("f(eta) must be nonzero")
-        # derivs(0, .) must agree with f at sampled points
-        for probe in (self.eta, self.eta + 0.03125, self.eta - 0.0625):
-            d0 = np.asarray(self.derivs(0, probe), dtype=float)
-            fv = np.asarray(self.f(probe), dtype=float)
-            if not np.allclose(d0, fv, rtol=1e-12, atol=1e-12):
-                raise ValueError("derivs(0, y) disagrees with f(y) at y=%r" % (probe,))
+        shape = np.shape(self.f(np.stack([self.eta, self.eta])))
+        if shape != (2, self.dim):
+            raise ValueError("problem %r: f maps a (2, %d) batch to shape %s"
+                             % (self.name, self.dim, shape))
 
     @property
     def a(self) -> float:

@@ -1,9 +1,9 @@
 """Problem fixtures: registered oracle families plus a declarative JSON form.
 
-A fixture bundles an :class:`IvpProblem` (evaluation and derivative oracles
-from its family's builder), its smoothness-class declaration, and a reference
-solution where a closed form exists.  The declarative file format carries one
-JSON object per fixture: ``{name, family?, d, r, rho, D, H, p?, a, b, eta}``.
+A fixture bundles an :class:`IvpProblem` (the jet oracle from its family's
+builder), its smoothness-class declaration, and a reference solution where
+a closed form exists.  The declarative file format carries one JSON object
+per fixture: ``{name, family?, d, r, rho, D, H, p?, a, b, eta}``.
 The stock fixtures are the entries of the shipped ``fixtures.json``, read on
 first use.  A fixture keeps its entry as ``meta`` and pickles as that entry,
 so worker processes rebuild it.
@@ -96,10 +96,11 @@ def _cos_time_derivs(k, y):
 # registry
 
 def _build_scalar(entry, params):
-    """Oracles, reference and endpoint of a ``_SCALAR_FAMILIES`` row.
+    """Jet oracle, reference and endpoint of a ``_SCALAR_FAMILIES`` row.
 
-    ``y_star`` is given when the entry declares the lower bound ``p`` that
-    the endpoint solver needs.
+    ``derivs(0, .)`` is the row's f itself, with no reshape: the solvers
+    call it once per fine piece.  ``y_star`` is given when the entry
+    declares the lower bound ``p`` that the endpoint solver needs.
     """
     family = entry.get("family", entry["name"])
     jet, closed_form = _SCALAR_FAMILIES[family]
@@ -107,22 +108,18 @@ def _build_scalar(entry, params):
     eta = np.asarray(entry["eta"], dtype=float)
     eta0 = eta[0]
 
-    # scalar and planted problems keep f as their own single-point oracle
-    # rather than derivs(0, .): the solvers call it once per fine piece, and
-    # derivs would add a k check and a reshape to every call
-    def f(y):
-        return jet[0](np.asarray(y, dtype=float))
-
     def derivs(k, y):
-        if k not in (0, 1, 2):
-            raise ValueError("%s supplies derivatives up to order 2" % family)
         y = np.asarray(y, dtype=float)
+        if k == 0:
+            return jet[0](y)
+        if k not in (1, 2):
+            raise ValueError("%s supplies derivatives up to order 2" % family)
         return jet[k](y).reshape(y.shape[:-1] + (1,) * (k + 1))
 
     def ref(t):
         v = closed_form(eta0, np.asarray(t, dtype=float) - a)
         return v[..., None] if v.ndim else np.array([v])
-    problem = IvpProblem(1, f, derivs, eta, (a, b), name=entry["name"])
+    problem = IvpProblem(1, derivs, eta, (a, b), name=entry["name"])
     y_star = None if entry.get("p") is None else float(closed_form(eta0, b - a))
     return problem, params, ref, y_star
 
@@ -141,8 +138,7 @@ def _build_constant(entry, params):
     def ref(t):
         t = np.asarray(t, dtype=float)
         return eta + np.multiply.outer(t - a, c)
-    problem = IvpProblem(len(eta), functools.partial(derivs, 0), derivs, eta,
-                         (a, b), name=entry["name"])
+    problem = IvpProblem(len(eta), derivs, eta, (a, b), name=entry["name"])
     return problem, params, ref, None
 
 
@@ -153,8 +149,7 @@ def _build_cos_time(entry, params):
     def ref(t):
         t = np.asarray(t, dtype=float)
         return np.stack([t, np.sin(t)], axis=-1)
-    problem = IvpProblem(2, functools.partial(_cos_time_derivs, 0),
-                         _cos_time_derivs, eta, (a, b), name=entry["name"])
+    problem = IvpProblem(2, _cos_time_derivs, eta, (a, b), name=entry["name"])
     return problem, params, ref, None
 
 

@@ -96,6 +96,8 @@ class PlantedProblem:
     def __init__(self, lambdas, params: HolderParams, eta: float = 0.0,
                  peak_coeff: Optional[float] = None):
         lambdas = np.asarray(lambdas, dtype=float)
+        if lambdas.size == 0:
+            raise ValueError("planted problems need at least one coefficient")
         if np.any(np.abs(lambdas) > 1.0):
             raise ValueError("planted coefficients must lie in [-1, 1]")
         self.lambdas = lambdas
@@ -109,9 +111,8 @@ class PlantedProblem:
         # bump mass = mass_coeff * (1/(2n))^(r+rho+1) = mean_scale * n^-(r+rho+1)
         self.mean_scale = self.mass_coeff * 0.5 ** (params.order + 1.0)
         self._bump_scale = self.peak_coeff * self.width ** params.order
-        self.problem = IvpProblem(1, self.f, self.derivs,
-                                  np.array([self.eta]), (0.0, 1.0),
-                                  name="planted_n%d" % self.n)
+        self.problem = IvpProblem(1, self.derivs, np.array([self.eta]),
+                                  (0.0, 1.0), name="planted_n%d" % self.n)
         self.params_f = self._derive_f_params()
 
     # -- g and its derivatives (supports are disjoint: one bump per point)
@@ -127,16 +128,12 @@ class PlantedProblem:
         prof = bump_template(u, order) / self.width ** order
         return base + np.where(inside, lam * self._bump_scale * prof, 0.0)
 
-    def f(self, y):
-        y = np.asarray(y, dtype=float)
-        flat = y.reshape(-1)
-        out = 1.0 / self.g(flat)
-        return out.reshape(y.shape)
-
     def derivs(self, k: int, y):
-        if k not in (0, 1, 2):
-            raise ValueError("planted problems supply derivatives up to order 2")
         y = np.asarray(y, dtype=float)
+        if k == 0:
+            return (1.0 / self.g(y.reshape(-1))).reshape(y.shape)
+        if k not in (1, 2):
+            raise ValueError("planted problems supply derivatives up to order 2")
         g_jet = [self.g(y.reshape(-1), q) for q in range(k + 1)]
         return reciprocal_jet(g_jet)[k].reshape(y.shape[:-1] + (1,) * (k + 1))
 

@@ -21,6 +21,12 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
+def child_seed(seed, *key) -> int:
+    """The int seed of the child of ``seed`` with spawn key ``key``."""
+    return int(np.random.SeedSequence(
+        entropy=check_seed(seed), spawn_key=key).generate_state(1)[0])
+
+
 class RngStream:
     """A seeded random stream that counts its draws on a ledger.
 

@@ -27,7 +27,7 @@ from .core import (CostLedger, HolderParams, IvpProblem, build_mesh,
 from .estimators import (MODES, IndexedFamily, full_mean, get_backend,
                          mc_mean, median_boost, median_rep_count,
                          quantum_sim_mean)
-from .rng import RngStream
+from .rng import RngStream, child_seed
 from .taylor import (PiecewiseTaylorApprox, fetch_jet, flow_coeffs_from_jet,
                      horner, integrate_field_along)
 
@@ -309,9 +309,8 @@ def run_trials(problem: IvpProblem, params: HolderParams, config: SolveConfig,
     deflated = np.empty(trials)
     k_rep = 1
     for t in range(trials):
-        child = int(np.random.SeedSequence(
-            entropy=config.seed, spawn_key=(t,)).generate_state(1)[0])
-        res = solve(problem, params, replace(config, seed=child))
+        res = solve(problem, params,
+                    replace(config, seed=child_seed(config.seed, t)))
         errors[t] = sup_error(res, reference, probe_count)
         costs[t] = res.ledger.total
         det_part = res.ledger.deriv_evals

@@ -128,6 +128,17 @@ class TestPlantCommand:
         assert fx.problem.dim == 1
         assert len(fx.meta["lambdas"]) == 8
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_non_positive_n_named(self, n, capsys):
+        assert run_cli(["plant", "--n", n]) == 1
+        assert capsys.readouterr().err == (
+            "error: --n must be a positive integer, got %s\n" % n)
+
+    def test_negative_seed_named(self, capsys):
+        assert run_cli(["plant", "--n", "4", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: seed must be a non-negative integer, got -1\n")
+
 
 class TestErrors:
     @pytest.mark.parametrize("argv", [

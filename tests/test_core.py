@@ -5,12 +5,10 @@ from hypothesis import given, settings, strategies as st
 from rqode.core import (CostLedger, HolderParams, IvpProblem, build_mesh,
                         residual_bound, residual_bound_vector, validate_holder)
 from rqode.fixtures import get_fixture
+from rqode.planted import make_planted
 
 
 def make_linear_problem(slope=2.0, eta=1.0):
-    def f(y):
-        return slope * np.asarray(y, dtype=float)
-
     def derivs(k, y):
         y = np.asarray(y, dtype=float)
         if k == 0:
@@ -18,7 +16,7 @@ def make_linear_problem(slope=2.0, eta=1.0):
         if k == 1:
             return np.full((1, 1), slope)
         return np.zeros((1,) * (k + 1))
-    return IvpProblem(1, f, derivs, [eta], (0.0, 1.0))
+    return IvpProblem(1, derivs, [eta], (0.0, 1.0))
 
 
 class TestMesh:
@@ -118,24 +116,50 @@ class TestHolderParams:
 
 class TestProblemConstruction:
     def test_zero_initial_field_rejected(self):
-        def f(y):
-            return np.zeros_like(np.asarray(y, dtype=float))
-
         def derivs(k, y):
             return np.zeros((1,) * (k + 1))
         with pytest.raises(ValueError, match="nonzero"):
-            IvpProblem(1, f, derivs, [1.0], (0, 1))
+            IvpProblem(1, derivs, [1.0], (0, 1))
 
-    def test_deriv0_must_match_f(self):
-        def f(y):
-            return np.asarray(y, dtype=float)
-
+    def test_batch_blind_oracle_named(self):
+        # an order-0 oracle that ignores the batch axis fails here, not in
+        # the first residual family that evaluates a batch
         def derivs(k, y):
-            if k == 0:
-                return np.asarray(y, dtype=float) + 0.5
-            return np.zeros((1, 1))
-        with pytest.raises(ValueError, match="disagrees"):
-            IvpProblem(1, f, derivs, [1.0], (0, 1))
+            return np.array([0.5]) if k == 0 else np.zeros((1,) * (k + 1))
+        with pytest.raises(ValueError, match=r"^problem 'blind': f maps a "
+                           r"\(2, 1\) batch to shape \(1,\)$"):
+            IvpProblem(1, derivs, [1.0], (0, 1), name="blind")
+
+    @pytest.mark.parametrize("name", ["sin_flow", "inv1p_r1", "cos_time_r1",
+                                      "constant", "planted"])
+    def test_f_is_the_order_0_oracle(self, name):
+        if name == "planted":
+            prob = make_planted([0.5, -1.0], HolderParams(
+                r=1, rho=1.0, D=(1.2, 1.0), H=1.0)).problem
+        else:
+            prob = get_fixture(name).problem
+        point = prob.eta + 0.125
+        batch = prob.eta + np.linspace(-0.25, 0.25, 5)[:, None]
+        for y in (point, batch):
+            got, want = prob.f(y), prob.derivs(0, y)
+            assert got.shape == want.shape == y.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_f_bypasses_a_rebound_derivs(self):
+        # a tracer that rebinds problem.derivs must not count f calls as
+        # derivs calls: f keeps the oracle it was built from
+        prob = make_linear_problem()
+        calls = []
+        derivs = prob.derivs
+
+        def counting(k, y):
+            calls.append(k)
+            return derivs(k, y)
+        prob.derivs = counting
+        assert prob.f(np.array([0.5])).tolist() == [1.0]
+        assert calls == []
+        prob.derivs(1, np.array([0.5]))
+        assert calls == [1]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name, eta, interval", [
@@ -144,10 +168,10 @@ class TestProblemConstruction:
         ("interval", lambda x: [1.0, 1.0], lambda x: (x, 1.0)),
     ])
     def test_non_finite_rejected(self, name, eta, interval, bad):
-        def f(y):
+        def derivs(k, y):
             return np.asarray(y, dtype=float)
         with pytest.raises(ValueError, match="^%s must be finite" % name):
-            IvpProblem(2, f, lambda k, y: f(y), eta(bad), interval(bad))
+            IvpProblem(2, derivs, eta(bad), interval(bad))
 
 
 class TestLedger:
@@ -219,16 +243,13 @@ class TestValidateHolder:
             assert validate_holder(prob, loose, grid).passed
 
     def test_oracle_failure_identifies_point(self):
-        def f(y):
-            return np.asarray(y, dtype=float) + 1.0
-
         def derivs(k, y):
             if k == 0:
                 return np.asarray(y, dtype=float) + 1.0
             if float(np.asarray(y)[0]) > 0.5:
                 raise RuntimeError("boom")
             return np.ones((1, 1))
-        prob = IvpProblem(1, f, derivs, [0.0], (0, 1))
+        prob = IvpProblem(1, derivs, [0.0], (0, 1))
         params = HolderParams(r=1, rho=1.0, D=(2.0, 1.0), H=1.0)
         with pytest.raises(RuntimeError, match="order 1"):
             validate_holder(prob, params, np.array([[0.0], [1.0]]))

@@ -135,7 +135,7 @@ class TestFixtureFile:
         assert fx.name == "planted_demo"
         ys = np.linspace(0, 1, 17)
         assert np.allclose(fx.problem.f(ys[:, None]),
-                           pl.f(ys)[:, None])
+                           pl.problem.f(ys[:, None]))
         assert fx.y_star == pl.closed_form_endpoint()
 
     @pytest.mark.parametrize("name", ["sin_flow", "cos_time"])

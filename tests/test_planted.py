@@ -98,7 +98,7 @@ class TestPlantedProblem:
     def test_zero_coefficients_unperturbed(self):
         pl = make_planted(np.zeros(4), PARAMS_R0)
         ys = np.linspace(-0.2, 1.2, 101)
-        assert np.all(pl.f(ys) == 1.0)
+        assert np.all(pl.problem.f(ys[:, None]) == 1.0)
         assert pl.closed_form_endpoint() == 1.0
 
     def test_single_bump_endpoint_vs_reference(self):
@@ -114,7 +114,7 @@ class TestPlantedProblem:
         for n in (1, 8, 32):
             pl = make_planted(rng.uniform(-1, 1, n), PARAMS_R0)
             ys = np.linspace(0.0, 0.5, 2001)
-            fv = pl.f(ys)
+            fv = pl.problem.f(ys[:, None])
             assert np.all(fv >= 0.75) and np.all(fv <= 1.5)
 
     def test_arrival_identity(self):
@@ -151,6 +151,10 @@ class TestPlantedProblem:
             grid = np.linspace(1e-3, 0.499, 301)[:, None]
             rep = validate_holder(pl.problem, pl.params_f, grid, tol=1e-9)
             assert rep.passed, rep.violations[:2]
+
+    def test_no_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            make_planted([], PARAMS_R0)
 
 
 class TestRecoverMean:

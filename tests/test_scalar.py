@@ -21,14 +21,11 @@ def defect_closed_form(y):
 
 
 def constant_field_problem(c=0.8):
-    def f(y):
-        return np.full_like(np.asarray(y, dtype=float), c)
-
     def derivs(k, y):
         if k == 0:
-            return np.array([c])
+            return np.full_like(np.asarray(y, dtype=float), c)
         return np.zeros((1,) * (k + 1))
-    prob = IvpProblem(1, f, derivs, [0.0], (0.0, 1.0))
+    prob = IvpProblem(1, derivs, [0.0], (0.0, 1.0))
     params = HolderParams(r=0, rho=1.0, D=(1.0,), H=1e-9, p=0.5)
     return prob, params
 
@@ -89,17 +86,14 @@ class TestEstimateDefect:
         assert hits / T >= 0.75 - 4 * math.sqrt(0.75 * 0.25 / T)
 
     def test_class_violation_detected(self):
-        def f(y):
-            y = np.asarray(y, dtype=float)
-            return 1.0 - y          # crosses below p on the probed range
-
         def derivs(k, y):
             if k == 0:
+                # crosses below p on the probed range
                 return 1.0 - np.asarray(y, dtype=float)
             if k == 1:
                 return np.full((1, 1), -1.0)
             return np.zeros((1, 1, 1))
-        prob = IvpProblem(1, f, derivs, [0.0], (0.0, 1.0))
+        prob = IvpProblem(1, derivs, [0.0], (0.0, 1.0))
         params = HolderParams(r=0, rho=1.0, D=(1.0,), H=1.0, p=0.5)
         with pytest.raises(ClassViolationError):
             estimate_H(prob, params, 0.9, 1e-3, "deterministic")
@@ -118,7 +112,7 @@ def planted_r2_problem():
     # so that cells on either side of eta cross bumps
     pl = make_planted([0.5, -0.25, 0.75, -1.0],
                       HolderParams(r=2, rho=0.5, D=(1.2, 1.0, 1.0), H=1.0))
-    return IvpProblem(1, pl.f, pl.derivs, [0.25], (0.0, 1.0)), pl.params_f
+    return IvpProblem(1, pl.derivs, [0.25], (0.0, 1.0)), pl.params_f
 
 
 def cell_family(prob, params, y):
@@ -193,10 +187,7 @@ def field_with_hole(r, hole, bad=np.nan, bad_order=0):
             return out
         return np.where(hole(y).reshape(y.shape[:-1] + (1,) * (k + 1)),
                         bad, out)
-
-    def f(y):
-        return derivs(0, y)
-    return IvpProblem(1, f, derivs, [0.0], (0.0, 1.5)), fx.params
+    return IvpProblem(1, derivs, [0.0], (0.0, 1.5)), fx.params
 
 
 class TestNonFinite:

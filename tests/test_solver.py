@@ -185,19 +185,15 @@ class TestLedgerInvariant:
 def clock_with_hole(r, hole, bad_order=0):
     """z' = 1 on [0, 1] whose order-``bad_order`` oracle is NaN where
     ``hole(y)``; the chain visits 0, 0.25, 0.5, 0.75 at n = m = 2."""
-    def f(y):
-        y = np.asarray(y, dtype=float)
-        return np.where(hole(y) & (bad_order == 0), np.nan, 1.0)
-
     def derivs(k, y):
-        if k == 0:
-            return f(y)
         y = np.asarray(y, dtype=float)
+        if k == 0:
+            return np.where(hole(y) & (bad_order == 0), np.nan, 1.0)
         out = np.zeros(y.shape + (1,) * k)
         return np.where(hole(y).reshape(out.shape) & (bad_order == k),
                         np.nan, out)
     params = HolderParams(r=r, rho=1.0, D=(1.0,) * (r + 1), H=1.0)
-    return IvpProblem(1, f, derivs, [0.0], (0.0, 1.0)), params
+    return IvpProblem(1, derivs, [0.0], (0.0, 1.0)), params
 
 
 class TestNonFinite:
@@ -335,6 +331,13 @@ class TestTrialEstimates:
         s2 = run_trials(fx.problem, fx.params, cfg, 5, fx.reference)
         assert np.array_equal(s1.errors, s2.errors)
         assert np.array_equal(s1.costs, s2.costs)
+
+    def test_negative_seed_named(self):
+        fx = get_fixture("sin_flow")
+        with pytest.raises(ValueError, match="^seed must be a non-negative "
+                           "integer, got -1$"):
+            run_trials(fx.problem, fx.params, SolveConfig(n=2, seed=-1), 1,
+                       fx.reference)
 
 
 class TestErrorRecursionSanity:

@@ -13,9 +13,6 @@ from rqode.taylor import (PiecewiseTaylorApprox, fetch_jet,
 
 
 def quadratic_problem():
-    def f(y):
-        return np.asarray(y, dtype=float) ** 2
-
     def derivs(k, y):
         y = np.asarray(y, dtype=float)
         if k == 0:
@@ -25,7 +22,7 @@ def quadratic_problem():
         if k == 2:
             return np.full((1, 1, 1), 2.0)
         raise ValueError(k)
-    return IvpProblem(1, f, derivs, [1.0], (0.0, 0.5))
+    return IvpProblem(1, derivs, [1.0], (0.0, 0.5))
 
 
 def flow_coeffs(problem, y, order, ledger=None):
