@@ -69,6 +69,8 @@ class ExperimentPlan:
         if any(b <= a for a, b in zip(rungs, rungs[1:])):
             raise ValueError("ladder must be strictly increasing")
         object.__setattr__(self, "ladder", rungs)
+        if self.trials < 1:
+            raise ValueError("trials must be a positive integer")
         if get_backend(self.mode).boosted and self.trials < 30:
             raise ValueError("stochastic ladders need at least 30 trials")
         if self.workers < 1:

@@ -54,14 +54,6 @@ class Fixture:
 # ---------------------------------------------------------------------------
 # oracle families
 
-def _inv1p(y):
-    # 1/(1 + y), divided in place: the endpoint solver tabulates whole cell
-    # families through this oracle, and a second fresh array costs more than
-    # the arithmetic
-    out = 1.0 + y
-    return np.divide(1.0, out, out=out)
-
-
 # Scalar families, one row each: (f, f', f'') as elementwise functions of y,
 # and the closed form z(a + s) of the solution from z(a) = eta.
 _SCALAR_FAMILIES = {
@@ -69,7 +61,7 @@ _SCALAR_FAMILIES = {
                  lambda eta, s: 2.0 * np.arctan(np.tan(eta / 2.0) * np.exp(s))),
     "exp_flow": ((lambda y: y, np.ones_like, np.zeros_like),
                  lambda eta, s: eta * np.exp(s)),
-    "inv1p": ((_inv1p, lambda y: -((1.0 + y) ** -2.0),
+    "inv1p": ((lambda y: 1.0 / (1.0 + y), lambda y: -((1.0 + y) ** -2.0),
                lambda y: 2.0 * (1.0 + y) ** -3.0),
               lambda eta, s: -1.0 + np.sqrt((1.0 + eta) ** 2 + 2.0 * s)),
 }
@@ -169,12 +161,21 @@ _BUILDERS = {
 }
 
 
+# the keys of the declarative format that every family reads
+_ENTRY_KEYS = ("name", "d", "r", "rho", "D", "H", "a", "b", "eta")
+
+
 def _check_dim(name, what, n, d):
     if n != d:
         raise ValueError("fixture %r: %s is %d but d is %d" % (name, what, n, d))
 
 
 def _fixture_from_entry(entry: dict) -> Fixture:
+    missing = [k for k in _ENTRY_KEYS if k not in entry]
+    if missing:
+        raise KeyError("fixture %r: the entry has no %s; entries need {%s}"
+                       % (entry.get("name", "?"), " or ".join(map(repr, missing)),
+                          ", ".join(_ENTRY_KEYS)))
     family = entry.get("family", entry["name"])
     if family not in _BUILDERS:
         raise KeyError("unknown fixture family %r" % family)

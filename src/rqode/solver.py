@@ -48,10 +48,10 @@ class SolveConfig:
 
     Mode defaults come from the mode's backend record: m = N = n^mesh_power
     (n^2 randomized, n otherwise), and boosted modes default eps1 = 1/n.
-    ``k_override`` forces the median repetition count (k = 1 disables
-    boosting, used by the degeneracy checks); ``record_estimate_errors``
-    audits per-step estimator errors against the exact first-stage means
-    (classical work only, booked as sim_evals).
+    Boosted modes take the median of k = ``median_rep_count(n, delta)``
+    runs per estimate.  Every mode needs delta in (0, 1/2) and eps1 >= 0.
+    ``record_estimate_errors`` audits per-step estimator errors against the
+    exact first-stage means (classical work only, booked as sim_evals).
     """
 
     n: int
@@ -61,7 +61,6 @@ class SolveConfig:
     eps1: Optional[float] = None
     delta: float = 0.25
     seed: int = 0
-    k_override: Optional[int] = None
     record_estimate_errors: bool = False
 
     def resolved(self) -> "SolveConfig":
@@ -77,11 +76,12 @@ class SolveConfig:
         if m < 1 or N < 1:
             raise ValueError("m and N must be positive integers")
         require_finite_input("eps1", eps1)
-        if backend.boosted:
-            if eps1 <= 0:
-                raise ValueError("stochastic modes need eps1 > 0")
-            if not 0.0 < self.delta < 0.5:
-                raise ValueError("delta must lie in (0, 1/2)")
+        if eps1 < 0:
+            raise ValueError("eps1 must be non-negative")
+        if backend.boosted and eps1 == 0:
+            raise ValueError("stochastic modes need eps1 > 0")
+        if not 0.0 < self.delta < 0.5:
+            raise ValueError("delta must lie in (0, 1/2)")
         return replace(self, m=int(m), N=int(N), eps1=float(eps1))
 
     def as_dict(self) -> dict:
@@ -186,12 +186,7 @@ def solve(problem: IvpProblem, params: HolderParams,
     backend = get_backend(cfg.mode)
     # looked up by name at call time: see Backend.estimator
     estimator = globals()[backend.estimator]
-    if not backend.boosted:
-        k_rep = 1
-    elif cfg.k_override is not None:
-        k_rep = int(cfg.k_override)
-    else:
-        k_rep = median_rep_count(cfg.n, cfg.delta)
+    k_rep = median_rep_count(cfg.n, cfg.delta) if backend.boosted else 1
 
     d = problem.dim
     order = params.r + 1

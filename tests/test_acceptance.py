@@ -247,11 +247,11 @@ def test_criterion_7_degeneracy():
     det = solve(fx.problem, fx.params, SolveConfig(n=n, m=m, N=N))
     rnd = solve(fx.problem, fx.params,
                 SolveConfig(n=n, mode="randomized", m=m, N=N,
-                            eps1=2 * M / math.sqrt(s) * 0.999,
-                            k_override=1, seed=3))
+                            eps1=2 * M / math.sqrt(s) * 0.999, seed=3))
     qt = solve(fx.problem, fx.params,
                SolveConfig(n=n, mode="quantum_sim", m=m, N=N,
-                           eps1=M / s * 0.999, k_override=1, seed=3))
+                           eps1=M / s * 0.999, seed=3))
+    assert rnd.k_rep > 1 and qt.k_rep > 1
     bitwise = np.array_equal(det.y_grid, rnd.y_grid) and \
         np.array_equal(det.y_grid, qt.y_grid)
 

@@ -66,6 +66,15 @@ class TestPlans:
             ExperimentPlan(fixture="sin_flow", mode="randomized",
                            ladder=[2, 3], trials=5)
 
+    @pytest.mark.parametrize("mode", ["deterministic", "randomized",
+                                      "quantum_sim"])
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_must_be_positive(self, mode, trials):
+        with pytest.raises(ValueError,
+                           match="^trials must be a positive integer"):
+            ExperimentPlan(fixture="sin_flow", mode=mode, ladder=[2, 3],
+                           trials=trials)
+
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers"):
             ExperimentPlan(fixture="sin_flow", mode="deterministic",

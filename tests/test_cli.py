@@ -154,6 +154,22 @@ class TestErrors:
         assert capsys.readouterr().err == (
             "error: seed must be a non-negative integer, got -1\n")
 
+    def test_non_positive_trials_named(self, capsys):
+        assert run_cli(["ladder", "--fixture", "sin_flow", "--n", "4", "8",
+                        "--trials", "-3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: trials must be a positive integer\n")
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--eps", "-1"], "eps1 must be non-negative"),
+        (["--delta", "3"], "delta must lie in (0, 1/2)"),
+        (["--eps", "-1", "--delta", "3"], "eps1 must be non-negative"),
+    ])
+    def test_deterministic_solve_options_named(self, flags, message, capsys):
+        assert run_cli(["solve", "--fixture", "sin_flow", "--n", "2"]
+                       + flags) == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
+
     def test_bad_arguments_exit_1(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["solve", "--fixture", "sin_flow"])  # missing --n

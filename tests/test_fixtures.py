@@ -159,6 +159,18 @@ class TestFixtureFile:
                                              "dim is 1 but d is 2"):
             load_fixture_file(path)
 
+    @pytest.mark.parametrize("key", ["b", "eta", "rho", "name"])
+    def test_missing_key_named(self, tmp_path, key):
+        entry = dict(get_fixture("inv1p").meta)
+        del entry[key]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(KeyError) as exc:
+            load_fixture_file(path)
+        assert exc.value.args[0] == (
+            "fixture %r: the entry has no %r; entries need "
+            "{name, d, r, rho, D, H, a, b, eta}" % (entry.get("name", "?"), key))
+
     def test_family_dim_must_match_eta(self, tmp_path):
         entry = dict(get_fixture("sin_flow").meta, d=2, eta=[1.0, 1.0])
         path = tmp_path / "bad.json"

@@ -36,6 +36,19 @@ class TestConfigDefaults:
         with pytest.raises(ValueError):
             SolveConfig(n=4, mode="randomized", delta=0.7).resolved()
 
+    @pytest.mark.parametrize("delta", [3.0, 0.5, 0.0, -0.1, np.nan])
+    @pytest.mark.parametrize("mode", ["deterministic", "randomized",
+                                      "quantum_sim"])
+    def test_delta_outside_range_rejected(self, mode, delta):
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1/2\)"):
+            SolveConfig(n=4, mode=mode, delta=delta).resolved()
+
+    @pytest.mark.parametrize("mode", ["deterministic", "randomized",
+                                      "quantum_sim"])
+    def test_negative_eps1_rejected(self, mode):
+        with pytest.raises(ValueError, match="^eps1 must be non-negative"):
+            SolveConfig(n=4, mode=mode, eps1=-1.0).resolved()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("mode", ["deterministic", "randomized",
                                       "quantum_sim"])
@@ -230,6 +243,8 @@ class TestNonFinite:
 
 class TestModeDegeneracy:
     def test_bit_for_bit_reproduction(self):
+        # every one of the k boosted runs is clamped to the exact mean, so
+        # their median is the deterministic estimate
         fx = get_fixture("sin_flow")
         n, m, N = 4, 4, 6
         s = m * N
@@ -237,25 +252,25 @@ class TestModeDegeneracy:
         det = solve(fx.problem, fx.params, SolveConfig(n=n, m=m, N=N))
         rnd = solve(fx.problem, fx.params,
                     SolveConfig(n=n, mode="randomized", m=m, N=N,
-                                eps1=2 * M / math.sqrt(s) * 0.999,
-                                k_override=1, seed=10))
+                                eps1=2 * M / math.sqrt(s) * 0.999, seed=10))
         qt = solve(fx.problem, fx.params,
                    SolveConfig(n=n, mode="quantum_sim", m=m, N=N,
-                               eps1=M / s * 0.999, k_override=1, seed=10))
+                               eps1=M / s * 0.999, seed=10))
+        assert rnd.k_rep > 1 and qt.k_rep > 1
         assert np.array_equal(det.y_grid, rnd.y_grid)
         assert np.array_equal(det.y_grid, qt.y_grid)
 
     def test_deterministic_equivalent_rand_error(self):
-        # with clamped sampling and k = 1 the second-moment error equals the
-        # deterministic sup error
+        # with clamped sampling the second-moment error equals the
+        # deterministic sup error, at the boosted k
         fx = get_fixture("sin_flow")
         n, m, N = 4, 4, 4
         M = residual_bound(fx.params, 1)
         cfg = SolveConfig(n=n, mode="randomized", m=m, N=N,
-                          eps1=2 * M / math.sqrt(m * N) * 0.999,
-                          k_override=1, seed=0)
-        err = rms_error(run_trials(fx.problem, fx.params, cfg, 3,
-                                   fx.reference).errors)
+                          eps1=2 * M / math.sqrt(m * N) * 0.999, seed=0)
+        stats = run_trials(fx.problem, fx.params, cfg, 3, fx.reference)
+        assert stats.k_rep > 1
+        err = rms_error(stats.errors)
         det = solve(fx.problem, fx.params, SolveConfig(n=n, m=m, N=N))
         assert err == sup_error(det, fx.reference)
 
