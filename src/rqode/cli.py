@@ -8,6 +8,7 @@ Exit codes: 0 on success/pass, 2 when a slope or validation check fails,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .bench import ExperimentPlan, emit_report, json_text, report_bytes, \
     run_ladder, run_scalar_ladder
-from .core import validate_holder
+from .core import HolderParams, validate_holder
 from .estimators import MODES
 from .fixtures import get_fixture
 from .planted import make_planted
@@ -167,13 +168,11 @@ def _cmd_validate(args) -> int:
         grid = np.tile(fx.problem.eta, (args.grid, 1))
         grid[:, 0] = pts
     rep = validate_holder(fx.problem, fx.params, grid, tol=args.tol)
-    _json_out({"passed": rep.passed, "violations": rep.violations,
-               "grid_size": rep.grid_size, "tol": rep.tol}, args.out)
+    _json_out(dataclasses.asdict(rep), args.out)
     return 0 if rep.passed else 2
 
 
 def _cmd_plant(args) -> int:
-    from .core import HolderParams
     if args.n < 1:
         raise ValueError("--n must be a positive integer, got %d" % args.n)
     rng = np.random.default_rng(check_seed(args.seed))

@@ -147,6 +147,9 @@ def _build_cos_time(entry, params):
 
 def _build_planted(entry, params):
     # an entry of PlantedProblem.to_entry; params is the class of g, not 1/g
+    if "lambdas" not in entry:
+        raise KeyError("fixture %r: the planted entry has no 'lambdas'"
+                       % entry["name"])
     pl = PlantedProblem(entry["lambdas"], params, eta=entry["eta"][0],
                         peak_coeff=entry.get("peak_coeff"))
     return pl.problem, pl.params_f, None, pl.closed_form_endpoint()
@@ -161,8 +164,11 @@ _BUILDERS = {
 }
 
 
-# the keys of the declarative format that every family reads
-_ENTRY_KEYS = ("name", "d", "r", "rho", "D", "H", "a", "b", "eta")
+# the keys of the declarative format that every family reads, each with the
+# conversion its value must pass
+_floats = functools.partial(np.fromiter, dtype=float)
+_ENTRY_KEYS = {"name": str, "d": int, "r": int, "rho": float, "D": _floats,
+               "H": float, "a": float, "b": float, "eta": _floats}
 
 
 def _check_dim(name, what, n, d):
@@ -176,18 +182,25 @@ def _fixture_from_entry(entry: dict) -> Fixture:
         raise KeyError("fixture %r: the entry has no %s; entries need {%s}"
                        % (entry.get("name", "?"), " or ".join(map(repr, missing)),
                           ", ".join(_ENTRY_KEYS)))
-    family = entry.get("family", entry["name"])
+    name = entry["name"]
+    family = entry.get("family", name)
     if family not in _BUILDERS:
-        raise KeyError("unknown fixture family %r" % family)
-    name, d = entry["name"], int(entry["d"])
-    _check_dim(name, "len(eta)", len(entry["eta"]), d)
+        raise KeyError("fixture %r: unknown family %r; known: %s"
+                       % (name, family, ", ".join(sorted(_BUILDERS))))
+    spec = {}
+    for key, convert in _ENTRY_KEYS.items():
+        try:
+            spec[key] = convert(entry[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError("fixture %r: %r is %r (%s)"
+                             % (name, key, entry[key], exc)) from None
+    _check_dim(name, "len(eta)", len(spec["eta"]), spec["d"])
     cH = entry.get("component_H")
-    params = HolderParams(r=int(entry["r"]), rho=float(entry["rho"]),
-                          D=tuple(entry["D"]), H=float(entry["H"]),
-                          p=entry.get("p"),
+    params = HolderParams(r=spec["r"], rho=spec["rho"], D=tuple(spec["D"]),
+                          H=spec["H"], p=entry.get("p"),
                           component_H=None if cH is None else tuple(cH))
     problem, params, reference, y_star = _BUILDERS[family](entry, params)
-    _check_dim(name, "the problem's dim", problem.dim, d)
+    _check_dim(name, "the problem's dim", problem.dim, spec["d"])
     return Fixture(name=name, problem=problem, params=params,
                    reference=reference, y_star=y_star, meta=dict(entry))
 

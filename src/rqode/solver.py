@@ -50,8 +50,6 @@ class SolveConfig:
     (n^2 randomized, n otherwise), and boosted modes default eps1 = 1/n.
     Boosted modes take the median of k = ``median_rep_count(n, delta)``
     runs per estimate.  Every mode needs delta in (0, 1/2) and eps1 >= 0.
-    ``record_estimate_errors`` audits per-step estimator errors against the
-    exact first-stage means (classical work only, booked as sim_evals).
     """
 
     n: int
@@ -61,7 +59,6 @@ class SolveConfig:
     eps1: Optional[float] = None
     delta: float = 0.25
     seed: int = 0
-    record_estimate_errors: bool = False
 
     def resolved(self) -> "SolveConfig":
         backend = get_backend(self.mode)
@@ -145,7 +142,6 @@ class SolveResult:
     config: SolveConfig
     k_rep: int
     step_receipts: list = field(default_factory=list)
-    est_errors: Optional[np.ndarray] = None
     warnings: list = field(default_factory=list)
 
     def to_report(self, include_pieces: bool = False) -> dict:
@@ -158,8 +154,6 @@ class SolveResult:
             "step_receipts": self.step_receipts,
             "warnings": list(self.warnings),
         }
-        if self.est_errors is not None:
-            rep["estimate_errors"] = self.est_errors.tolist()
         if include_pieces:
             rep["pieces"] = {
                 "basepoints": self.approx.basepoints.tolist(),
@@ -202,7 +196,6 @@ def solve(problem: IvpProblem, params: HolderParams,
     y_grid = np.empty((cfg.n + 1, d))
     y_grid[0] = y
     step_receipts = []
-    est_errors = [] if cfg.record_estimate_errors else None
 
     for i in range(cfg.n):
         snap = ledger.snapshot()
@@ -232,10 +225,6 @@ def solve(problem: IvpProblem, params: HolderParams,
         else:
             est = estimator(family)
 
-        if est_errors is not None:
-            truth = family.exact_mean()
-            est_errors.append(float(np.max(np.abs(est.value - truth))))
-
         y = y + w_integral + scale * est.value
         y_grid[i + 1] = y
         step_receipts.append(ledger.delta_since(snap))
@@ -252,9 +241,7 @@ def solve(problem: IvpProblem, params: HolderParams,
         approx=PiecewiseTaylorApprox(mesh, coeffs.reshape(-1, order + 1, d),
                                      bases.ravel()),
         y_grid=y_grid, ledger=ledger, config=cfg, k_rep=k_rep,
-        step_receipts=step_receipts,
-        est_errors=None if est_errors is None else np.asarray(est_errors),
-        warnings=notes,
+        step_receipts=step_receipts, warnings=notes,
     )
 
 
@@ -262,14 +249,14 @@ def sup_error(result: SolveResult, reference: Callable,
               probe_count: int = 256) -> float:
     """Max-norm distance to a reference trajectory on a probe grid.
 
-    The grid is ``probe_count`` uniform points joined with every fine mesh
-    point, so piece boundaries are always probed.
+    The grid is ``probe_count`` uniform points joined with every piece's
+    start and b, so piece boundaries are always probed.
     """
     if probe_count < 2:
         raise ValueError("probe_count must be at least 2")
     mesh = result.approx.mesh
     ts = np.union1d(np.linspace(mesh.a, mesh.b, probe_count),
-                    np.append(mesh.pieces()[0], mesh.b))
+                    np.append(result.approx.basepoints, mesh.b))
     approx = result.approx.eval(ts)
     ref = np.asarray(reference(ts), dtype=float)
     if ref.shape != approx.shape:

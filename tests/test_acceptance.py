@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from rqode import solver
 from rqode.bench import ExperimentPlan, run_ladder, run_scalar_ladder
 from rqode.core import residual_bound
 from rqode.estimators import (ArrayFamily, MeanEstimate, median_boost,
@@ -180,7 +181,7 @@ def test_criterion_5_planted_amplification():
 # 6. estimator laws: exact quantum cost on a grid, boosted median success,
 #    and the all-steps success event across whole solves
 
-def test_criterion_6_estimator_laws():
+def test_criterion_6_estimator_laws(monkeypatch):
     t0 = time.time()
     fails = []
 
@@ -214,25 +215,36 @@ def test_criterion_6_estimator_laws():
     if hits / 1000 < 1 - delta - margin:
         fails.append("median boost success %.3f" % (hits / 1000))
 
-    # (c) all-steps success event over 200 full solves per stochastic mode
+    # (c) all-steps success event over 200 full solves per stochastic mode:
+    # each boosted estimate is audited against its family's exact mean
     fx = get_fixture("sin_flow")
+    errors = []
+    boost = solver.median_boost
+
+    def audited(base, family, eps1, k, rng):
+        est = boost(base, family, eps1, k, rng)
+        errors.append(float(np.max(np.abs(est.value - family.exact_mean()))))
+        return est
+    monkeypatch.setattr(solver, "median_boost", audited)
+    events = []
     for mode in ("randomized", "quantum_sim"):
-        cfg = SolveConfig(n=4, mode=mode, delta=0.25, seed=31337,
-                          record_estimate_errors=True)
         event = 0
         for t in range(200):
+            errors.clear()
             res = solve(fx.problem, fx.params,
                         SolveConfig(n=4, mode=mode, delta=0.25,
-                                    seed=1_000_000 + t,
-                                    record_estimate_errors=True))
-            event += bool(np.all(res.est_errors <= res.config.eps1))
+                                    seed=1_000_000 + t))
+            assert len(errors) == 4, (mode, t, len(errors))
+            event += all(e <= res.config.eps1 for e in errors)
         m200 = 1.96 * math.sqrt(0.25 * 0.75 / 200)
         if event / 200 < 0.75 - m200:
             fails.append("%s all-steps event %.3f" % (mode, event / 200))
+        events.append("%s %d/200" % (mode, event))
 
     verdict("6 estimator-laws", not fails,
             fails[0] if fails else "cost grid exact, boost >= 1-delta-margin, "
-            "joint event held, %.1fs" % (time.time() - t0))
+            "joint event held (%s), %.1fs" % (", ".join(events),
+                                              time.time() - t0))
 
 
 # -------------------------------------------------------------------------

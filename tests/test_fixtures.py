@@ -171,6 +171,23 @@ class TestFixtureFile:
             "fixture %r: the entry has no %r; entries need "
             "{name, d, r, rho, D, H, a, b, eta}" % (entry.get("name", "?"), key))
 
+    @pytest.mark.parametrize("change, error, message", [
+        ({"D": 1.0}, ValueError, r"fixture 'sin_flow': 'D' is 1\.0 \("),
+        ({"eta": 0.5}, ValueError, r"fixture 'sin_flow': 'eta' is 0\.5 \("),
+        ({"r": "x"}, ValueError, r"fixture 'sin_flow': 'r' is 'x' \("),
+        ({"a": "zero"}, ValueError, r"fixture 'sin_flow': 'a' is 'zero' \("),
+        ({"family": "nope"}, KeyError,
+         r"fixture 'sin_flow': unknown family 'nope'; known: constant, "),
+        ({"family": "planted"}, KeyError,
+         r"fixture 'sin_flow': the planted entry has no 'lambdas'"),
+    ], ids=["D", "eta", "r", "a", "family", "lambdas"])
+    def test_malformed_entry_named(self, tmp_path, change, error, message):
+        entry = dict(get_fixture("sin_flow").meta, **change)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(error, match=message):
+            load_fixture_file(path)
+
     def test_family_dim_must_match_eta(self, tmp_path):
         entry = dict(get_fixture("sin_flow").meta, d=2, eta=[1.0, 1.0])
         path = tmp_path / "bad.json"
