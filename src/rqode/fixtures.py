@@ -96,8 +96,7 @@ def _build_scalar(entry, params):
     """
     family = entry.get("family", entry["name"])
     jet, closed_form = _SCALAR_FAMILIES[family]
-    a, b = entry["a"], entry["b"]
-    eta = np.asarray(entry["eta"], dtype=float)
+    a, b, eta = entry["a"], entry["b"], entry["eta"]
     eta0 = eta[0]
 
     def derivs(k, y):
@@ -117,8 +116,7 @@ def _build_scalar(entry, params):
 
 
 def _build_constant(entry, params):
-    a, b = entry["a"], entry["b"]
-    eta = np.asarray(entry["eta"], dtype=float)
+    a, b, eta = entry["a"], entry["b"], entry["eta"]
     c = np.asarray(entry.get("c", [0.7, -0.3][: len(eta)]), dtype=float)
 
     def derivs(k, y):
@@ -135,8 +133,7 @@ def _build_constant(entry, params):
 
 
 def _build_cos_time(entry, params):
-    a, b = entry["a"], entry["b"]
-    eta = np.asarray(entry["eta"], dtype=float)
+    a, b, eta = entry["a"], entry["b"], entry["eta"]
 
     def ref(t):
         t = np.asarray(t, dtype=float)
@@ -155,7 +152,8 @@ def _build_planted(entry, params):
     return pl.problem, pl.params_f, None, pl.closed_form_endpoint()
 
 
-# family -> builder(entry, params) -> (problem, params of f, reference, y_star)
+# family -> builder(entry, params) -> (problem, params of f, reference, y_star);
+# the entry's _ENTRY_KEYS hold their converted values
 _BUILDERS = {
     **dict.fromkeys(_SCALAR_FAMILIES, _build_scalar),
     "constant": _build_constant,
@@ -184,7 +182,7 @@ def _fixture_from_entry(entry: dict) -> Fixture:
                           ", ".join(_ENTRY_KEYS)))
     name = entry["name"]
     family = entry.get("family", name)
-    if family not in _BUILDERS:
+    if not isinstance(family, str) or family not in _BUILDERS:
         raise KeyError("fixture %r: unknown family %r; known: %s"
                        % (name, family, ", ".join(sorted(_BUILDERS))))
     spec = {}
@@ -199,7 +197,8 @@ def _fixture_from_entry(entry: dict) -> Fixture:
     params = HolderParams(r=spec["r"], rho=spec["rho"], D=tuple(spec["D"]),
                           H=spec["H"], p=entry.get("p"),
                           component_H=None if cH is None else tuple(cH))
-    problem, params, reference, y_star = _BUILDERS[family](entry, params)
+    problem, params, reference, y_star = _BUILDERS[family]({**entry, **spec},
+                                                           params)
     _check_dim(name, "the problem's dim", problem.dim, spec["d"])
     return Fixture(name=name, problem=problem, params=params,
                    reference=reference, y_star=y_star, meta=dict(entry))

@@ -11,12 +11,12 @@ shows that the endpoint satisfies
 so any estimate of z(1) recovers the planted mean after an affine map that
 amplifies errors by exactly ``n^(r+rho) / mean_scale``.  These problems are
 verification fixtures: solving them and recovering the mean checks solver
-accuracy at the amplification scale.
+accuracy at the amplification scale.  The jet oracle ``derivs(k, y)`` finds
+each point's bump and evaluates the template once for all orders 0..k.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
 # psi(u) = exp(-1/(u(1-u))): its integral over [0, 1] and the sup norms of
 # its first three derivatives.  Frozen from a high-precision quadrature and
 # extrema scan; cross-checked in the test suite.
-TEMPLATE_PEAK = math.exp(-4.0)
 TEMPLATE_UNIT_INTEGRAL = 0.3838172639958343
 TEMPLATE_SUP_DERIV = {
     0: 1.0,
@@ -47,33 +46,40 @@ TEMPLATE_SUP_DERIV = {
 }
 
 
+def _bump_jet(x, bins: int, k: int):
+    """Bin index, support mask and template orders 0..k at x in bin units:
+    the bin is floor(x) clamped to [0, bins), the mask 0 < u < 1 on the offset
+    u in it is false for NaN and +-inf, and orders exist only where it holds."""
+    if k not in (0, 1, 2, 3):
+        raise ValueError("template derivatives available up to order 3")
+    idx = np.minimum(np.maximum(np.floor(x), 0.0), bins - 1.0)
+    u = x - idx
+    mask = (0.0 < u) & (u < 1.0)
+    ui = u[mask]
+    if not ui.size:
+        return idx, mask, []
+    s = ui * (1.0 - ui)
+    psi = np.exp(4.0 - 1.0 / s)  # includes the 1/peak normalization
+    jet = [psi]
+    if k >= 1:
+        sp = 1.0 - 2.0 * ui
+        w = sp / s ** 2
+        jet.append(psi * w)
+    if k >= 2:
+        wp = -2.0 / s ** 2 - 2.0 * sp ** 2 / s ** 3
+        jet.append(psi * (w ** 2 + wp))
+    if k >= 3:
+        wpp = 12.0 * sp / s ** 3 + 6.0 * sp ** 3 / s ** 4
+        jet.append(psi * (w ** 3 + 3.0 * w * wp + wpp))
+    return idx, mask, jet
+
+
 def bump_template(u, order: int = 0):
     """Derivatives of the unit-peak bump template, vanishing outside (0, 1)."""
     u = np.asarray(u, dtype=float)
+    _, inside, jet = _bump_jet(u, 1, order)
     out = np.zeros_like(u)
-    inside = (u > 0.0) & (u < 1.0)
-    if not np.any(inside):
-        return out if out.ndim else float(out)
-    ui = u[inside]
-    s = ui * (1.0 - ui)
-    sp = 1.0 - 2.0 * ui
-    psi = np.exp(4.0 - 1.0 / s)  # includes the 1/peak normalization
-    if order == 0:
-        val = psi
-    else:
-        w = sp / s ** 2
-        if order == 1:
-            val = psi * w
-        else:
-            wp = -2.0 / s ** 2 - 2.0 * sp ** 2 / s ** 3
-            if order == 2:
-                val = psi * (w ** 2 + wp)
-            elif order == 3:
-                wpp = 12.0 * sp / s ** 3 + 6.0 * sp ** 3 / s ** 4
-                val = psi * (w ** 3 + 3.0 * w * wp + wpp)
-            else:
-                raise ValueError("template derivatives available up to order 3")
-    out[inside] = val
+    out[inside] = jet[order] if jet else 0.0
     return out if out.ndim else float(out)
 
 
@@ -96,8 +102,11 @@ class PlantedProblem:
     def __init__(self, lambdas, params: HolderParams, eta: float = 0.0,
                  peak_coeff: Optional[float] = None):
         lambdas = np.asarray(lambdas, dtype=float)
-        if lambdas.size == 0:
-            raise ValueError("planted problems need at least one coefficient")
+        if lambdas.ndim != 1 or lambdas.size == 0:
+            raise ValueError("planted problems need at least one coefficient, "
+                             "as a 1-D sequence; got shape %s" % (lambdas.shape,))
+        if not np.all(np.isfinite(lambdas)):
+            raise ValueError("planted coefficients must be finite: %s" % lambdas)
         if np.any(np.abs(lambdas) > 1.0):
             raise ValueError("planted coefficients must lie in [-1, 1]")
         self.lambdas = lambdas
@@ -115,27 +124,27 @@ class PlantedProblem:
                                   (0.0, 1.0), name="planted_n%d" % self.n)
         self.params_f = self._derive_f_params()
 
-    # -- g and its derivatives (supports are disjoint: one bump per point)
+    # -- g and its jet in one pass (supports are disjoint: one bump per point)
 
     def g(self, y, order: int = 0):
+        return self._jet(y, order)[order]
+
+    def _jet(self, y, k: int) -> list:
         y = np.asarray(y, dtype=float)
-        u_all = (y - self.eta) / self.width
-        idx = np.clip(np.floor(u_all).astype(int), 0, self.n - 1)
-        u = u_all - idx
-        lam = self.lambdas[idx]
-        inside = (u_all > 0.0) & (u_all < self.n)
-        base = 1.0 if order == 0 else 0.0
-        prof = bump_template(u, order) / self.width ** order
-        return base + np.where(inside, lam * self._bump_scale * prof, 0.0)
+        idx, inside, tmpl = _bump_jet((y - self.eta) / self.width, self.n, k)
+        jet = [np.full(y.shape, 1.0 if q == 0 else 0.0) for q in range(k + 1)]
+        if tmpl:
+            lam = self.lambdas[idx[inside].astype(int)] * self._bump_scale
+            for q, t in enumerate(tmpl):
+                jet[q][inside] += lam * (t / self.width ** q)
+        return jet
 
     def derivs(self, k: int, y):
-        y = np.asarray(y, dtype=float)
-        if k == 0:
-            return (1.0 / self.g(y.reshape(-1))).reshape(y.shape)
-        if k not in (1, 2):
+        if k not in (0, 1, 2):
             raise ValueError("planted problems supply derivatives up to order 2")
-        g_jet = [self.g(y.reshape(-1), q) for q in range(k + 1)]
-        return reciprocal_jet(g_jet)[k].reshape(y.shape[:-1] + (1,) * (k + 1))
+        y = np.asarray(y, dtype=float)
+        shape = y.shape[:-1] + (1,) * (k + 1) if k else y.shape
+        return reciprocal_jet(self._jet(y.reshape(-1), k))[k].reshape(shape)
 
     def _derive_f_params(self) -> HolderParams:
         """Class declaration for f = 1/g from the g-construction bounds."""

@@ -178,15 +178,29 @@ class TestFixtureFile:
         ({"a": "zero"}, ValueError, r"fixture 'sin_flow': 'a' is 'zero' \("),
         ({"family": "nope"}, KeyError,
          r"fixture 'sin_flow': unknown family 'nope'; known: constant, "),
+        ({"family": ["x"]}, KeyError,
+         r"fixture 'sin_flow': unknown family \['x'\]; known: constant, "),
         ({"family": "planted"}, KeyError,
          r"fixture 'sin_flow': the planted entry has no 'lambdas'"),
-    ], ids=["D", "eta", "r", "a", "family", "lambdas"])
+    ], ids=["D", "eta", "r", "a", "family", "family_list", "lambdas"])
     def test_malformed_entry_named(self, tmp_path, change, error, message):
         entry = dict(get_fixture("sin_flow").meta, **change)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([entry]))
         with pytest.raises(error, match=message):
             load_fixture_file(path)
+
+    def test_builders_read_converted_values(self, tmp_path):
+        # "a" passes its float conversion as a string; the builder must get
+        # the float, not the string
+        entry = dict(get_fixture("sin_flow").meta, a="0")
+        path = tmp_path / "fixtures.json"
+        path.write_text(json.dumps([entry]))
+        (fx,) = load_fixture_file(path)
+        assert fx.meta["a"] == "0"
+        assert fx.problem.interval == (0.0, 1.0)
+        assert np.array_equal(fx.reference(0.5),
+                              get_fixture("sin_flow").reference(0.5))
 
     def test_family_dim_must_match_eta(self, tmp_path):
         entry = dict(get_fixture("sin_flow").meta, d=2, eta=[1.0, 1.0])

@@ -156,6 +156,16 @@ class TestPlantedProblem:
         with pytest.raises(ValueError, match="at least one coefficient"):
             make_planted([], PARAMS_R0)
 
+    @pytest.mark.parametrize("lambdas, message", [
+        ([0.5, np.nan], r"must be finite: \[0\.5 +nan\]"),
+        ([-np.inf, 0.5], r"must be finite: \[-inf +0\.5\]"),
+        ([[0.5, 0.2], [0.1, 0.3]], r"as a 1-D sequence; got shape \(2, 2\)"),
+        (0.5, r"as a 1-D sequence; got shape \(\)"),
+    ], ids=["nan", "inf", "2-D", "scalar"])
+    def test_bad_coefficients_named(self, lambdas, message):
+        with pytest.raises(ValueError, match=message):
+            make_planted(lambdas, PARAMS_R0)
+
 
 class TestRecoverMean:
     def test_unperturbed_recovers_zero(self):

@@ -9,8 +9,10 @@ each order r = 0, 1, 2 in every mode at a fixed seed, the sha256 of
 (and at eps = 1e-4 in the stochastic modes) and for one r = 2 planted
 problem in two modes, of ``report_bytes`` for one tiny
 ``run_ladder`` per stochastic mode and one tiny ``run_scalar_ladder`` per
-mode, and of every stock fixture's oracles (``f``, ``derivs(k)`` for
-k = 0, 1, 2, the reference and ``y_star``) at fixed points.  Any change to
+mode, of every stock fixture's oracles (``f``, ``derivs(k)`` for
+k = 0, 1, 2, the reference and ``y_star``) at fixed points, and of one r = 2
+planted oracle (``derivs(k)`` as a batch and point by point, and the bump
+template) on a grid through every bump edge.  Any change to
 the oracles, the fine chain, the exact field integration, the endpoint
 solver, the ladder runners or the estimators that moves a single ulp or a
 single charge fails here.
@@ -32,7 +34,7 @@ from rqode.bench import (ExperimentPlan, report_bytes, run_ladder,
                          run_scalar_ladder)
 from rqode.core import HolderParams
 from rqode.fixtures import fixture_names, get_fixture
-from rqode.planted import make_planted
+from rqode.planted import bump_template, make_planted
 from rqode.scalar import bisection_solve
 from rqode.solver import MODES, SolveConfig, solve
 
@@ -65,6 +67,12 @@ PLANTED_N = 3
 # branch of the 1/f jet
 PLANTED_BISECTIONS = ((2, "randomized", 1e-3, 0.1),
                       (2, "quantum_sim", 1e-3, 0.1))
+# the planted r = 2 jet oracle (L = 16 bumps on [eta, eta + 1/2]), digested
+# on a grid of every bump edge (u exactly 0), points below eta and above
+# eta + 1/2, and interior points, both as one (B, 1) batch and as B
+# single-point calls; the template is digested on a grid of its own
+PLANTED_ORACLE_L = 16
+PLANTED_ORACLE_ETA = 0.25
 # offsets from eta at which the stock oracles are digested (references are
 # digested at 5 times spanning the interval)
 ORACLE_OFFSETS = (-0.25, 0.0, 0.375, 1.5)
@@ -104,6 +112,34 @@ def _oracle_digests(name) -> dict:
     out["reference"] = _arrays_sha([fx.reference(ts)]
                                    + [fx.reference(t) for t in ts])
     out["y_star"] = None if fx.y_star is None else repr(fx.y_star)
+    return out
+
+
+def _planted_oracle_grid() -> np.ndarray:
+    width = 0.5 / PLANTED_ORACLE_L
+    edges = np.arange(PLANTED_ORACLE_L + 1, dtype=float)
+    fractions = np.array([1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999])
+    inner = (edges[:-1, None] + fractions).ravel()
+    outside = np.array([-1e3, -1.0, -1e-3, -1e-12])
+    offsets = np.concatenate([edges * width, inner * width, outside,
+                              0.5 - outside,
+                              np.random.default_rng(7).uniform(0.0, 0.5, 64)])
+    return PLANTED_ORACLE_ETA + offsets
+
+
+def _planted_oracle_digests() -> dict:
+    lambdas = np.random.default_rng(2024).uniform(-1.0, 1.0, PLANTED_ORACLE_L)
+    pl = make_planted(lambdas, PLANTED_PARAMS[2], eta=PLANTED_ORACLE_ETA)
+    grid = _planted_oracle_grid()
+    out = {}
+    for k in range(3):
+        out["derivs%d/batch" % k] = _arrays_sha([pl.derivs(k, grid[:, None])])
+        out["derivs%d/points" % k] = _arrays_sha(pl.derivs(k, grid[i:i + 1])
+                                                 for i in range(grid.size))
+    us = np.concatenate([np.linspace(-0.5, 1.5, 81), [0.0, 1.0, 1e-3, 0.999],
+                         np.random.default_rng(5).uniform(0.0, 1.0, 64)])
+    for k in range(4):
+        out["template%d" % k] = _arrays_sha([bump_template(us, k)])
     return out
 
 
@@ -156,7 +192,8 @@ def compute_digests() -> dict:
                 report_bytes(runner(plan)))
     oracles = {name: _oracle_digests(name) for name in fixture_names()}
     return {"seed": SEED, "solves": solves, "reports": reports,
-            "bisections": bisections, "ladders": ladders, "oracles": oracles}
+            "bisections": bisections, "ladders": ladders, "oracles": oracles,
+            "planted_oracle": _planted_oracle_digests()}
 
 
 def test_solve_digests_unchanged():
@@ -171,6 +208,7 @@ def test_solve_digests_unchanged():
     assert now["bisections"] == recorded["bisections"]
     assert now["ladders"] == recorded["ladders"]
     assert now["oracles"] == recorded["oracles"]
+    assert now["planted_oracle"] == recorded["planted_oracle"]
 
 
 if __name__ == "__main__":
