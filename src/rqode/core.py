@@ -11,7 +11,6 @@ simulated quantum queries).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -153,17 +152,15 @@ class CostLedger:
 
 
 class IvpProblem:
-    """An initial-value problem given by one exact derivative-tensor oracle.
+    """An initial-value problem given by one exact jet oracle.
 
-    ``derivs(k, y)`` returns the order-``k`` derivative tensor of f at a point
-    ``y`` of shape ``(d,)``: shape ``(d,) * (k + 1)``.  Order 0 must also take
-    a batch ``Y`` of shape ``(B, d)`` and return shape ``(B, d)``, row b equal
-    to the single-point call at ``Y[b]``: the residual families and the
-    bisection's cell tables evaluate f on batches.  Scalar problems (d = 1)
-    given to the endpoint solver take a batch at every order and return shape
-    ``(B,) + (1,) * (k + 1)``; every stock fixture takes a batch this way.
-    ``f`` is the order-0 entry ``functools.partial(derivs, 0)``, bound to the
-    ``derivs`` given here.  Oracles must be pure functions of their arguments.
+    ``derivs(k, y)`` returns the list of the derivative tensors of f of
+    orders 0..k, as float arrays, at a point ``y`` of shape ``(d,)`` or at a
+    batch of shape ``(B, d)``: order q has shape ``lead + (d,) * (q + 1)``
+    with ``lead`` empty or ``(B,)``, and row b of a batch is the
+    single-point value at ``Y[b]``.  ``f(y)`` is order 0 of ``derivs(0, y)``,
+    bound to the ``derivs`` given here.  Oracles must be pure functions of
+    their arguments.
     """
 
     def __init__(self, dim: int, derivs: Callable, eta, interval: tuple,
@@ -175,7 +172,7 @@ class IvpProblem:
         if not a < b:
             raise ValueError("interval must satisfy a < b")
         self.dim = int(dim)
-        self.f = functools.partial(derivs, 0)
+        self.f = lambda y: derivs(0, y)[0]
         self.derivs = derivs
         eta = np.asarray(eta, dtype=float)
         if eta.size != self.dim:
@@ -188,7 +185,12 @@ class IvpProblem:
         self._check_construction()
 
     def _check_construction(self):
-        f_eta = np.asarray(self.f(self.eta), dtype=float)
+        jet = self.derivs(0, self.eta)
+        if not isinstance(jet, list) or len(jet) != 1:
+            raise ValueError("problem %r: derivs(k, y) must return the list of "
+                             "orders 0..k, [f(y)] for k = 0; derivs(0, eta) "
+                             "returned %s" % (self.name, type(jet).__name__))
+        f_eta = np.asarray(jet[0], dtype=float)
         if f_eta.shape != (self.dim,):
             raise ValueError("f must map (d,) arrays to (d,) arrays")
         if np.all(f_eta == 0.0):
@@ -280,15 +282,11 @@ def validate_holder(problem: IvpProblem, params: HolderParams,
 
     tensors = []
     for y in pts:
-        row = []
-        for k in range(params.r + 1):
-            try:
-                row.append(np.asarray(problem.derivs(k, y), dtype=float))
-            except Exception as exc:
-                raise RuntimeError(
-                    "derivative oracle failed at order %d, point %r" % (k, y.tolist())
-                ) from exc
-        tensors.append(row)
+        try:
+            tensors.append(problem.derivs(params.r, y))
+        except Exception as exc:
+            raise RuntimeError("derivative oracle failed up to order %d at "
+                               "point %r" % (params.r, y.tolist())) from exc
 
     for y, row in zip(pts, tensors):
         for k, tens in enumerate(row):

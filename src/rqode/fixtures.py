@@ -73,15 +73,14 @@ def _cos_time_derivs(k, y):
         raise ValueError("cos_time supplies derivatives up to order 2")
     y = np.asarray(y, dtype=float)
     u = y[..., 0]
-    out = np.zeros(y.shape[:-1] + (2,) * (k + 1))
-    if k == 0:
-        out[..., 0] = 1.0
-        out[..., 1] = np.cos(u)
-    elif k == 1:
-        out[..., 1, 0] = -np.sin(u)
-    else:
-        out[..., 1, 0, 0] = -np.cos(u)
-    return out
+    jet = [np.zeros(y.shape[:-1] + (2,) * (q + 1)) for q in range(k + 1)]
+    jet[0][..., 0] = 1.0
+    jet[0][..., 1] = np.cos(u)
+    if k >= 1:
+        jet[1][..., 1, 0] = -np.sin(u)
+    if k == 2:
+        jet[2][..., 1, 0, 0] = -jet[0][..., 1]
+    return jet
 
 
 # ---------------------------------------------------------------------------
@@ -90,22 +89,24 @@ def _cos_time_derivs(k, y):
 def _build_scalar(entry, params):
     """Jet oracle, reference and endpoint of a ``_SCALAR_FAMILIES`` row.
 
-    ``derivs(0, .)`` is the row's f itself, with no reshape: the solvers
-    call it once per fine piece.  ``y_star`` is given when the entry
-    declares the lower bound ``p`` that the endpoint solver needs.
+    ``derivs`` writes order 0, the row's f itself, first with no loop or
+    reshape: r = 0 solves fetch it per fine piece.  ``y_star`` is given when
+    the entry declares the lower bound ``p`` that the endpoint solver needs.
     """
     family = entry.get("family", entry["name"])
-    jet, closed_form = _SCALAR_FAMILIES[family]
+    rows, closed_form = _SCALAR_FAMILIES[family]
     a, b, eta = entry["a"], entry["b"], entry["eta"]
     eta0 = eta[0]
 
     def derivs(k, y):
         y = np.asarray(y, dtype=float)
         if k == 0:
-            return jet[0](y)
+            return [rows[0](y)]
         if k not in (1, 2):
             raise ValueError("%s supplies derivatives up to order 2" % family)
-        return jet[k](y).reshape(y.shape[:-1] + (1,) * (k + 1))
+        lead = y.shape[:-1]
+        return [rows[0](y)] + [rows[q](y).reshape(lead + (1,) * (q + 1))
+                               for q in range(1, k + 1)]
 
     def ref(t):
         v = closed_form(eta0, np.asarray(t, dtype=float) - a)
@@ -121,9 +122,8 @@ def _build_constant(entry, params):
 
     def derivs(k, y):
         lead = np.shape(y)[:-1]
-        if k == 0:
-            return np.broadcast_to(c, lead + c.shape).copy()
-        return np.zeros(lead + (c.size,) * (k + 1))
+        return [np.broadcast_to(c, lead + c.shape).copy()] + [
+            np.zeros(lead + (c.size,) * (q + 1)) for q in range(1, k + 1)]
 
     def ref(t):
         t = np.asarray(t, dtype=float)

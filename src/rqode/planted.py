@@ -12,7 +12,7 @@ so any estimate of z(1) recovers the planted mean after an affine map that
 amplifies errors by exactly ``n^(r+rho) / mean_scale``.  These problems are
 verification fixtures: solving them and recovering the mean checks solver
 accuracy at the amplification scale.  The jet oracle ``derivs(k, y)`` finds
-each point's bump and evaluates the template once for all orders 0..k.
+each point's bump, evaluates the template once and returns f's orders 0..k.
 """
 
 from __future__ import annotations
@@ -48,13 +48,14 @@ TEMPLATE_SUP_DERIV = {
 
 def _bump_jet(x, bins: int, k: int):
     """Bin index, support mask and template orders 0..k at x in bin units:
-    the bin is floor(x) clamped to [0, bins), the mask 0 < u < 1 on the offset
-    u in it is false for NaN and +-inf, and orders exist only where it holds."""
+    the bin is floor(x) clamped to [0, bins), the mask 1e-3 < u < 1 on the
+    offset u in it is false for NaN and +-inf, and orders exist only where it
+    holds (every order is +0.0 at u <= 1e-3, where 0 * inf could give NaN)."""
     if k not in (0, 1, 2, 3):
         raise ValueError("template derivatives available up to order 3")
     idx = np.minimum(np.maximum(np.floor(x), 0.0), bins - 1.0)
     u = x - idx
-    mask = (0.0 < u) & (u < 1.0)
+    mask = (1e-3 < u) & (u < 1.0)
     ui = u[mask]
     if not ui.size:
         return idx, mask, []
@@ -143,8 +144,9 @@ class PlantedProblem:
         if k not in (0, 1, 2):
             raise ValueError("planted problems supply derivatives up to order 2")
         y = np.asarray(y, dtype=float)
-        shape = y.shape[:-1] + (1,) * (k + 1) if k else y.shape
-        return reciprocal_jet(self._jet(y.reshape(-1), k))[k].reshape(shape)
+        lead = y.shape[:-1]
+        return [t.reshape(lead + (1,) * (q + 1)) for q, t in
+                enumerate(reciprocal_jet(self._jet(y.reshape(-1), k)))]
 
     def _derive_f_params(self) -> HolderParams:
         """Class declaration for f = 1/g from the g-construction bounds."""

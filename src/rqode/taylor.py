@@ -33,17 +33,14 @@ __all__ = [
 def fetch_jet(problem: IvpProblem, y: np.ndarray, r: int,
               ledger: Optional[CostLedger] = None) -> List[np.ndarray]:
     """Derivative tensors of f, orders 0..r, at a ``(d,)`` point or a
-    ``(B, d)`` batch (which the oracles must accept); one oracle call per
-    order, charged one evaluation per point."""
+    ``(B, d)`` batch: one ``derivs(r, y)`` call, charged one evaluation per
+    order per point."""
     y = np.asarray(y, dtype=float)
-    points = 1 if y.ndim == 1 else y.shape[0]
-    jet = [np.asarray(problem.f(y), dtype=float)]
+    jet = problem.derivs(r, y)
     if ledger is not None:
+        points = 1 if y.ndim == 1 else y.shape[0]
         ledger.f_evals += points
-    for k in range(1, r + 1):
-        jet.append(np.asarray(problem.derivs(k, y), dtype=float))
-        if ledger is not None:
-            ledger.deriv_evals += points
+        ledger.deriv_evals += r * points
     return jet
 
 

@@ -11,11 +11,9 @@ from rqode.planted import make_planted
 def make_linear_problem(slope=2.0, eta=1.0):
     def derivs(k, y):
         y = np.asarray(y, dtype=float)
-        if k == 0:
-            return slope * y
-        if k == 1:
-            return np.full((1, 1), slope)
-        return np.zeros((1,) * (k + 1))
+        return [slope * y] + [np.full((1, 1), slope) if q == 1
+                              else np.zeros((1,) * (q + 1))
+                              for q in range(1, k + 1)]
     return IvpProblem(1, derivs, [eta], (0.0, 1.0))
 
 
@@ -117,7 +115,7 @@ class TestHolderParams:
 class TestProblemConstruction:
     def test_zero_initial_field_rejected(self):
         def derivs(k, y):
-            return np.zeros((1,) * (k + 1))
+            return [np.zeros((1,) * (q + 1)) for q in range(k + 1)]
         with pytest.raises(ValueError, match="nonzero"):
             IvpProblem(1, derivs, [1.0], (0, 1))
 
@@ -125,10 +123,22 @@ class TestProblemConstruction:
         # an order-0 oracle that ignores the batch axis fails here, not in
         # the first residual family that evaluates a batch
         def derivs(k, y):
-            return np.array([0.5]) if k == 0 else np.zeros((1,) * (k + 1))
+            return [np.array([0.5])] + [np.zeros((1,) * (q + 1))
+                                        for q in range(1, k + 1)]
         with pytest.raises(ValueError, match=r"^problem 'blind': f maps a "
                            r"\(2, 1\) batch to shape \(1,\)$"):
             IvpProblem(1, derivs, [1.0], (0, 1), name="blind")
+
+    def test_bare_array_oracle_named(self):
+        # an oracle that returns order k alone instead of the list of orders
+        # 0..k fails here, not with a misleading shape message
+        def derivs(k, y):
+            return np.asarray(y, dtype=float) + 1.0 if k == 0 \
+                else np.zeros((1,) * (k + 1))
+        with pytest.raises(ValueError, match=r"^problem 'bare': derivs\(k, y\) "
+                           r"must return the list of orders 0\.\.k, \[f\(y\)\] "
+                           r"for k = 0; derivs\(0, eta\) returned ndarray$"):
+            IvpProblem(1, derivs, [1.0], (0, 1), name="bare")
 
     @pytest.mark.parametrize("name", ["sin_flow", "inv1p_r1", "cos_time_r1",
                                       "constant", "planted"])
@@ -141,7 +151,7 @@ class TestProblemConstruction:
         point = prob.eta + 0.125
         batch = prob.eta + np.linspace(-0.25, 0.25, 5)[:, None]
         for y in (point, batch):
-            got, want = prob.f(y), prob.derivs(0, y)
+            got, want = prob.f(y), prob.derivs(0, y)[0]
             assert got.shape == want.shape == y.shape
             assert got.tobytes() == want.tobytes()
 
@@ -169,7 +179,7 @@ class TestProblemConstruction:
     ])
     def test_non_finite_rejected(self, name, eta, interval, bad):
         def derivs(k, y):
-            return np.asarray(y, dtype=float)
+            return [np.asarray(y, dtype=float)]
         with pytest.raises(ValueError, match="^%s must be finite" % name):
             IvpProblem(2, derivs, eta(bad), interval(bad))
 
@@ -244,11 +254,9 @@ class TestValidateHolder:
 
     def test_oracle_failure_identifies_point(self):
         def derivs(k, y):
-            if k == 0:
-                return np.asarray(y, dtype=float) + 1.0
-            if float(np.asarray(y)[0]) > 0.5:
+            if k and float(np.asarray(y)[0]) > 0.5:
                 raise RuntimeError("boom")
-            return np.ones((1, 1))
+            return [np.asarray(y, dtype=float) + 1.0] + [np.ones((1, 1))] * k
         prob = IvpProblem(1, derivs, [0.0], (0, 1))
         params = HolderParams(r=1, rho=1.0, D=(2.0, 1.0), H=1.0)
         with pytest.raises(RuntimeError, match="order 1"):

@@ -64,19 +64,21 @@ class TestRegistry:
             for offset in (-0.2, 0.0, 0.3):
                 y = fx.problem.eta + offset
                 for k in (1, 2):
-                    exact = np.asarray(fx.problem.derivs(k, y))
+                    exact = fx.problem.derivs(k, y)[k]
                     assert exact.shape == (d,) * (k + 1), (name, k)
                     for j, e in enumerate(np.eye(d)):
-                        fd = (np.asarray(fx.problem.derivs(k - 1, y + h * e))
-                              - np.asarray(fx.problem.derivs(k - 1, y - h * e))
+                        fd = (fx.problem.derivs(k - 1, y + h * e)[k - 1]
+                              - fx.problem.derivs(k - 1, y - h * e)[k - 1]
                               ) / (2 * h)
                         assert np.allclose(exact[..., j], fd, rtol=1e-6,
                                            atol=1e-8), (name, k, offset, j)
 
     def test_oracles_take_a_batch(self):
-        # row b of derivs(k, Y) for Y of shape (B, d) is the single-point
-        # call at Y[b], bit for bit, and row b of f(Y) is f(Y[b]) and
-        # derivs(0, Y[b])
+        # derivs(k, .) returns orders 0..k; order q of derivs(k, Y) for Y of
+        # shape (B, d) has shape (B,) + (d,) * (q + 1), its row b is order q
+        # of the single-point call at Y[b], and at a point and on a batch it
+        # is order q of derivs(q, .), all bit for bit; row b of f(Y) is
+        # f(Y[b]) and order 0 of derivs(0, Y[b])
         planted = make_planted([0.5, -0.25, 0.75, -1.0],
                                HolderParams(r=2, rho=0.5, D=(1.2, 1.0, 1.0),
                                             H=1.0))
@@ -90,18 +92,28 @@ class TestRegistry:
             F = np.asarray(prob.f(Y), dtype=float)
             assert F.shape == (23, d), prob.name
             for b in range(23):
-                for single in (prob.f(Y[b]), prob.derivs(0, Y[b])):
+                for single in (prob.f(Y[b]), prob.derivs(0, Y[b])[0]):
                     assert F[b].tobytes() == \
                         np.asarray(single, dtype=float).tobytes(), \
                         (prob.name, b)
             for k in (0, 1, 2):
-                batch = np.asarray(prob.derivs(k, Y), dtype=float)
-                assert batch.shape == (23,) + (d,) * (k + 1), (prob.name, k)
+                batch = prob.derivs(k, Y)
+                assert len(batch) == k + 1, (prob.name, k)
                 for b in range(23):
-                    single = np.asarray(prob.derivs(k, Y[b]), dtype=float)
-                    assert batch[b].shape == single.shape
-                    assert batch[b].tobytes() == single.tobytes(), \
-                        (prob.name, k, b)
+                    single = prob.derivs(k, Y[b])
+                    assert len(single) == k + 1, (prob.name, k, b)
+                    for q in range(k + 1):
+                        assert batch[q][b].shape == single[q].shape
+                        assert batch[q][b].tobytes() == single[q].tobytes(), \
+                            (prob.name, k, q, b)
+                        assert single[q].tobytes() == \
+                            prob.derivs(q, Y[b])[q].tobytes(), \
+                            (prob.name, k, q, b)
+                for q in range(k + 1):
+                    assert batch[q].shape == (23,) + (d,) * (q + 1), \
+                        (prob.name, k, q)
+                    assert batch[q].tobytes() == \
+                        prob.derivs(q, Y)[q].tobytes(), (prob.name, k, q)
 
     def test_derivative_order_limit(self):
         for name in ("sin_flow", "exp_flow", "cos_time", "inv1p"):

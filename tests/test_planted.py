@@ -51,6 +51,19 @@ class TestTemplate:
             assert bump_template(0.0, k) == 0.0
             assert bump_template(1.0, k) == 0.0
             assert bump_template(-0.5, k) == 0.0
+        # just inside an edge psi underflows to 0 while its weight w
+        # overflows; every order is 0 there, not 0 * inf = nan
+        assert bump_template(1e-200, 1) == 0.0
+        assert bump_template(1e-80, 2) == 0.0
+        us = np.concatenate([np.logspace(-323, -3, 200),
+                             1.0 - np.logspace(-16, -3, 50)])
+        for k in (0, 1, 2, 3):
+            assert np.all(np.isfinite(bump_template(us, k))), k
+        pl = make_planted([0.5, -1.0], PARAMS_R2)
+        jet = pl.derivs(2, np.array([1e-200]))
+        assert [t.tolist() for t in jet] == [[1.0], [[0.0]], [[[0.0]]]]
+        jet = pl.derivs(2, us[:, None] * pl.width)
+        assert all(np.all(np.isfinite(t)) for t in jet)
 
 
 def one_hot(i, n):
@@ -136,9 +149,9 @@ class TestPlantedProblem:
             pl = make_planted(rng.uniform(-1, 1, 4), params)
             for k in range(1, params.r + 1):
                 for y in (0.06, 0.21, 0.3):
-                    dk = float(pl.derivs(k, np.array([y])).ravel()[0])
-                    lo, hi = (pl.derivs(k - 1, np.array([y + s])).ravel()[0]
-                              for s in (-h, h))
+                    dk = float(pl.derivs(k, np.array([y]))[k].ravel()[0])
+                    lo, hi = (pl.derivs(k - 1, np.array([y + s]))[k - 1]
+                              .ravel()[0] for s in (-h, h))
                     fd = (hi - lo) / (2 * h)
                     assert dk == pytest.approx(fd, rel=5e-5, abs=1e-8), (k, y)
 

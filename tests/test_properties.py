@@ -81,8 +81,8 @@ def test_planted_batch_equals_points(rk, ys, seed):
     r, k = rk
     ys = np.concatenate([ys, np.random.default_rng(seed).uniform(-0.1, 0.6, 8)])
     with np.errstate(all="ignore"):
-        batch = PLANTED[r].derivs(k, ys[:, None])
-        points = np.stack([PLANTED[r].derivs(k, ys[i:i + 1])
+        batch = PLANTED[r].derivs(k, ys[:, None])[k]
+        points = np.stack([PLANTED[r].derivs(k, ys[i:i + 1])[k]
                            for i in range(ys.size)])
     assert batch.shape == points.shape == (ys.size,) + (1,) * (k + 1)
     assert batch.tobytes() == points.tobytes()

@@ -22,9 +22,8 @@ def defect_closed_form(y):
 
 def constant_field_problem(c=0.8):
     def derivs(k, y):
-        if k == 0:
-            return np.full_like(np.asarray(y, dtype=float), c)
-        return np.zeros((1,) * (k + 1))
+        return [np.full_like(np.asarray(y, dtype=float), c)] + [
+            np.zeros((1,) * (q + 1)) for q in range(1, k + 1)]
     prob = IvpProblem(1, derivs, [0.0], (0.0, 1.0))
     params = HolderParams(r=0, rho=1.0, D=(1.0,), H=1e-9, p=0.5)
     return prob, params
@@ -87,12 +86,9 @@ class TestEstimateDefect:
 
     def test_class_violation_detected(self):
         def derivs(k, y):
-            if k == 0:
-                # crosses below p on the probed range
-                return 1.0 - np.asarray(y, dtype=float)
-            if k == 1:
-                return np.full((1, 1), -1.0)
-            return np.zeros((1, 1, 1))
+            # crosses below p on the probed range
+            return [1.0 - np.asarray(y, dtype=float), np.full((1, 1), -1.0),
+                    np.zeros((1, 1, 1))][:k + 1]
         prob = IvpProblem(1, derivs, [0.0], (0.0, 1.0))
         params = HolderParams(r=0, rho=1.0, D=(1.0,), H=1.0, p=0.5)
         with pytest.raises(ClassViolationError):
@@ -182,11 +178,12 @@ def field_with_hole(r, hole, bad=np.nan, bad_order=0):
 
     def derivs(k, y):
         y = np.asarray(y, dtype=float)
-        out = np.asarray(base(k, y), dtype=float)
-        if k != bad_order:
-            return out
-        return np.where(hole(y).reshape(y.shape[:-1] + (1,) * (k + 1)),
-                        bad, out)
+        out = base(k, y)
+        if k >= bad_order:
+            out[bad_order] = np.where(
+                hole(y).reshape(y.shape[:-1] + (1,) * (bad_order + 1)),
+                bad, out[bad_order])
+        return out
     return IvpProblem(1, derivs, [0.0], (0.0, 1.5)), fx.params
 
 

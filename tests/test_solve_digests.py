@@ -9,10 +9,10 @@ each order r = 0, 1, 2 in every mode at a fixed seed, the sha256 of
 (and at eps = 1e-4 in the stochastic modes) and for one r = 2 planted
 problem in two modes, of ``report_bytes`` for one tiny
 ``run_ladder`` per stochastic mode and one tiny ``run_scalar_ladder`` per
-mode, of every stock fixture's oracles (``f``, ``derivs(k)`` for
-k = 0, 1, 2, the reference and ``y_star``) at fixed points, and of one r = 2
-planted oracle (``derivs(k)`` as a batch and point by point, and the bump
-template) on a grid through every bump edge.  Any change to
+mode, of every stock fixture's oracles (``f``, order k of ``derivs(k)``
+for k = 0, 1, 2, the reference and ``y_star``) at fixed points, and of one
+r = 2 planted oracle (order k of ``derivs(k)`` as a batch and point by
+point, and the bump template) on a grid through every bump edge.  Any change to
 the oracles, the fine chain, the exact field integration, the endpoint
 solver, the ladder runners or the estimators that moves a single ulp or a
 single charge fails here.
@@ -106,7 +106,7 @@ def _oracle_digests(name) -> dict:
     points = [fx.problem.eta + s for s in ORACLE_OFFSETS]
     out = {"f": _arrays_sha(fx.problem.f(y) for y in points)}
     for k in range(3):
-        out["derivs%d" % k] = _arrays_sha(fx.problem.derivs(k, y)
+        out["derivs%d" % k] = _arrays_sha(fx.problem.derivs(k, y)[k]
                                           for y in points)
     ts = np.linspace(fx.problem.a, fx.problem.b, 5)
     out["reference"] = _arrays_sha([fx.reference(ts)]
@@ -133,8 +133,9 @@ def _planted_oracle_digests() -> dict:
     grid = _planted_oracle_grid()
     out = {}
     for k in range(3):
-        out["derivs%d/batch" % k] = _arrays_sha([pl.derivs(k, grid[:, None])])
-        out["derivs%d/points" % k] = _arrays_sha(pl.derivs(k, grid[i:i + 1])
+        out["derivs%d/batch" % k] = _arrays_sha(
+            [pl.derivs(k, grid[:, None])[k]])
+        out["derivs%d/points" % k] = _arrays_sha(pl.derivs(k, grid[i:i + 1])[k]
                                                  for i in range(grid.size))
     us = np.concatenate([np.linspace(-0.5, 1.5, 81), [0.0, 1.0, 1e-3, 0.999],
                          np.random.default_rng(5).uniform(0.0, 1.0, 64)])

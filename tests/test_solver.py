@@ -200,11 +200,12 @@ def clock_with_hole(r, hole, bad_order=0):
     ``hole(y)``; the chain visits 0, 0.25, 0.5, 0.75 at n = m = 2."""
     def derivs(k, y):
         y = np.asarray(y, dtype=float)
-        if k == 0:
-            return np.where(hole(y) & (bad_order == 0), np.nan, 1.0)
-        out = np.zeros(y.shape + (1,) * k)
-        return np.where(hole(y).reshape(out.shape) & (bad_order == k),
-                        np.nan, out)
+        jet = [np.where(hole(y) & (bad_order == 0), np.nan, 1.0)]
+        for q in range(1, k + 1):
+            out = np.zeros(y.shape + (1,) * q)
+            jet.append(np.where(hole(y).reshape(out.shape) & (bad_order == q),
+                                np.nan, out))
+        return jet
     params = HolderParams(r=r, rho=1.0, D=(1.0,) * (r + 1), H=1.0)
     return IvpProblem(1, derivs, [0.0], (0.0, 1.0)), params
 

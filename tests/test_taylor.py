@@ -15,13 +15,11 @@ from rqode.taylor import (PiecewiseTaylorApprox, fetch_jet,
 def quadratic_problem():
     def derivs(k, y):
         y = np.asarray(y, dtype=float)
-        if k == 0:
-            return y ** 2
-        if k == 1:
-            return (2.0 * y).reshape(1, 1)
-        if k == 2:
-            return np.full((1, 1, 1), 2.0)
-        raise ValueError(k)
+        if k > 2:
+            raise ValueError(k)
+        lead = y.shape[:-1]
+        return [y ** 2, (2.0 * y).reshape(lead + (1, 1)),
+                np.full(lead + (1, 1, 1), 2.0)][:k + 1]
     return IvpProblem(1, derivs, [1.0], (0.0, 0.5))
 
 
@@ -104,6 +102,23 @@ class TestFlowCoeffs:
             assert (one.f_evals, one.deriv_evals) == (1, r)
             assert [t[b].tobytes() for t in jet] == [
                 t.tobytes() for t in single]
+
+    @pytest.mark.parametrize("name", ["sin_flow", "cos_time"])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_one_oracle_call_per_jet(self, name, r):
+        # one derivs(r, .) call per point or batch, and none to f
+        prob = get_fixture(name).problem
+        calls, derivs = [], prob.derivs
+
+        def counting(k, y):
+            calls.append((k, np.shape(y)))
+            return derivs(k, y)
+        prob.derivs = counting
+        prob.f = lambda y: pytest.fail("fetch_jet called f")
+        Y = prob.eta + np.linspace(0.0, 0.5, 4)[:, None]
+        fetch_jet(prob, Y[0], r)
+        fetch_jet(prob, Y, r)
+        assert calls == [(r, Y[0].shape), (r, Y.shape)]
 
 
 class TestTaylorStep:
