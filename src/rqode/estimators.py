@@ -10,19 +10,21 @@ Three backends estimate the mean of an indexed family of bounded vectors:
   primitive: charges ``min(s, ceil(c_q * M / eps1))`` queries and returns
   the true mean plus modeled noise, within ``eps1`` w.p. >= 3/4.
 
-``median_boost`` raises any 3/4-success estimator to success probability
-``(1 - delta)^(1/n)`` by taking the component-wise median of
+A 3/4-success estimate is raised to success probability
+``(1 - delta)^(1/n)`` by the component-wise median of
 ``median_rep_count(n, delta)`` independent runs; the count comes from an
-exact binomial-tail computation, not an asymptotic formula.  The runs draw
-in turn from one stream, each in one call, so no child stream is built.
-The IVP solvers boost every step's residual mean through it, and the
-endpoint bisection every midpoint's defect estimate.
+exact binomial-tail computation, not an asymptotic formula.  ``mc_mean``
+and ``quantum_sim_mean`` take that run count k themselves and return the
+median of their k runs, drawn in turn from one stream in a few large
+blocks, so no child stream is built.  The IVP solvers boost every step's
+residual mean this way, and the endpoint bisection every midpoint's defect
+estimate.  ``median_boost`` applies the same median rule to any
+``(family, eps1, rng)`` base, one call per run.
 
 Charges are per index requested, whether an item is computed or read back
 from the family's item table: ``mc_mean`` tabulates the whole family once
-when the runs that read it (``median_boost`` records their count k on the
-family) draw at least as many items in total as the family holds, so the
-boosted runs share one table, but the ledger still pays for every draw.
+when its k runs draw at least as many items in total as the family holds,
+so the runs share one table, but the ledger still pays for every draw.
 The family's exact mean is computed once, next to its table, for the
 quantum stub and the estimate-error audit.
 
@@ -30,7 +32,7 @@ The sampled and exact means read a family through ``IndexedFamily.mean_at``.
 From a table it takes each draw's items component by component and sums
 them in the order numpy's ``items.mean(axis=0)`` would (pairwise for d = 1,
 row after row for d >= 2), so a table changes wall time only, never a value
-or a charge.
+or a charge.  A block of draws is reduced row by row in that same order.
 
 ``BACKENDS`` holds one :class:`Backend` record per oracle-cost model, keyed
 by mode name (``MODES``): everything the solvers, the endpoint bisection and
@@ -95,11 +97,8 @@ class IndexedFamily:
     reads items from it instead of computing them, and still charges per
     index.  ``mean_at`` reads and reduces in one step, from a
     component-major copy of the table.  ``exact_mean`` caches the mean of
-    the table.
-
-    ``runs`` is the number of estimator runs that will read the family;
-    ``median_boost`` sets it to its k, and ``mc_mean`` reads it to decide
-    whether tabulating pays.
+    the table.  Whether tabulating pays is the caller's call: ``mc_mean``
+    tabulates when its k runs together read at least s items.
     """
 
     def __init__(self, cells: int, n_mid: int, dim: int, bound: float,
@@ -118,7 +117,6 @@ class IndexedFamily:
         self._columns = None
         self._mean = None
         self._peeked = False
-        self.runs = 1
 
     def _items(self, i: np.ndarray, k: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -148,29 +146,32 @@ class IndexedFamily:
         return out
 
     def mean_at(self, idx) -> np.ndarray:
-        """Mean of the items at the given indices, charged like ``access``.
+        """Row means of a ``(sigma,)`` or ``(rows, sigma)`` index block,
+        charged like ``access``.
 
-        Equal bit for bit to ``access(idx).mean(axis=0)``, which is what it
-        returns when there is no table.  With a table it gathers from the
-        ``(d, s)`` component-major copy (built once; for d = 1 a view of
-        the table) without copying ``(sigma, d)`` rows, and sums in numpy's
-        own axis-0 order: one pairwise sum for d = 1, where numpy reduces
-        the ``(sigma, 1)`` array as one contiguous run, and a row-sequential
-        sum per component for d >= 2, where it adds row after row.  The
-        total is then divided by ``idx.size``.
+        Row by row equal bit for bit to ``access(row).mean(axis=0)``, which
+        is how the block is reduced when there is no table (one ``access``).
+        With a table it gathers from the ``(d, s)`` component-major copy
+        (built once; for d = 1 a view of the table) without copying
+        ``(sigma, d)`` rows, and sums each row in numpy's own axis-0 order:
+        one pairwise sum for d = 1, where numpy reduces the ``(sigma, 1)``
+        array as one contiguous run, and a row-sequential sum per component
+        for d >= 2, where it adds row after row.  Totals are divided by sigma.
         """
         idx = np.atleast_1d(np.asarray(idx, dtype=int))
+        sigma = idx.shape[-1]
         if self._table is None:
-            return self.access(idx).mean(axis=0)
+            items = self.access(idx.reshape(-1))
+            return items.reshape(idx.shape + (self.dim,)).mean(axis=-2)
         if self._columns is None:
             self._columns = np.ascontiguousarray(self._table.T)
         items = self._columns.take(idx, axis=1)
         if self.dim == 1:
-            total = items.sum(axis=1)
+            total = items.sum(axis=-1)
         else:
-            total = np.cumsum(items, axis=1, out=items)[:, -1]
+            total = np.cumsum(items, axis=-1, out=items)[..., -1]
         self.ledger.f_evals += idx.size
-        return total / idx.size
+        return total.T / sigma
 
     def peek_all(self) -> np.ndarray:
         """All items without ledger charges (simulation overhead only).
@@ -237,102 +238,130 @@ def _sample_size(family: IndexedFamily, eps1: float) -> int:
                int(math.ceil((MC_CALIBRATION * family.bound / eps1) ** 2)))
 
 
-def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream) -> MeanEstimate:
-    """Monte Carlo mean: with-replacement sample of calibrated size.
+def _run_count(k) -> int:
+    if k < 1 or k % 2 == 0:
+        raise ValueError("k must be an odd positive integer")
+    return int(k)
+
+
+def _median_of_runs(values, success: float):
+    """The median-of-k rule: the value and nominal success of k odd runs,
+    each of nominal success ``success``; one run passes through."""
+    if len(values) == 1:
+        return values[0], success
+    return (np.median(values, axis=0),
+            1.0 - float(binomial_fail_tail(len(values))))
+
+
+def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream,
+            k: int = 1) -> MeanEstimate:
+    """Monte Carlo mean: the median of k with-replacement sample runs.
 
     The sample size ``min(s, ceil((c*M/eps1)^2))`` keeps the per-component
-    standard error at most ``eps1/c``, hence (Chebyshev, c = 2) deviations
-    beyond ``eps1`` have probability at most 1/4.  When the formula clamps
-    at the family size the sample is replaced by full enumeration and the
-    estimate is exact.
+    standard error at most ``eps1/c``, hence (Chebyshev, c = 2) one run
+    (k = 1) deviates beyond ``eps1`` with probability at most 1/4.  When
+    the formula clamps at the family size the sample is replaced by full
+    enumeration and the estimate is exact.
 
-    When the ``family.runs`` runs that read the family draw at least as
-    many items in total as it holds (``runs * reps * sigma >= s``,
-    enumeration included), they share one table built first; every drawn
-    index is still charged one f evaluation.
+    When the k runs draw at least as many items in total as the family
+    holds (``k * reps * sigma >= s``, enumeration included), they share one
+    table built first; every drawn index is still charged one f evaluation.
 
-    A run draws one ``(reps, sigma)`` index block and reduces each row by
-    ``family.mean_at``: from the table, one gather and one sum in numpy's
-    axis-0 order with no ``(sigma, d)`` row copy, equal to the computed
-    items' mean bit for bit.
+    A run takes the median of ``reps`` means of sigma draws.  The runs draw
+    in turn from ``rng`` in ``(g * reps, sigma)`` index blocks of
+    ``g = max(1, s // (reps * sigma))`` runs, so that a block holds no more
+    indices than the family has items, each reduced by one ``mean_at``.
+    Philox continues a draw across calls, so the value is
+    ``median_boost(mc_mean, ..., k)``'s bit for bit.
     """
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
+    k = _run_count(k)
     snap = family.ledger.snapshot()
+    s, dim = family.size, family.dim
     sigma = _sample_size(family, eps1)
-    reps = inner_rep_count(family.dim)
-    if family.runs * reps * sigma >= family.size:
+    reps = inner_rep_count(dim)
+    if k * reps * sigma >= s:
         family.tabulate()
     if family.bound == 0.0:
-        value = np.zeros(family.dim)
-    elif sigma >= family.size:
-        value = family.mean_at(np.arange(family.size))
+        values = np.zeros((k, dim))
+    elif sigma >= s:
+        # the k runs enumerate alike: one reduction, k charges
+        value = family.mean_at(np.arange(s))
+        family.ledger.f_evals += (k - 1) * s
+        values = np.tile(value, (k, 1))
     else:
-        idx = rng.integers(0, family.size, size=(reps, sigma))
-        draws = np.stack([family.mean_at(row) for row in idx])
-        value = draws[0] if reps == 1 else np.median(draws, axis=0)
+        g = max(1, s // (reps * sigma))
+        means = []
+        for j in range(0, k, g):
+            idx = rng.integers(0, s, size=(min(g, k - j) * reps, sigma))
+            means.append(family.mean_at(idx))
+        draws = np.concatenate(means).reshape(k, reps, dim)
+        values = draws[:, 0] if reps == 1 else np.median(draws, axis=1)
+    value, success = _median_of_runs(values, 0.75)
     return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
-                        eps_target=float(eps1), success_prob=0.75)
+                        eps_target=float(eps1), success_prob=success)
 
 
-def quantum_sim_mean(family: IndexedFamily, eps1: float,
-                     rng: RngStream) -> MeanEstimate:
+def quantum_sim_mean(family: IndexedFamily, eps1: float, rng: RngStream,
+                     k: int = 1) -> MeanEstimate:
     """Quantum mean primitive as a cost model, not a circuit simulation.
 
-    Charges ``min(s, ceil(c_q*M/eps1))`` quantum queries.  If the charge
-    clamps at the family size the mean is returned exactly (s classical
-    accesses always suffice); otherwise the returned value is the true mean
-    plus per-component noise: uniform in [-eps1, eps1] with probability 3/4,
+    Returns the median of k runs; k = 1 is one run.  A run charges
+    ``min(s, ceil(c_q*M/eps1))`` quantum queries.  If the charge clamps at
+    the family size the mean is returned exactly (s classical accesses
+    always suffice); otherwise the returned value is the true mean plus
+    per-component noise: uniform in [-eps1, eps1] with probability 3/4,
     uniform in [-2M, 2M] otherwise, the output clamped into [-2M, 2M].
     Clamping projects toward the box containing the true mean, so it never
-    hurts the contract.  A run draws all its noise as one ``(3, reps, d)``
-    uniform block: the failure mask, the wide and the narrow noise.
+    hurts the contract.  A run's noise is a ``(3, reps, d)`` uniform block
+    (the failure mask, the wide and the narrow noise), and the k runs draw
+    one ``(k, 3, reps, d)`` block: what k runs drawing in turn would draw,
+    so the value is ``median_boost(quantum_sim_mean, ..., k)``'s bit for bit.
     """
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
+    k = _run_count(k)
     snap = family.ledger.snapshot()
     M = family.bound
     q = family.size if M == 0.0 else min(
         family.size, int(math.ceil(QUANTUM_COST_CONSTANT * M / eps1)))
     truth = family.exact_mean()
+    family.ledger.quantum_queries += k * q
     if q >= family.size:
-        family.ledger.quantum_queries += family.size
-        return MeanEstimate(value=truth.copy(),
-                            cost=family.ledger.delta_since(snap),
-                            eps_target=float(eps1), success_prob=1.0)
-
-    family.ledger.quantum_queries += q
-    M_c = family.bound_vec
-    reps = inner_rep_count(family.dim)
-    fail, wide, narrow = rng.uniform(size=(3, reps, family.dim))
-    noise = np.where(fail < 0.25, (2.0 * wide - 1.0) * 2.0 * M_c,
-                     (2.0 * narrow - 1.0) * eps1)
-    draws = np.clip(truth + noise, -2.0 * M_c, 2.0 * M_c)
-    value = draws[0] if reps == 1 else np.median(draws, axis=0)
+        values, success = np.tile(truth, (k, 1)), 1.0
+    else:
+        M_c = family.bound_vec
+        reps = inner_rep_count(family.dim)
+        fail, wide, narrow = rng.uniform(
+            size=(k, 3, reps, family.dim)).swapaxes(0, 1)
+        noise = np.where(fail < 0.25, (2.0 * wide - 1.0) * 2.0 * M_c,
+                         (2.0 * narrow - 1.0) * eps1)
+        draws = np.clip(truth + noise, -2.0 * M_c, 2.0 * M_c)
+        values = draws[:, 0] if reps == 1 else np.median(draws, axis=1)
+        success = 0.75
+    value, success = _median_of_runs(values, success)
     return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
-                        eps_target=float(eps1), success_prob=0.75)
+                        eps_target=float(eps1), success_prob=success)
 
 
 def median_boost(base: Callable[..., MeanEstimate], family: IndexedFamily,
                  eps1: float, k: int, rng: RngStream) -> MeanEstimate:
     """Component-wise median of k independent runs of ``base``.
 
-    The runs draw in turn from ``rng``; a base must draw only from the
-    stream it is given.  k must be odd.  Cost is the sum of the k receipts.
-    With k from ``median_rep_count(n, delta)`` the nominal success
-    probability is ``(1 - delta)^(1/n)``.  The family's ``runs`` is set to
-    k first, so a base that tabulates can count every run's reads.
+    The generic booster for any ``(family, eps1, rng)`` base, one call per
+    run; ``mc_mean`` and ``quantum_sim_mean`` boost themselves, from their
+    ``k`` argument, by the same median rule.  The runs draw in turn from
+    ``rng``; a base must draw only from the stream it is given.  k must be
+    odd.  Cost is the sum of the k receipts.  With k from
+    ``median_rep_count(n, delta)`` the nominal success probability is
+    ``(1 - delta)^(1/n)``.
     """
-    if k < 1 or k % 2 == 0:
-        raise ValueError("k must be an odd positive integer")
-    family.runs = k
+    k = _run_count(k)
     snap = family.ledger.snapshot()
     runs = [base(family, eps1, rng) for _ in range(k)]
-    if k == 1:
-        value, success = runs[0].value, runs[0].success_prob
-    else:
-        value = np.median([est.value for est in runs], axis=0)
-        success = 1.0 - float(binomial_fail_tail(k))
+    value, success = _median_of_runs([est.value for est in runs],
+                                     runs[0].success_prob)
     return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
                         eps_target=float(eps1), success_prob=success)
 
@@ -408,8 +437,8 @@ class Backend:
     """
 
     estimator: str
-    # sampled: takes (family, eps1, rng), succeeds w.p. 3/4 and is median-
-    # boosted, so solves default eps1 = 1/n; else exact, taking (family)
+    # sampled: takes (family, eps1, rng, k), a median of k runs of 3/4
+    # success, so solves default eps1 = 1/n; else exact, taking (family)
     boosted: bool
     mesh_power: int         # default m = N = n**mesh_power
     ivp_offset: float       # IVP error ~ cost^-(order + ivp_offset)

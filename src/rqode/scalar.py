@@ -9,9 +9,9 @@ which is monotone with slope between 1/D_0 and 1/p in absolute value.  The
 solver bisects on noisy estimates of the defect: each estimate subtracts the
 degree-r Taylor polynomial of 1/f on a partition of [eta, y] (integrated
 exactly) and hands the scaled cell residuals, sampled at cell midpoints, to
-the mode's mean backend.  In the sampled modes each estimate is the
-``median_boost`` median of k runs, k chosen so that the whole bisection
-succeeds with probability 1 - delta.  The mode's
+the mode's mean backend.  In the sampled modes each estimate is the median
+of k runs, taken by the backend in one call, k chosen so that the whole
+bisection succeeds with probability 1 - delta.  The mode's
 :class:`~rqode.estimators.Backend` record also sets the cell-count law and
 the midpoint rule.
 """
@@ -27,7 +27,7 @@ import numpy as np
 from .core import (ClassViolationError, CostLedger, HolderParams, IvpProblem,
                    require_finite, require_finite_input)
 from .estimators import (IndexedFamily, full_mean, get_backend, mc_mean,
-                         median_boost, median_rep_count, quantum_sim_mean)
+                         median_rep_count, quantum_sim_mean)
 from .rng import RngStream
 from .taylor import fetch_jet
 
@@ -168,9 +168,9 @@ def _defect(problem, params, y, eps1, backend, inv, k, rng, ledger):
 
     The cell count balances discretization bias against estimator cost; a
     cell gets enough midpoints to keep the quadrature bias in budget.
-    Boosted modes take the ``median_boost`` median of k estimator runs on
-    the family mean.  The defect is a monotone affine map of that mean, so
-    for odd k this is the median of k defect estimates.  The runs share the
+    Boosted modes make one estimator call for the median of k runs of the
+    family mean.  The defect is a monotone affine map of that mean, so for
+    odd k this is the median of k defect estimates.  The runs share the
     family's item table, built by ``mc_mean`` before the first run once the
     k runs together read at least as many items as the family holds (and by
     the quantum stub, which needs the exact mean); that is the memoization
@@ -195,7 +195,7 @@ def _defect(problem, params, y, eps1, backend, inv, k, rng, ledger):
     estimator = globals()[backend.estimator]
     if backend.boosted:
         # estimator budget: eps1/2 after scaling back by width * delta^(r+rho)
-        est = median_boost(estimator, family, eps1 / (2.0 * scale), k, rng)
+        est = estimator(family, eps1 / (2.0 * scale), rng, k=k)
     else:
         est = estimator(family)
     return (geom.exact_part + geom.sign * width * geom.delta ** order

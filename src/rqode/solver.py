@@ -7,9 +7,11 @@ residuals sampled at fine-cell midpoints.  The modes differ only in their
 midpoint mean, Monte Carlo subsampling or the quantum-cost-model stub, the
 last two median-boosted) and the mesh defaults that go with it.
 
-Residual families are lazy: items are computed on demand, or tabulated once
-when the k boosted Monte Carlo runs of a step read at least as many items in
-total as the family holds.  Either way the backends pay per index they touch.
+A boosted mode estimates each step's residual mean with one call to its
+mean backend, which returns the median of the step's k runs.  Residual
+families are lazy: items are computed on demand, or tabulated once when the
+k Monte Carlo runs of a step read at least as many items in total as the
+family holds.  Either way the backends pay per index they touch.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from .core import (CostLedger, HolderParams, IvpProblem, build_mesh,
                    require_finite, require_finite_input, residual_bound,
                    residual_bound_vector)
 from .estimators import (MODES, IndexedFamily, full_mean, get_backend,
-                         mc_mean, median_boost, median_rep_count,
-                         quantum_sim_mean)
+                         mc_mean, median_rep_count, quantum_sim_mean)
 from .rng import RngStream, child_seed
 from .taylor import (PiecewiseTaylorApprox, fetch_jet, flow_coeffs_from_jet,
                      horner, integrate_field_along)
@@ -220,8 +221,7 @@ def solve(problem: IvpProblem, params: HolderParams,
         family = ResidualFamily(problem, params, C, jets, mesh.hbar, cfg.N,
                                 ledger, step=i)
         if backend.boosted:
-            est = median_boost(estimator, family, cfg.eps1, k_rep,
-                               step_streams[i])
+            est = estimator(family, cfg.eps1, step_streams[i], k=k_rep)
         else:
             est = estimator(family)
 

@@ -15,8 +15,9 @@ import pytest
 from rqode import solver
 from rqode.bench import ExperimentPlan, run_ladder, run_scalar_ladder
 from rqode.core import residual_bound
-from rqode.estimators import (ArrayFamily, MeanEstimate, median_boost,
-                              median_rep_count, quantum_sim_mean)
+from rqode.estimators import (ArrayFamily, MeanEstimate, get_backend,
+                              median_boost, median_rep_count,
+                              quantum_sim_mean)
 from rqode.fixtures import get_fixture, reference_solver
 from rqode.planted import make_planted, recover_mean
 from rqode.rng import RngStream
@@ -216,18 +217,20 @@ def test_criterion_6_estimator_laws(monkeypatch):
         fails.append("median boost success %.3f" % (hits / 1000))
 
     # (c) all-steps success event over 200 full solves per stochastic mode:
-    # each boosted estimate is audited against its family's exact mean
+    # each boosted estimate (one estimator call per step, the median of its
+    # k runs) is audited against its family's exact mean
     fx = get_fixture("sin_flow")
     errors = []
-    boost = solver.median_boost
-
-    def audited(base, family, eps1, k, rng):
-        est = boost(base, family, eps1, k, rng)
-        errors.append(float(np.max(np.abs(est.value - family.exact_mean()))))
-        return est
-    monkeypatch.setattr(solver, "median_boost", audited)
     events = []
     for mode in ("randomized", "quantum_sim"):
+        name = get_backend(mode).estimator
+
+        def audited(family, eps1, rng, k, _fn=getattr(solver, name)):
+            est = _fn(family, eps1, rng, k=k)
+            errors.append(float(np.max(np.abs(est.value
+                                              - family.exact_mean()))))
+            return est
+        monkeypatch.setattr(solver, name, audited)
         event = 0
         for t in range(200):
             errors.clear()

@@ -178,6 +178,16 @@ class TestQuantumSimMean:
         est = quantum_sim_mean(fam, 0.05, RngStream(9))
         assert est.value[0] == 0.0
 
+    def test_vector_run_succeeds_in_max_norm(self):
+        # d = 2: the inner median of reps = 5 draws holds each component's
+        # miss rate near 0.1 (<= 1/8), so a run misses in max norm w.p.
+        # <= 1/4; without it the miss rate would be 1 - (3/4)^2 = 0.44
+        fam = ArrayFamily(np.full((1000, 2), 0.3), bound=1.0)
+        rng = RngStream(13)
+        misses = sum(np.max(np.abs(quantum_sim_mean(fam, 0.05, rng).value
+                                   - 0.3)) > 0.05 for _ in range(400))
+        assert misses / 400 <= 0.25 + 4 * math.sqrt(0.25 * 0.75 / 400)
+
 
 class TestMedianBoost:
     def test_k1_identical_to_base(self):
@@ -348,8 +358,6 @@ class _Captured(Exception):
 def _first_family(monkeypatch, module, name, run):
     """The (family, eps1) of the first call to ``module.name`` during run()."""
     def stop(*args, **kwargs):
-        if name == "median_boost":
-            raise _Captured(args[1], args[2])
         raise _Captured(args[0], args[1])
     monkeypatch.setattr(module, name, stop)
     with pytest.raises(_Captured) as info:
@@ -379,7 +387,7 @@ class TestItemTable:
         # cos_time_r1 randomized n=12: sigma = 9,216 < s = 20,736
         from rqode import solver
         fx = get_fixture("cos_time_r1")
-        return _first_family(monkeypatch, solver, "median_boost", lambda: (
+        return _first_family(monkeypatch, solver, "mc_mean", lambda: (
             solver.solve(fx.problem, fx.params,
                          solver.SolveConfig(n=12, mode="randomized"))))
 
@@ -424,7 +432,7 @@ class TestItemTable:
         # 25 < s = 100 items but the k = 5 runs read 125 >= s together
         vals = np.random.default_rng(3).uniform(-1, 1, 100)
         fam = CountingFamily(vals, bound=1.0)
-        est = median_boost(mc_mean, fam, 0.4, 5, RngStream(9))
+        est = mc_mean(fam, 0.4, RngStream(9), k=5)
         assert fam._table is not None and fam.computed == 100
         assert est.cost["f_evals"] == 5 * 25
         plain = UntabulatedFamily(vals, bound=1.0)
@@ -441,7 +449,7 @@ class TestItemTable:
         k = 23
         sigma = _sample_size(fam, eps1)
         assert sigma < fam.size <= k * sigma
-        est = median_boost(mc_mean, fam, eps1, k, RngStream(5))
+        est = mc_mean(fam, eps1, RngStream(5), k=k)
         assert fam._table is not None
         assert est.cost["f_evals"] == k * sigma
         ref = median_boost(mc_mean, twin, eps1, k, RngStream(5))
@@ -531,3 +539,129 @@ class TestMeanAt:
         assert twin._table is None
         assert ref.value.tobytes() == est.value.tobytes()
         assert ref.cost == est.cost
+
+
+class TestBoostedRuns:
+    """``mc_mean`` and ``quantum_sim_mean`` with ``k`` runs equal
+    ``median_boost`` over k single runs bit for bit, in every regime."""
+
+    EPS1 = 0.4          # sigma = (2/0.4)^2 = 25 and q = ceil(1/0.4) = 3
+
+    @staticmethod
+    def _family(regime, dim, k):
+        """(base, size, bound) putting the k-form of base in ``regime``."""
+        reps = inner_rep_count(dim)
+        return {
+            "bound_zero": (mc_mean, 40, 0.0),
+            "enumeration": (mc_mean, 20, 1.0),
+            "table_blocks": (mc_mean, max(2, k // 3) * reps * 25 + 1, 1.0),
+            "table_one_run_per_block": (mc_mean, reps * 25 + 1, 1.0),
+            "untabulated": (mc_mean, k * reps * 25 + 1, 1.0),
+            "quantum_exact": (quantum_sim_mean, 3, 1.0),
+            "quantum_sampled": (quantum_sim_mean, 50, 1.0),
+        }[regime]
+
+    @staticmethod
+    def _regime(base, fam, eps1, k):
+        s, reps = fam.size, inner_rep_count(fam.dim)
+        if base is quantum_sim_mean:
+            q = min(s, math.ceil(fam.bound / eps1))
+            return "quantum_exact" if q >= s else "quantum_sampled"
+        sigma = _sample_size(fam, eps1)
+        if fam.bound == 0.0:
+            return "bound_zero"
+        if sigma >= s:
+            return "enumeration"
+        if k * reps * sigma < s:
+            return "untabulated"
+        return ("table_blocks" if s // (reps * sigma) > 1
+                else "table_one_run_per_block")
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("regime", [
+        "bound_zero", "enumeration", "table_blocks", "table_one_run_per_block",
+        "untabulated", "quantum_exact", "quantum_sampled"])
+    def test_equals_median_boost(self, regime, dim):
+        checked = 0
+        for k in range(1, 26, 2):
+            base, size, bound = self._family(regime, dim, k)
+            vals = np.random.default_rng(k * 10 + dim).uniform(
+                -1, 1, size=(size, dim))
+            led, ref_led = CostLedger(), CostLedger()
+            fam = ArrayFamily(vals, bound=bound, ledger=led)
+            if self._regime(base, fam, self.EPS1, k) != regime:
+                continue    # the tabulated regimes need k >= 3
+            # the quantum stub needs the exact mean, so only mc_mean's
+            # reference runs on a family that never builds a table
+            ref_fam = (ArrayFamily if base is quantum_sim_mean
+                       else UntabulatedFamily)(vals, bound=bound,
+                                               ledger=ref_led)
+            rng, ref_rng = RngStream(k, led), RngStream(k, ref_led)
+            est = base(fam, self.EPS1, rng, k=k)
+            ref = median_boost(base, ref_fam, self.EPS1, k, ref_rng)
+            assert est.value.tobytes() == ref.value.tobytes(), (k, dim)
+            assert est.cost == ref.cost and led.as_dict() == ref_led.as_dict()
+            assert est.success_prob == ref.success_prob
+            assert est.eps_target == ref.eps_target
+            assert rng.uniform() == ref_rng.uniform()
+            tabulated = regime.startswith(("table", "enumeration", "quantum"))
+            assert (fam._table is not None) == tabulated
+            checked += 1
+        assert checked >= 12
+
+    def test_even_k_rejected(self):
+        fam = ArrayFamily(np.zeros(10), bound=1.0)
+        for base in (mc_mean, quantum_sim_mean):
+            for k in (0, 2, -1):
+                with pytest.raises(ValueError, match="odd positive"):
+                    base(fam, 0.1, RngStream(0), k=k)
+
+    @pytest.mark.parametrize("size, sigma, reps, g", [
+        (3, 1, 1, 5), (100, 25, 1, 4), (1000003, 17, 5, 3),
+        (65537, 16385, 7, 2), (2 ** 32 + 5, 3, 5, 4)])
+    def test_numpy_continues_draws_across_calls(self, size, sigma, reps, g):
+        # the premise of the blocks: Philox continues a bounded-integer or a
+        # uniform draw where the last call stopped
+        why = "numpy %s splits draws by call" % np.__version__
+        one, turn = RngStream(size), RngStream(size)
+        block = one.integers(0, size, size=(g * reps, sigma))
+        runs = [turn.integers(0, size, size=(reps, sigma)) for _ in range(g)]
+        assert np.array_equal(block, np.concatenate(runs)), why
+        noise = one.uniform(size=(g, 3, reps, 2))
+        assert np.array_equal(noise, np.stack(
+            [turn.uniform(size=(3, reps, 2)) for _ in range(g)])), why
+        assert one.integers(0, size) == turn.integers(0, size), why
+
+    @staticmethod
+    def _block_shapes(monkeypatch):
+        shapes = []
+        draw = RngStream.integers
+
+        def recorded(self, low, high=None, size=None):
+            shapes.append(size)
+            return draw(self, low, high, size)
+        monkeypatch.setattr(RngStream, "integers", recorded)
+        return shapes
+
+    def test_large_family_draws_one_run_per_block(self, monkeypatch):
+        # shaped like the 2-D randomized solve at n = 16: s = 65,536, d = 2,
+        # sigma = (2/(1/64))^2 = 16,384, reps = 5 and k = 15
+        shapes = self._block_shapes(monkeypatch)
+        vals = np.random.default_rng(0).uniform(-1, 1, size=(65536, 2))
+        fam = ArrayFamily(vals, bound=1.0)
+        est = mc_mean(fam, 1.0 / 64, RngStream(1), k=15)
+        assert fam._table is not None
+        assert shapes == [(5, 16384)] * 15
+        assert est.cost["f_evals"] == 15 * 5 * 16384
+
+    def test_small_family_shares_blocks(self, monkeypatch):
+        # s = 100 and sigma = 25 give g = 4 runs per block: 9 runs in
+        # blocks of 4, 4 and 1
+        shapes = self._block_shapes(monkeypatch)
+        fam = ArrayFamily(np.linspace(-1, 1, 100), bound=1.0)
+        mc_mean(fam, self.EPS1, RngStream(2), k=9)
+        assert shapes == [(4, 25), (4, 25), (1, 25)]
+        shapes.clear()
+        mc_mean(ArrayFamily(np.linspace(-1, 1, 1000), bound=1.0), self.EPS1,
+                RngStream(2), k=9)
+        assert shapes == [(9, 25)]
