@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
@@ -204,6 +205,11 @@ def run_ladder(plan: ExperimentPlan) -> SlopeReport:
     """
     if plan.fixture.reference is None:
         raise ValueError("ladders need a fixture with a reference solution")
+    for n in plan.ladder:
+        if not (isinstance(n, numbers.Real) and float(n).is_integer()
+                and n >= 1):
+            raise ValueError("ladder rung n = %s is not a positive integer"
+                             % (n,))
     rows = _map_rungs(_run_ivp_rung,
                       [(plan, i, int(n)) for i, n in enumerate(plan.ladder)],
                       plan.workers)

@@ -13,12 +13,12 @@ Three backends estimate the mean of an indexed family of bounded vectors:
 A 3/4-success estimate is raised to success probability
 ``(1 - delta)^(1/n)`` by the component-wise median of
 ``median_rep_count(n, delta)`` independent runs; the count comes from an
-exact binomial-tail computation, not an asymptotic formula.  ``mc_mean``
-and ``quantum_sim_mean`` take that run count k themselves and return the
-median of their k runs, drawn in turn from one stream in a few large
-blocks, so no child stream is built.  The IVP solvers boost every step's
-residual mean this way, and the endpoint bisection every midpoint's defect
-estimate.  ``median_boost`` applies the same median rule to any
+exact binomial-tail computation, not an asymptotic formula.  Every backend
+takes that run count k itself and returns the median of its k runs (k exact
+runs are one enumeration); sampled runs draw in turn from one stream in a
+few large blocks, so no child stream is built.  The IVP solvers boost every
+step's residual mean this way, and the endpoint bisection every midpoint's
+defect estimate.  ``median_boost`` applies the same median rule to any
 ``(family, eps1, rng)`` base, one call per run.
 
 Charges are per index requested, whether an item is computed or read back
@@ -223,12 +223,16 @@ class MeanEstimate:
     success_prob: float
 
 
-def full_mean(family: IndexedFamily) -> MeanEstimate:
-    """Exact arithmetic mean of the whole family; cost = size accesses."""
+def full_mean(family: IndexedFamily, eps1: float = 0.0,
+              rng: Optional[RngStream] = None, k: int = 1) -> MeanEstimate:
+    """Exact mean of the whole family: k exact runs are one reduction,
+    charged ``k * size`` accesses; eps1 and rng are not used."""
+    k = _run_count(k)
     snap = family.ledger.snapshot()
     value = family.mean_at(np.arange(family.size))
+    family.ledger.f_evals += (k - 1) * family.size
     return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
-                        eps_target=0.0, success_prob=1.0)
+                        eps_target=float(eps1), success_prob=1.0)
 
 
 def _sample_size(family: IndexedFamily, eps1: float) -> int:
@@ -246,11 +250,13 @@ def _run_count(k) -> int:
 
 def _median_of_runs(values, success: float):
     """The median-of-k rule: the value and nominal success of k odd runs,
-    each of nominal success ``success``; one run passes through."""
+    each of nominal success ``success`` (3/4, or 1.0 for exact runs, whose
+    median is exact too); one run passes through."""
     if len(values) == 1:
         return values[0], success
-    return (np.median(values, axis=0),
-            1.0 - float(binomial_fail_tail(len(values))))
+    if success < 1.0:
+        success = 1.0 - float(binomial_fail_tail(len(values)))
+    return np.median(values, axis=0), success
 
 
 def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream,
@@ -261,7 +267,7 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream,
     standard error at most ``eps1/c``, hence (Chebyshev, c = 2) one run
     (k = 1) deviates beyond ``eps1`` with probability at most 1/4.  When
     the formula clamps at the family size the sample is replaced by full
-    enumeration and the estimate is exact.
+    enumeration, ``full_mean``'s k exact runs.
 
     When the k runs draw at least as many items in total as the family
     holds (``k * reps * sigma >= s``, enumeration included), they share one
@@ -286,10 +292,7 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream,
     if family.bound == 0.0:
         values = np.zeros((k, dim))
     elif sigma >= s:
-        # the k runs enumerate alike: one reduction, k charges
-        value = family.mean_at(np.arange(s))
-        family.ledger.f_evals += (k - 1) * s
-        values = np.tile(value, (k, 1))
+        return full_mean(family, eps1, rng, k)
     else:
         g = max(1, s // (reps * sigma))
         means = []
@@ -350,12 +353,11 @@ def median_boost(base: Callable[..., MeanEstimate], family: IndexedFamily,
     """Component-wise median of k independent runs of ``base``.
 
     The generic booster for any ``(family, eps1, rng)`` base, one call per
-    run; ``mc_mean`` and ``quantum_sim_mean`` boost themselves, from their
-    ``k`` argument, by the same median rule.  The runs draw in turn from
-    ``rng``; a base must draw only from the stream it is given.  k must be
-    odd.  Cost is the sum of the k receipts.  With k from
-    ``median_rep_count(n, delta)`` the nominal success probability is
-    ``(1 - delta)^(1/n)``.
+    run; the stock backends boost themselves, from their ``k`` argument, by
+    the same median rule.  The runs draw in turn from ``rng``; a base must
+    draw only from the stream it is given.  k must be odd.  Cost is the sum
+    of the k receipts.  With k from ``median_rep_count(n, delta)`` the
+    nominal success probability is ``(1 - delta)^(1/n)``.
     """
     k = _run_count(k)
     snap = family.ledger.snapshot()
@@ -429,7 +431,9 @@ def empirical_quantile(errors, delta: float) -> float:
 class Backend:
     """One oracle-cost model: its mean backend and every law that follows.
 
-    ``estimator`` is the *name* of the mean function.  ``solver`` and
+    Every mean backend takes ``(family, eps1, rng, k)`` and returns the
+    median of k runs, k from ``run_count``; the exact one ignores eps1 and
+    rng.  ``estimator`` is the *name* of the mean function.  ``solver`` and
     ``scalar`` look it up among their own module attributes at each call, so
     whatever rebinds those attributes (instrumentation wraps ``mc_mean`` and
     friends there to count, time and audit estimates) sees every call; a
@@ -437,8 +441,8 @@ class Backend:
     """
 
     estimator: str
-    # sampled: takes (family, eps1, rng, k), a median of k runs of 3/4
-    # success, so solves default eps1 = 1/n; else exact, taking (family)
+    # sampled: runs of 3/4 success, boosted by a median of k runs, so
+    # solves default eps1 = 1/n; else exact, one run
     boosted: bool
     mesh_power: int         # default m = N = n**mesh_power
     ivp_offset: float       # IVP error ~ cost^-(order + ivp_offset)
@@ -451,6 +455,10 @@ class Backend:
     log_power: int          # power of log2(1/eps) the scalar ladder divides out
     ivp_error: Callable[..., float]     # ladder-rung statistic of sup errors
     header: str = ""
+
+    def run_count(self, n: int, delta: float) -> int:
+        """Runs per estimate: all n estimates succeed w.p. >= 1 - delta."""
+        return median_rep_count(n, delta) if self.boosted else 1
 
 
 # in the paper's speed-up order: each model's accuracy-cost exponent is

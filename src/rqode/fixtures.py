@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import HolderParams, IvpProblem
 from .planted import PlantedProblem
@@ -228,6 +227,10 @@ def load_fixture_file(path) -> list:
     """Load fixtures from a declarative JSON file (a list of entries)."""
     with open(path) as fh:
         entries = json.load(fh)
+    if not (isinstance(entries, list)
+            and all(isinstance(e, dict) for e in entries)):
+        raise ValueError("fixture file %s does not hold a JSON list of "
+                         "entry objects" % path)
     return [_fixture_from_entry(e) for e in entries]
 
 
@@ -241,6 +244,8 @@ def reference_solver(problem: IvpProblem, rtol: float = 1e-12,
     ``max_step`` guards problems with narrow features the step controller
     could otherwise skip.
     """
+    from scipy.integrate import solve_ivp   # only here: scipy loads slowly
+
     def rhs(t, y):
         return np.asarray(problem.f(y), dtype=float)
 

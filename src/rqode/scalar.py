@@ -27,7 +27,7 @@ import numpy as np
 from .core import (ClassViolationError, CostLedger, HolderParams, IvpProblem,
                    require_finite, require_finite_input)
 from .estimators import (IndexedFamily, full_mean, get_backend, mc_mean,
-                         median_rep_count, quantum_sim_mean)
+                         quantum_sim_mean)
 from .rng import RngStream
 from .taylor import fetch_jet
 
@@ -167,15 +167,14 @@ def _defect(problem, params, y, eps1, backend, inv, k, rng, ledger):
     """One estimate of the arrival-time defect at y.
 
     The cell count balances discretization bias against estimator cost; a
-    cell gets enough midpoints to keep the quadrature bias in budget.
-    Boosted modes make one estimator call for the median of k runs of the
-    family mean.  The defect is a monotone affine map of that mean, so for
-    odd k this is the median of k defect estimates.  The runs share the
-    family's item table, built by ``mc_mean`` before the first run once the
-    k runs together read at least as many items as the family holds (and by
-    the quantum stub, which needs the exact mean); that is the memoization
-    the cost model allows, as every run still charges one f evaluation per
-    index drawn.
+    cell gets enough midpoints to keep the quadrature bias in budget.  One
+    estimator call gives the median of k runs of the family mean, k from
+    ``Backend.run_count`` (1 when exact); the defect is a monotone affine
+    map of that mean, so for odd k this is the median of k defect
+    estimates.  The runs share the family's item table, built by ``mc_mean``
+    once they together read at least as many items as it holds (and by the
+    quantum stub, which needs the exact mean): the memoization the cost
+    model allows, as every run still charges one f evaluation per index.
     """
     order = params.order
     b_minus_a = problem.b - problem.a
@@ -191,13 +190,9 @@ def _defect(problem, params, y, eps1, backend, inv, k, rng, ledger):
     n_mid = max(1, int(math.ceil(scale * inv["L"] / (2.0 * eps1)))) \
         if backend.boosted else 1
     family = CellResidualFamily(problem, params, geom, n_mid, inv["M"], ledger)
-    # looked up by name at call time: see Backend.estimator
-    estimator = globals()[backend.estimator]
-    if backend.boosted:
-        # estimator budget: eps1/2 after scaling back by width * delta^(r+rho)
-        est = estimator(family, eps1 / (2.0 * scale), rng, k=k)
-    else:
-        est = estimator(family)
+    # looked up by name at call time: see Backend.estimator; the estimator
+    # budget is eps1/2 after scaling back by width * delta^(r+rho)
+    est = globals()[backend.estimator](family, eps1 / (2.0 * scale), rng, k=k)
     return (geom.exact_part + geom.sign * width * geom.delta ** order
             * float(est.value[0]) - b_minus_a)
 
@@ -297,7 +292,7 @@ def bisection_solve(problem: IvpProblem, params: HolderParams, eps: float,
     eps1 = eps / (3.0 * D0)
     max_iters = int(math.ceil(math.log2(D0 * b_minus_a / (p * eps1))))
     max_iters = max(max_iters, 1)
-    k_rep = median_rep_count(max_iters, delta) if backend.boosted else 1
+    k_rep = backend.run_count(max_iters, delta)
 
     f_eta = float(np.asarray(problem.f(problem.eta))[0])
     ledger.f_evals += 1

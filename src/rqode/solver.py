@@ -7,11 +7,11 @@ residuals sampled at fine-cell midpoints.  The modes differ only in their
 midpoint mean, Monte Carlo subsampling or the quantum-cost-model stub, the
 last two median-boosted) and the mesh defaults that go with it.
 
-A boosted mode estimates each step's residual mean with one call to its
-mean backend, which returns the median of the step's k runs.  Residual
-families are lazy: items are computed on demand, or tabulated once when the
-k Monte Carlo runs of a step read at least as many items in total as the
-family holds.  Either way the backends pay per index they touch.
+Every mode estimates each step's residual mean with one call to its mean
+backend, which returns the median of the step's k runs (one when exact).
+Residual families are lazy: items are computed on demand, or tabulated once
+when the k Monte Carlo runs of a step read at least as many items in total
+as the family holds.  Either way the backends pay per index they touch.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .core import (CostLedger, HolderParams, IvpProblem, build_mesh,
                    require_finite, require_finite_input, residual_bound,
                    residual_bound_vector)
 from .estimators import (MODES, IndexedFamily, full_mean, get_backend,
-                         mc_mean, median_rep_count, quantum_sim_mean)
+                         mc_mean, quantum_sim_mean)
 from .rng import RngStream, child_seed
 from .taylor import (PiecewiseTaylorApprox, fetch_jet, flow_coeffs_from_jet,
                      horner, integrate_field_along)
@@ -49,8 +49,8 @@ class SolveConfig:
 
     Mode defaults come from the mode's backend record: m = N = n^mesh_power
     (n^2 randomized, n otherwise), and boosted modes default eps1 = 1/n.
-    Boosted modes take the median of k = ``median_rep_count(n, delta)``
-    runs per estimate.  Every mode needs delta in (0, 1/2) and eps1 >= 0.
+    Each estimate is the median of k = ``Backend.run_count(n, delta)`` runs
+    (1 when exact).  Every mode needs delta in (0, 1/2) and eps1 >= 0.
     """
 
     n: int
@@ -181,7 +181,7 @@ def solve(problem: IvpProblem, params: HolderParams,
     backend = get_backend(cfg.mode)
     # looked up by name at call time: see Backend.estimator
     estimator = globals()[backend.estimator]
-    k_rep = median_rep_count(cfg.n, cfg.delta) if backend.boosted else 1
+    k_rep = backend.run_count(cfg.n, cfg.delta)
 
     d = problem.dim
     order = params.r + 1
@@ -220,10 +220,7 @@ def solve(problem: IvpProblem, params: HolderParams,
 
         family = ResidualFamily(problem, params, C, jets, mesh.hbar, cfg.N,
                                 ledger, step=i)
-        if backend.boosted:
-            est = estimator(family, cfg.eps1, step_streams[i], k=k_rep)
-        else:
-            est = estimator(family)
+        est = estimator(family, cfg.eps1, step_streams[i], k=k_rep)
 
         y = y + w_integral + scale * est.value
         y_grid[i + 1] = y

@@ -5,13 +5,17 @@ the mean backends through their own module attributes, which is where
 instrumentation wraps them.
 """
 
+import inspect
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from rqode import scalar, solver
+from rqode import estimators, scalar, solver
 from rqode.bench import ExperimentPlan
 from rqode.cli import build_parser
+from rqode.core import CostLedger
+from rqode.estimators import ArrayFamily, median_boost
 from rqode.fixtures import get_fixture
 from rqode.rng import RngStream
 from rqode.scalar import bisection_solve, estimate_H
@@ -105,3 +109,41 @@ def test_only_solve_steps_spawn_streams(monkeypatch, mode):
     fx = get_fixture("sin_flow")
     res = solver.solve(fx.problem, fx.params, SolveConfig(n=3, mode=mode))
     assert res.k_rep > 1 and calls["spawn"] == 1
+
+
+def test_backends_share_one_call_shape():
+    # every mean backend takes (family, eps1, rng, k), so a solve and a
+    # bisection call it one way in every mode
+    for backend in estimators.BACKENDS.values():
+        fn = getattr(estimators, backend.estimator)
+        assert list(inspect.signature(fn).parameters) == [
+            "family", "eps1", "rng", "k"], backend.estimator
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("size", [3, 100, 2000])
+def test_k_runs_equal_median_boost(mode, size):
+    # k runs in one call equal median_boost's k calls of one run, in value
+    # bytes and in charge.  With eps1 = 0.4 and d = 2 (sigma = 25, 5 reps,
+    # q = 3), a family of 3 is enumerated by Monte Carlo and the quantum
+    # stub, one of 100 is tabulated for Monte Carlo and one of 2000 is not
+    eps1 = 0.4
+    fn = getattr(estimators, estimators.get_backend(mode).estimator)
+    vals = np.random.default_rng(size).uniform(-1, 1, size=(size, 2))
+    for k in (1, 5, 9):
+        led, ref_led = CostLedger(), CostLedger()
+        est = fn(ArrayFamily(vals, bound=1.0, ledger=led), eps1,
+                 RngStream(k, led), k=k)
+        ref = median_boost(fn, ArrayFamily(vals, bound=1.0, ledger=ref_led),
+                           eps1, k, RngStream(k, ref_led))
+        assert est.value.tobytes() == ref.value.tobytes(), k
+        assert est.cost == ref.cost and led.as_dict() == ref_led.as_dict()
+        assert est.success_prob == ref.success_prob
+
+
+def test_run_count_is_the_median_rule():
+    for mode, backend in estimators.BACKENDS.items():
+        for n, delta in ((1, 0.25), (8, 0.1), (30, 0.01)):
+            assert backend.run_count(n, delta) == (
+                estimators.median_rep_count(n, delta) if backend.boosted
+                else 1), mode

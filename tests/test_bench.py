@@ -88,6 +88,18 @@ class TestPlans:
             ExperimentPlan(fixture=fixture, mode=mode, ladder=[2, 3],
                            seed=-1)
 
+    @pytest.mark.parametrize("ladder, bad", [([2.2, 2.7], "2.2"),
+                                             ([0.5, 2], "0.5")])
+    def test_ivp_rung_must_be_positive_integer(self, monkeypatch, ladder, bad):
+        # named before any rung runs (_map_rungs is never reached), not
+        # truncated by int()
+        from rqode import bench
+        monkeypatch.setattr(bench, "_map_rungs", None)
+        with pytest.raises(ValueError, match="^ladder rung n = %s is not a "
+                           "positive integer$" % bad):
+            run_ladder(ExperimentPlan(fixture="sin_flow", mode="deterministic",
+                                      ladder=ladder))
+
     def test_workers_used_as_given(self, monkeypatch):
         # the ladders read plan.workers only; RQODE_WORKERS is the CLI's
         from rqode import bench

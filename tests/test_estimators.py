@@ -43,6 +43,19 @@ class TestFullMean:
         with pytest.raises(ValueError):
             ArrayFamily(np.empty((0, 1)))
 
+    def test_k_runs_are_one_reduction(self):
+        vals = np.random.default_rng(5).uniform(-1, 1, size=(37, 2))
+        one = full_mean(ArrayFamily(vals))
+        led = CostLedger()
+        est = full_mean(ArrayFamily(vals, ledger=led), 0.3, RngStream(0, led),
+                        k=5)
+        assert est.value.tobytes() == one.value.tobytes()
+        assert est.cost["f_evals"] == led.f_evals == 5 * 37
+        assert led.rng_draws == 0
+        assert est.success_prob == 1.0 and est.eps_target == 0.3
+        with pytest.raises(ValueError, match="odd positive"):
+            full_mean(ArrayFamily(vals), 0.3, None, k=4)
+
 
 class TestMcMean:
     def test_all_equal_any_sample(self):
@@ -157,12 +170,15 @@ class TestQuantumSimMean:
             assert abs(est.value[0]) <= 2.0
 
     def test_exact_when_cost_clamps(self):
+        # the median of k exact runs is exact too: success 1.0 at every k
         vals = np.linspace(-0.5, 0.5, 64)
-        fam = ArrayFamily(vals, bound=1.0)
-        est = quantum_sim_mean(fam, eps1=1.0 / 64 * 0.99, rng=RngStream(0))
-        assert est.value[0] == vals.mean()
-        assert est.success_prob == 1.0
-        assert est.cost["quantum_queries"] == 64
+        for k in (1, 5):
+            fam = ArrayFamily(vals, bound=1.0)
+            est = quantum_sim_mean(fam, eps1=1.0 / 64 * 0.99,
+                                   rng=RngStream(0), k=k)
+            assert est.value[0] == vals.mean()
+            assert est.success_prob == 1.0, k
+            assert est.cost["quantum_queries"] == k * 64
 
     def test_sim_evals_audited_not_charged(self):
         led = CostLedger()
@@ -205,6 +221,13 @@ class TestMedianBoost:
         fam = ArrayFamily([0.0])
         est = median_boost(stub, fam, 0.1, 3, RngStream(0))
         assert est.value[0] == 1.0
+
+    def test_exact_base_stays_exact(self):
+        vals = np.linspace(-0.5, 0.5, 64)
+        est = median_boost(full_mean, ArrayFamily(vals), 0.1, 5, RngStream(0))
+        assert est.value[0] == vals.mean()
+        assert est.success_prob == 1.0
+        assert est.cost["f_evals"] == 5 * 64
 
     def test_cost_sums_over_repetitions(self):
         fam = ArrayFamily(np.zeros((10 ** 6, 1)), bound=1.0)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +174,16 @@ class TestFixtureFile:
                                              "dim is 1 but d is 2"):
             load_fixture_file(path)
 
+    @pytest.mark.parametrize("content", [
+        lambda: dict(get_fixture("inv1p").meta), lambda: [1, 2]])
+    def test_file_must_hold_a_list_of_entries(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content()))
+        with pytest.raises(ValueError) as exc:
+            load_fixture_file(path)
+        assert exc.value.args[0] == ("fixture file %s does not hold a JSON "
+                                     "list of entry objects" % path)
+
     @pytest.mark.parametrize("key", ["b", "eta", "rho", "name"])
     def test_missing_key_named(self, tmp_path, key):
         entry = dict(get_fixture("inv1p").meta)
@@ -224,6 +237,16 @@ class TestFixtureFile:
 
 
 class TestReferenceSolver:
+    def test_import_leaves_scipy_unloaded(self):
+        # only reference_solver needs scipy, and it imports it itself
+        code = "import sys, rqode; print('scipy' in sys.modules)"
+        src = str(Path(rqode.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "False\n"
+
     def test_matches_closed_form(self):
         fx = get_fixture("sin_flow")
         ref = reference_solver(fx.problem)

@@ -141,9 +141,9 @@ class TestResidualItemBound:
         families = []
         full = solver.full_mean
 
-        def recording(family):
+        def recording(family, *args, **kwargs):
             families.append(family)
-            return full(family)
+            return full(family, *args, **kwargs)
         monkeypatch.setattr(solver, "full_mean", recording)
         fx = get_fixture(name)
         for n in (2, 4, 8):
