@@ -56,6 +56,7 @@ from .rng import RngStream
 __all__ = [
     "IndexedFamily",
     "ArrayFamily",
+    "Workspace",
     "MeanEstimate",
     "full_mean",
     "mc_mean",
@@ -80,6 +81,26 @@ MC_CALIBRATION = 2.0
 QUANTUM_COST_CONSTANT = 1.0
 
 
+class Workspace:
+    """Named float buffers that one owner reuses for family after family.
+
+    ``array(name, shape)`` is a view of buffer ``name`` with that shape and
+    whatever values its last use left; the buffer grows only when a larger
+    shape needs it.  A view stays valid until the next ``array`` call with
+    the same name.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def array(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 class IndexedFamily:
     """A (cells x n_mid) grid of bounded d-vectors behind a charging oracle.
 
@@ -99,11 +120,21 @@ class IndexedFamily:
     component-major copy of the table.  ``exact_mean`` caches the mean of
     the table.  Whether tabulating pays is the caller's call: ``mc_mean``
     tabulates when its k runs together read at least s items.
+
+    Large arrays come from ``_buffer(name, shape)``: new arrays, or views of
+    the ``workspace`` buffers when one is given.  Buffer ``"table"`` holds
+    the table, and ``"grid"`` what ``_items`` computes, then ``mean_at``'s
+    gathers: the grid is dead once the table is written.  Items are computed
+    only while there is no table, so ``_items`` may use ``"table"`` as
+    scratch.  With a workspace, what ``access`` computes stays valid only
+    until items are next computed on that workspace, and the table until
+    the next family on it computes items.
     """
 
     def __init__(self, cells: int, n_mid: int, dim: int, bound: float,
                  ledger: Optional[CostLedger] = None,
-                 bound_vec: Optional[np.ndarray] = None):
+                 bound_vec: Optional[np.ndarray] = None,
+                 workspace: Optional[Workspace] = None):
         self.cells, self.n_mid = int(cells), int(n_mid)
         self.size = self.cells * self.n_mid
         if self.size < 1:
@@ -113,6 +144,7 @@ class IndexedFamily:
         self.bound_vec = np.full(self.dim, self.bound) if bound_vec is None \
             else np.asarray(bound_vec, dtype=float)
         self.ledger = ledger if ledger is not None else CostLedger()
+        self._workspace = workspace
         self._table = None
         self._columns = None
         self._mean = None
@@ -121,6 +153,11 @@ class IndexedFamily:
     def _items(self, i: np.ndarray, k: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _buffer(self, name: str, shape: tuple) -> np.ndarray:
+        if self._workspace is None:
+            return np.empty(shape)
+        return self._workspace.array(name, shape)
+
     def _compute(self, idx: np.ndarray) -> np.ndarray:
         return self._items(idx // self.n_mid, idx % self.n_mid)
 
@@ -128,13 +165,17 @@ class IndexedFamily:
         """All items from one broadcast over the grid; charges nothing.
 
         Midpoints run on the outer axis so the elementwise loops are long;
-        one transposed copy puts the items in index order.  Later calls
-        return the same table.
+        one transposed copy into buffer ``"table"`` puts the items in index
+        order.  Later calls return the same table: for the family's life
+        without a workspace, else until the next family on the workspace
+        computes items.
         """
         if self._table is None:
             grid = self._items(np.arange(self.cells),
                                np.arange(self.n_mid)[:, None])
-            self._table = grid.swapaxes(0, 1).reshape(self.size, self.dim)
+            table = self._buffer("table", (self.cells, self.n_mid, self.dim))
+            np.copyto(table, grid.swapaxes(0, 1))
+            self._table = table.reshape(self.size, self.dim)
         return self._table
 
     def access(self, idx) -> np.ndarray:
@@ -152,11 +193,13 @@ class IndexedFamily:
         Row by row equal bit for bit to ``access(row).mean(axis=0)``, which
         is how the block is reduced when there is no table (one ``access``).
         With a table it gathers from the ``(d, s)`` component-major copy
-        (built once; for d = 1 a view of the table) without copying
-        ``(sigma, d)`` rows, and sums each row in numpy's own axis-0 order:
-        one pairwise sum for d = 1, where numpy reduces the ``(sigma, 1)``
-        array as one contiguous run, and a row-sequential sum per component
-        for d >= 2, where it adds row after row.  Totals are divided by sigma.
+        (built once; for d = 1 a view of the table), into buffer ``"grid"``
+        of a workspace if there is one, without copying ``(sigma, d)`` rows,
+        and sums each row in numpy's own axis-0 order: one pairwise sum for
+        d = 1, where numpy reduces the ``(sigma, 1)`` array as one contiguous
+        run, and a row-sequential sum per component for d >= 2, where it adds
+        row after row.  Totals are divided by sigma.  Indices take numpy's
+        bounds, [-s, s).
         """
         idx = np.atleast_1d(np.asarray(idx, dtype=int))
         sigma = idx.shape[-1]
@@ -165,7 +208,18 @@ class IndexedFamily:
             return items.reshape(idx.shape + (self.dim,)).mean(axis=-2)
         if self._columns is None:
             self._columns = np.ascontiguousarray(self._table.T)
-        items = self._columns.take(idx, axis=1)
+        if self._workspace is None:
+            items = self._columns.take(idx, axis=1)
+        else:
+            # "raise" would gather into a temporary and copy that into the
+            # buffer; "wrap" writes straight into it, once the bounds hold
+            if idx.size and (idx.min() < -self.size
+                             or idx.max() >= self.size):
+                raise IndexError("index out of range for a family of %d "
+                                 "items" % self.size)
+            items = np.take(self._columns, idx, axis=1, mode="wrap",
+                            out=self._workspace.array(
+                                "grid", (self.dim,) + idx.shape))
         if self.dim == 1:
             total = items.sum(axis=-1)
         else:
@@ -250,13 +304,13 @@ def _run_count(k) -> int:
 
 def _median_of_runs(values, success: float):
     """The median-of-k rule: the value and nominal success of k odd runs,
-    each of nominal success ``success`` (3/4, or 1.0 for exact runs, whose
-    median is exact too); one run passes through."""
-    if len(values) == 1:
+    each of nominal success ``success`` (3/4, or 1.0 for exact runs).  One
+    run passes through, and so does the first of k exact runs: they are
+    equal, so it is their median, zeros keeping their sign."""
+    if len(values) == 1 or success == 1.0:
         return values[0], success
-    if success < 1.0:
-        success = 1.0 - float(binomial_fail_tail(len(values)))
-    return np.median(values, axis=0), success
+    return (np.median(values, axis=0),
+            1.0 - float(binomial_fail_tail(len(values))))
 
 
 def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream,

@@ -14,6 +14,13 @@ of k runs, taken by the backend in one call, k chosen so that the whole
 bisection succeeds with probability 1 - delta.  The mode's
 :class:`~rqode.estimators.Backend` record also sets the cell-count law and
 the midpoint rule.
+
+One bisection builds every iteration's cell family on one
+:class:`~rqode.estimators.Workspace`: the item grid, its scratch, the table
+and the estimators' gathers reuse the same buffers, which grow only when a
+larger table needs them and are freed with the bisection.  A family's table
+is valid until the next iteration's family computes items; estimates and
+the result hold no view of it.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ import numpy as np
 
 from .core import (ClassViolationError, CostLedger, HolderParams, IvpProblem,
                    require_finite, require_finite_input)
-from .estimators import (IndexedFamily, full_mean, get_backend, mc_mean,
-                         quantum_sim_mean)
+from .estimators import (IndexedFamily, Workspace, full_mean, get_backend,
+                         mc_mean, quantum_sim_mean)
 from .rng import RngStream
 from .taylor import fetch_jet
 
@@ -128,42 +135,47 @@ class CellResidualFamily(IndexedFamily):
 
     Item (i, k), flattened as i*N_c + k, is the residual of cell i at
     midpoint (k + 1/2)/N_c, scaled by delta^(r+rho); each access costs one f
-    evaluation.
+    evaluation.  Items are computed in buffer ``"grid"``, with ``"table"``
+    as scratch (see ``IndexedFamily``).
     """
 
     def __init__(self, problem: IvpProblem, params: HolderParams,
                  geom: CellGeometry, n_mid: int, bound: float,
-                 ledger: CostLedger):
+                 ledger: CostLedger, workspace: Optional[Workspace] = None):
         self._problem = problem
         self._params = params
         self._geom = geom
-        super().__init__(geom.cells, n_mid, 1, bound, ledger)
+        super().__init__(geom.cells, n_mid, 1, bound, ledger,
+                         workspace=workspace)
 
     def _items(self, i: np.ndarray, k: np.ndarray) -> np.ndarray:
         g = self._geom
         off = g.sign * (k + 0.5) / self.n_mid * g.delta
-        zeta = g.anchors[i] + off
+        # in place, in the grid's buffer and one more: fresh pages cost
+        # more than the arithmetic on tables this size
+        shape = np.broadcast_shapes(np.shape(i), np.shape(off))
+        zeta = np.add(g.anchors[i], off, out=self._buffer("grid", shape))
         fz = np.asarray(self._problem.f(zeta.reshape(-1, 1)),
-                        dtype=float).reshape(zeta.shape)
+                        dtype=float).reshape(shape)
         if np.may_share_memory(fz, zeta):   # f may hand back its input
             fz = fz.copy()
-        # in place, in zeta's buffer and one more: fresh pages cost more
-        # than the arithmetic on tables this size
-        taylor, out = zeta, np.empty_like(zeta)
-        taylor.fill(0.0)
-        for q, coeffs in enumerate(g.jet):
-            np.multiply(coeffs[i], off ** q, out=out)
-            out /= math.factorial(q)
-            taylor += out
-        np.divide(1.0, fz, out=out)
-        out -= taylor
+        # the order-0 term is its coefficient (1/f, never 0): no power,
+        # no factorial and no zero start, so no pass for them
+        taylor, term = zeta, self._buffer("table", shape)
+        taylor[...] = g.jet[0][i]
+        for q in range(1, len(g.jet)):
+            np.multiply(g.jet[q][i], off ** q, out=term)
+            term /= math.factorial(q)
+            taylor += term
+        out = np.subtract(np.divide(1.0, fz, out=term), taylor, out=taylor)
         out /= g.delta ** self._params.order
         require_finite((fz, out), "f or the residual at the cell midpoints "
                        "not finite for the bisection midpoint y = %.6g", g.y)
         return out[..., None]
 
 
-def _defect(problem, params, y, eps1, backend, inv, k, rng, ledger):
+def _defect(problem, params, y, eps1, backend, inv, k, rng, ledger,
+            workspace=None):
     """One estimate of the arrival-time defect at y.
 
     The cell count balances discretization bias against estimator cost; a
@@ -175,6 +187,7 @@ def _defect(problem, params, y, eps1, backend, inv, k, rng, ledger):
     once they together read at least as many items as it holds (and by the
     quantum stub, which needs the exact mean): the memoization the cost
     model allows, as every run still charges one f evaluation per index.
+    The family is built on ``workspace``, if one is given.
     """
     order = params.order
     b_minus_a = problem.b - problem.a
@@ -189,7 +202,8 @@ def _defect(problem, params, y, eps1, backend, inv, k, rng, ledger):
     scale = width * geom.delta ** order
     n_mid = max(1, int(math.ceil(scale * inv["L"] / (2.0 * eps1)))) \
         if backend.boosted else 1
-    family = CellResidualFamily(problem, params, geom, n_mid, inv["M"], ledger)
+    family = CellResidualFamily(problem, params, geom, n_mid, inv["M"], ledger,
+                                workspace)
     # looked up by name at call time: see Backend.estimator; the estimator
     # budget is eps1/2 after scaling back by width * delta^(r+rho)
     est = globals()[backend.estimator](family, eps1 / (2.0 * scale), rng, k=k)
@@ -306,11 +320,12 @@ def bisection_solve(problem: IvpProblem, params: HolderParams, eps: float,
 
     span = D0 * b_minus_a
     inv = inverse_class_params(params, span)
+    workspace = Workspace()
     history = []
     for _ in range(max_iters):
         y_mid = 0.5 * (lo + hi)
         A = _defect(problem, params, y_mid, eps1, backend, inv, k_rep, rng,
-                    ledger)
+                    ledger, workspace)
         if abs(A) <= 2.0 * eps1:
             history.append((y_mid, A, "stop"))
             break

@@ -180,6 +180,15 @@ class TestQuantumSimMean:
             assert est.success_prob == 1.0, k
             assert est.cost["quantum_queries"] == k * 64
 
+    def test_clamped_runs_keep_a_negative_zero(self):
+        # the smallest negative subnormal over 3 items: the mean rounds to
+        # -0.0, and the median of k exact runs is the first run, sign kept
+        fam = ArrayFamily([-5e-324, 0.0, 0.0], bound=1.0)
+        for k in (1, 5):
+            est = quantum_sim_mean(fam, 1e-3, RngStream(0), k=k)
+            assert est.value[0] == 0.0 and np.signbit(est.value[0]), k
+            assert est.success_prob == 1.0
+
     def test_sim_evals_audited_not_charged(self):
         led = CostLedger()
         fam = ArrayFamily(np.zeros((100, 1)), bound=1.0, ledger=led)
@@ -228,6 +237,13 @@ class TestMedianBoost:
         assert est.value[0] == vals.mean()
         assert est.success_prob == 1.0
         assert est.cost["f_evals"] == 5 * 64
+
+    def test_exact_base_keeps_a_negative_zero(self):
+        fam = ArrayFamily([-5e-324, 0.0, 0.0])
+        assert np.signbit(full_mean(fam).value[0])
+        est = median_boost(full_mean, fam, 0.1, 5, RngStream(0))
+        assert est.value[0] == 0.0 and np.signbit(est.value[0])
+        assert est.success_prob == 1.0
 
     def test_cost_sums_over_repetitions(self):
         fam = ArrayFamily(np.zeros((10 ** 6, 1)), bound=1.0)
@@ -539,6 +555,21 @@ class TestMeanAt:
         assert got.shape == (dim,)
         assert got.tobytes() == ref.tobytes()
         assert got.tobytes() == vals[idx].mean(axis=0).tobytes()
+
+    @pytest.mark.parametrize("tabulated", [False, True])
+    def test_index_out_of_range_raises(self, tabulated):
+        # numpy's bounds, [-s, s), with a table or without one
+        led = CostLedger()
+        fam = ArrayFamily(np.arange(10.0), ledger=led)
+        if tabulated:
+            fam.tabulate()
+        for bad in (10, -11):
+            with pytest.raises(IndexError):
+                fam.access([0, bad])
+            with pytest.raises(IndexError):
+                fam.mean_at([[0, 1], [bad, 2]])
+        assert led.f_evals == 0
+        assert fam.mean_at([[-1, -10]]).tolist() == [[4.5]]
 
     def test_boosted_tabulated_d2_keeps_bytes(self):
         # d = 2: sigma = (2/0.2)^2 = 100 and reps = 5, so one run reads

@@ -1,10 +1,13 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from rqode import scalar
 from rqode.core import CostLedger, HolderParams, IvpProblem
+from rqode.estimators import Workspace, full_mean, mc_mean, quantum_sim_mean
 from rqode.fixtures import get_fixture
 from rqode.rng import RngStream
 from rqode.planted import make_planted
@@ -168,6 +171,166 @@ class TestCellTable:
         assert np.array_equal(table[idx], twin.access(idx))
         assert twin._table is None
         assert table.tobytes() == twin._compute(np.arange(fam.size)).tobytes()
+
+
+class FreshBuffers(Workspace):
+    """A workspace that hands out a new array at every request: no reuse."""
+
+    def array(self, name, shape):
+        return np.empty(shape)
+
+
+class RecordedWorkspace(Workspace):
+    """A workspace that keeps a list of its instances."""
+
+    made = []
+
+    def __init__(self):
+        super().__init__()
+        self.made.append(self)
+
+
+def shares_a_buffer(value, workspace) -> bool:
+    return any(np.shares_memory(value, buf)
+               for buf in workspace._buffers.values())
+
+
+def leaves(obj):
+    """Every number, array or string in a result's fields, recursively."""
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [leaf for item in obj for leaf in leaves(item)]
+    return [obj]
+
+
+REUSE_PROBLEMS = {
+    "inv1p": lambda: (get_fixture("inv1p").problem,
+                      get_fixture("inv1p").params, (1.4, 0.2, 1.2)),
+    "inv1p_r1": lambda: (get_fixture("inv1p_r1").problem,
+                         get_fixture("inv1p_r1").params, (1.4, 0.2, -0.3)),
+    "planted_r2": lambda: planted_r2_problem() + ((0.48, 0.3, 0.02),),
+}
+
+
+class TestBufferReuse:
+    """One bisection builds every cell family on one workspace: the reused
+    buffers change no bit, and no estimate or result holds a view of them."""
+
+    def test_workspace_grows_only_when_needed(self):
+        ws = Workspace()
+        a = ws.array("grid", (6, 5))
+        b = ws.array("grid", (2, 3))
+        assert b.shape == (2, 3) and np.shares_memory(a, b)
+        assert not np.shares_memory(a, ws.array("table", (2, 3)))
+        c = ws.array("grid", (31,))
+        assert not np.shares_memory(a, c)
+        assert np.shares_memory(c, ws.array("grid", (30,)))
+
+    @pytest.mark.parametrize("name", sorted(REUSE_PROBLEMS))
+    def test_reused_tables_equal_fresh_ones(self, name):
+        # a larger table, then a smaller one, leave their values in the
+        # buffers; the next family's items equal a fresh family's bit for
+        # bit, tabulated, gathered and computed index by index
+        prob, params, (y_big, y_small, y) = REUSE_PROBLEMS[name]()
+
+        def family(y, cells, n_mid, workspace):
+            led = CostLedger()
+            geom = CellGeometry(prob, params, y, cells, led)
+            return CellResidualFamily(prob, params, geom, n_mid, 1.0, led,
+                                      workspace)
+        ws = Workspace()
+        family(y_big, 61, 9, ws).tabulate()
+        family(y_small, 7, 3, ws).tabulate()
+        big = ws._buffers["table"].size
+        fam, fresh = family(y, 37, 5, ws), family(y, 37, 5, None)
+        idx = np.random.default_rng(6).integers(0, fam.size, (3, 120))
+        assert (fam.access(idx[0]).tobytes()
+                == fresh._compute(idx[0]).tobytes())
+        table = fam.tabulate()
+        assert np.shares_memory(table, ws._buffers["table"])
+        assert ws._buffers["table"].size == big
+        assert table.tobytes() == fresh.tabulate().tobytes()
+        assert fam.mean_at(idx).tobytes() == fresh.mean_at(idx).tobytes()
+        assert np.shares_memory(fam._columns, ws._buffers["table"])
+
+    @pytest.mark.parametrize("tabulated", [False, True])
+    def test_index_out_of_range_raises(self, tabulated):
+        # the gather into the workspace keeps numpy's bounds, [-s, s)
+        fx = get_fixture("inv1p")
+        led = CostLedger()
+        geom = CellGeometry(fx.problem, fx.params, 1.2, 37, led)
+        fam = CellResidualFamily(fx.problem, fx.params, geom, 5, 1.0, led,
+                                 Workspace())
+        fresh = CellResidualFamily(fx.problem, fx.params, geom, 5, 1.0, led)
+        if tabulated:
+            fam.tabulate()
+        for bad in (fam.size, -fam.size - 1):
+            with pytest.raises(IndexError):
+                fam.access([0, bad])
+            with pytest.raises(IndexError):
+                fam.mean_at([[0, 1], [bad, 2]])
+        assert (fam.mean_at([[-1, -fam.size]]).tobytes()
+                == fresh.mean_at([[fam.size - 1, 0]]).tobytes())
+
+    @pytest.mark.parametrize("backend, eps1", [
+        (full_mean, 0.1),
+        (mc_mean, 0.2),     # k runs read less than the family: no table
+        (mc_mean, 0.1),     # k runs read it all: sampled from the table
+        (mc_mean, 0.01),    # enumeration
+        (quantum_sim_mean, 0.01),
+        (quantum_sim_mean, 1e-4),   # the charge clamps: exact runs
+    ])
+    def test_estimates_hold_no_buffer_view(self, backend, eps1):
+        # 37 cells x 50 midpoints, bound 1: mc_mean's sigma is 100, 400 and
+        # 40,000 against s = 1,850, and the stub's charge 100 and 10,000
+        fx = get_fixture("inv1p_r1")
+        ws = Workspace()
+        led = CostLedger()
+        geom = CellGeometry(fx.problem, fx.params, 1.2, 37, led)
+        fam = CellResidualFamily(fx.problem, fx.params, geom, 50, 1.0, led,
+                                 ws)
+        for k in (1, 5):
+            est = backend(fam, eps1, RngStream(k, led), k=k)
+            assert ws._buffers and not shares_a_buffer(est.value, ws)
+
+    @pytest.mark.parametrize("mode", ["deterministic", "randomized",
+                                      "quantum_sim"])
+    def test_bisection_holds_no_buffer_view(self, monkeypatch, mode):
+        fx = get_fixture("inv1p")
+        checked = []
+        name = scalar.get_backend(mode).estimator
+        backend = getattr(scalar, name)
+
+        def checked_backend(family, *args, **kwargs):
+            est = backend(family, *args, **kwargs)
+            checked.append(not shares_a_buffer(est.value, family._workspace))
+            return est
+        monkeypatch.setattr(scalar, name, checked_backend)
+        monkeypatch.setattr(scalar, "Workspace", RecordedWorkspace)
+        RecordedWorkspace.made.clear()
+        res = bisection_solve(fx.problem, fx.params, 1e-3, 0.1, mode=mode,
+                              seed=4)
+        (ws,) = RecordedWorkspace.made
+        assert ws._buffers and len(checked) == res.iters and all(checked)
+        assert not any(shares_a_buffer(leaf, ws) for leaf in leaves(res))
+
+    def test_bisections_in_turn_equal_fresh_runs(self, monkeypatch):
+        # what one process runs before a bisection changes none of its bytes
+        runs = [("inv1p", "randomized", 1e-4, 21),
+                ("inv1p_r1", "quantum_sim", 1e-4, 22),
+                ("inv1p", "randomized", 1e-4, 23)]
+
+        def reports():
+            return [json.dumps(bisection_solve(
+                get_fixture(name).problem, get_fixture(name).params, eps,
+                0.1, mode=mode, seed=seed).to_report())
+                for name, mode, eps, seed in runs]
+        reused = reports()
+        monkeypatch.setattr(scalar, "Workspace", FreshBuffers)
+        assert reports() == reused
 
 
 def field_with_hole(r, hole, bad=np.nan, bad_order=0):
