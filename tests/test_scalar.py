@@ -180,23 +180,13 @@ class FreshBuffers(Workspace):
         return np.empty(shape)
 
 
-class RecordedWorkspace(Workspace):
-    """A workspace that keeps a list of its instances."""
-
-    made = []
-
-    def __init__(self):
-        super().__init__()
-        self.made.append(self)
-
-
 def shares_a_buffer(value, workspace) -> bool:
     return any(np.shares_memory(value, buf)
                for buf in workspace._buffers.values())
 
 
 def leaves(obj):
-    """Every number, array or string in a result's fields, recursively."""
+    """Every leaf value in a result's fields, recursively."""
     if dataclasses.is_dataclass(obj):
         obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
     if isinstance(obj, dict):
@@ -308,12 +298,13 @@ class TestBufferReuse:
             est = backend(family, *args, **kwargs)
             checked.append(not shares_a_buffer(est.value, family._workspace))
             return est
+        made = []
         monkeypatch.setattr(scalar, name, checked_backend)
-        monkeypatch.setattr(scalar, "Workspace", RecordedWorkspace)
-        RecordedWorkspace.made.clear()
+        monkeypatch.setattr(scalar, "Workspace",
+                            lambda: made.append(Workspace()) or made[-1])
         res = bisection_solve(fx.problem, fx.params, 1e-3, 0.1, mode=mode,
                               seed=4)
-        (ws,) = RecordedWorkspace.made
+        (ws,) = made
         assert ws._buffers and len(checked) == res.iters and all(checked)
         assert not any(shares_a_buffer(leaf, ws) for leaf in leaves(res))
 
