@@ -193,9 +193,8 @@ class IndexedFamily:
         Row by row equal bit for bit to ``access(row).mean(axis=0)``, which
         is how the block is reduced when there is no table (one ``access``).
         With a table it gathers from the ``(d, s)`` component-major copy
-        (built once; for d = 1 a view of the table), into buffer ``"grid"``
-        of a workspace if there is one, without copying ``(sigma, d)`` rows,
-        and sums each row in numpy's own axis-0 order: one pairwise sum for
+        (built once; for d = 1 a view of the table), into buffer ``"grid"``,
+        without copying ``(sigma, d)`` rows, and sums each row in numpy's own axis-0 order: one pairwise sum for
         d = 1, where numpy reduces the ``(sigma, 1)`` array as one contiguous
         run, and a row-sequential sum per component for d >= 2, where it adds
         row after row.  Totals are divided by sigma.  Indices take numpy's
@@ -208,18 +207,13 @@ class IndexedFamily:
             return items.reshape(idx.shape + (self.dim,)).mean(axis=-2)
         if self._columns is None:
             self._columns = np.ascontiguousarray(self._table.T)
-        if self._workspace is None:
-            items = self._columns.take(idx, axis=1)
-        else:
-            # "raise" would gather into a temporary and copy that into the
-            # buffer; "wrap" writes straight into it, once the bounds hold
-            if idx.size and (idx.min() < -self.size
-                             or idx.max() >= self.size):
-                raise IndexError("index out of range for a family of %d "
-                                 "items" % self.size)
-            items = np.take(self._columns, idx, axis=1, mode="wrap",
-                            out=self._workspace.array(
-                                "grid", (self.dim,) + idx.shape))
+        # "raise" would gather into a temporary and copy that into the
+        # buffer; "wrap" writes straight into it, once the bounds hold
+        if idx.size and (idx.min() < -self.size or idx.max() >= self.size):
+            raise IndexError("index out of range for a family of %d items"
+                             % self.size)
+        items = np.take(self._columns, idx, axis=1, mode="wrap",
+                        out=self._buffer("grid", (self.dim,) + idx.shape))
         if self.dim == 1:
             total = items.sum(axis=-1)
         else:
@@ -417,7 +411,7 @@ def median_boost(base: Callable[..., MeanEstimate], family: IndexedFamily,
     snap = family.ledger.snapshot()
     runs = [base(family, eps1, rng) for _ in range(k)]
     value, success = _median_of_runs([est.value for est in runs],
-                                     runs[0].success_prob)
+                                     min(est.success_prob for est in runs))
     return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
                         eps_target=float(eps1), success_prob=success)
 

@@ -135,8 +135,7 @@ class CellResidualFamily(IndexedFamily):
 
     Item (i, k), flattened as i*N_c + k, is the residual of cell i at
     midpoint (k + 1/2)/N_c, scaled by delta^(r+rho); each access costs one f
-    evaluation.  Items are computed in buffer ``"grid"``, with ``"table"``
-    as scratch (see ``IndexedFamily``).
+    evaluation.
     """
 
     def __init__(self, problem: IvpProblem, params: HolderParams,
@@ -187,7 +186,6 @@ def _defect(problem, params, y, eps1, backend, inv, k, rng, ledger,
     once they together read at least as many items as it holds (and by the
     quantum stub, which needs the exact mean): the memoization the cost
     model allows, as every run still charges one f evaluation per index.
-    The family is built on ``workspace``, if one is given.
     """
     order = params.order
     b_minus_a = problem.b - problem.a

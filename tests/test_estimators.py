@@ -231,6 +231,18 @@ class TestMedianBoost:
         est = median_boost(stub, fam, 0.1, 3, RngStream(0))
         assert est.value[0] == 1.0
 
+    def test_first_run_exact_later_sampled_takes_the_median(self):
+        # only k exact runs pass the first one through
+        runs = iter([(5.0, 1.0), (0.9, 0.75), (1.0, 0.75)])
+
+        def stub(family, eps1, rng):
+            value, success = next(runs)
+            return MeanEstimate(value=np.array([value]), cost={},
+                                eps_target=eps1, success_prob=success)
+        est = median_boost(stub, ArrayFamily([0.0]), 0.1, 3, RngStream(0))
+        assert est.value[0] == 1.0
+        assert est.success_prob == 1.0 - float(binomial_fail_tail(3))
+
     def test_exact_base_stays_exact(self):
         vals = np.linspace(-0.5, 0.5, 64)
         est = median_boost(full_mean, ArrayFamily(vals), 0.1, 5, RngStream(0))
