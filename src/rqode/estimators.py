@@ -194,10 +194,10 @@ class IndexedFamily:
         is how the block is reduced when there is no table (one ``access``).
         With a table it gathers from the ``(d, s)`` component-major copy
         (built once; for d = 1 a view of the table), into buffer ``"grid"``,
-        without copying ``(sigma, d)`` rows, and sums each row in numpy's own axis-0 order: one pairwise sum for
-        d = 1, where numpy reduces the ``(sigma, 1)`` array as one contiguous
-        run, and a row-sequential sum per component for d >= 2, where it adds
-        row after row.  Totals are divided by sigma.  Indices take numpy's
+        without copying ``(sigma, d)`` rows, and sums each row in numpy's own
+        axis-0 order: one pairwise sum for d = 1, where numpy reduces the
+        ``(sigma, 1)`` array as one contiguous run, and a row-sequential sum
+        per component for d >= 2, where it adds row after row.  Totals are divided by sigma.  Indices take numpy's
         bounds, [-s, s).
         """
         idx = np.atleast_1d(np.asarray(idx, dtype=int))
