@@ -197,8 +197,8 @@ class IndexedFamily:
         without copying ``(sigma, d)`` rows, and sums each row in numpy's own
         axis-0 order: one pairwise sum for d = 1, where numpy reduces the
         ``(sigma, 1)`` array as one contiguous run, and a row-sequential sum
-        per component for d >= 2, where it adds row after row.  Totals are divided by sigma.  Indices take numpy's
-        bounds, [-s, s).
+        per component for d >= 2, where it adds row after row.  Totals are
+        divided by sigma.  Indices take numpy's bounds, [-s, s).
         """
         idx = np.atleast_1d(np.asarray(idx, dtype=int))
         sigma = idx.shape[-1]
