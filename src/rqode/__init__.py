@@ -17,8 +17,7 @@ from .estimators import (ArrayFamily, IndexedFamily, MeanEstimate, full_mean,
 from .taylor import (PiecewiseTaylorApprox, fetch_jet, flow_coeffs_from_jet,
                      integrate_field_along)
 from .solver import SolveConfig, SolveResult, run_trials, solve, sup_error
-from .scalar import (BisectionResult, bisection_solve, estimate_H,
-                     inverse_class_params)
+from .scalar import BisectionResult, bisection_solve, inverse_class_params
 from .planted import PlantedProblem, make_planted, recover_mean
 from .fixtures import (Fixture, fixture_names, get_fixture, load_fixture_file,
                        reference_solver)

@@ -48,9 +48,10 @@ PROBE_COUNT = 192       # sup-error probe points per IVP trial
 class ExperimentPlan:
     """One ladder experiment: fixture, mode, rungs, trials, seed, workers.
 
-    A stock fixture name is resolved to its ``Fixture`` here.  Workers
-    rebuild the fixture from its entry, so a hand-built one (no ``meta``)
-    needs ``workers=1``.
+    A stock fixture name is resolved to its ``Fixture`` here, and values no
+    rung can use (rungs out of order, trials, delta, seed, workers) are
+    rejected here rather than in a worker.  Workers rebuild the fixture from
+    its entry, so a hand-built one (no ``meta``) needs ``workers=1``.
     """
 
     fixture: Fixture
@@ -72,6 +73,8 @@ class ExperimentPlan:
         object.__setattr__(self, "ladder", rungs)
         if self.trials < 1:
             raise ValueError("trials must be a positive integer")
+        if not 0.0 < self.delta < 0.5:
+            raise ValueError("delta must lie in (0, 1/2)")
         if get_backend(self.mode).boosted and self.trials < 30:
             raise ValueError("stochastic ladders need at least 30 trials")
         if self.workers < 1:

@@ -50,7 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CostLedger
+from .core import CostLedger, require_finite_input
 from .rng import RngStream
 
 __all__ = [
@@ -328,6 +328,7 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream,
     Philox continues a draw across calls, so the value is
     ``median_boost(mc_mean, ..., k)``'s bit for bit.
     """
+    require_finite_input("eps1", eps1)
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
     k = _run_count(k)
@@ -370,6 +371,7 @@ def quantum_sim_mean(family: IndexedFamily, eps1: float, rng: RngStream,
     one ``(k, 3, reps, d)`` block: what k runs drawing in turn would draw,
     so the value is ``median_boost(quantum_sim_mean, ..., k)``'s bit for bit.
     """
+    require_finite_input("eps1", eps1)
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
     k = _run_count(k)

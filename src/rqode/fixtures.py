@@ -3,7 +3,9 @@
 A fixture bundles an :class:`IvpProblem` (the jet oracle from its family's
 builder), its smoothness-class declaration, and a reference solution where
 a closed form exists.  The declarative file format carries one JSON object
-per fixture: ``{name, family?, d, r, rho, D, H, p?, a, b, eta}``.
+per fixture: ``{name, family?, d, r, rho, D, H, p?, component_H?, a, b,
+eta}``, plus its family's own keys: ``c`` for ``constant``, ``lambdas``
+and ``peak_coeff?`` for ``planted``.
 The stock fixtures are the entries of the shipped ``fixtures.json``, read on
 first use.  A fixture keeps its entry as ``meta`` and pickles as that entry,
 so worker processes rebuild it.
@@ -116,8 +118,14 @@ def _build_scalar(entry, params):
 
 
 def _build_constant(entry, params):
-    a, b, eta = entry["a"], entry["b"], entry["eta"]
-    c = np.asarray(entry.get("c", [0.7, -0.3][: len(eta)]), dtype=float)
+    name, a, b, eta = entry["name"], entry["a"], entry["b"], entry["eta"]
+    c = entry.get("c")
+    if c is None:
+        raise KeyError("fixture %r: the constant entry has no 'c'" % name)
+    _check_dim(name, "len(c)", len(c), entry["d"])
+    if not np.isfinite(c).all():
+        raise ValueError("fixture %r: 'c' is %r, not all finite"
+                         % (name, c.tolist()))
 
     def derivs(k, y):
         lead = np.shape(y)[:-1]
@@ -152,7 +160,7 @@ def _build_planted(entry, params):
 
 
 # family -> builder(entry, params) -> (problem, params of f, reference, y_star);
-# the entry's _ENTRY_KEYS hold their converted values
+# the entry's _ENTRY_KEYS and _OPTIONAL_KEYS hold their converted values
 _BUILDERS = {
     **dict.fromkeys(_SCALAR_FAMILIES, _build_scalar),
     "constant": _build_constant,
@@ -166,6 +174,9 @@ _BUILDERS = {
 _floats = functools.partial(np.fromiter, dtype=float)
 _ENTRY_KEYS = {"name": str, "d": int, "r": int, "rho": float, "D": _floats,
                "H": float, "a": float, "b": float, "eta": _floats}
+# the keys that an entry may leave out (or set to null), converted alike
+_OPTIONAL_KEYS = {"p": float, "component_H": _floats, "peak_coeff": float,
+                  "c": _floats}
 
 
 def _check_dim(name, what, n, d):
@@ -185,17 +196,18 @@ def _fixture_from_entry(entry: dict) -> Fixture:
         raise KeyError("fixture %r: unknown family %r; known: %s"
                        % (name, family, ", ".join(sorted(_BUILDERS))))
     spec = {}
-    for key, convert in _ENTRY_KEYS.items():
+    for key, convert in {**_ENTRY_KEYS, **_OPTIONAL_KEYS}.items():
+        if key in _OPTIONAL_KEYS and entry.get(key) is None:
+            continue
         try:
             spec[key] = convert(entry[key])
         except (TypeError, ValueError) as exc:
             raise ValueError("fixture %r: %r is %r (%s)"
                              % (name, key, entry[key], exc)) from None
     _check_dim(name, "len(eta)", len(spec["eta"]), spec["d"])
-    cH = entry.get("component_H")
     params = HolderParams(r=spec["r"], rho=spec["rho"], D=tuple(spec["D"]),
-                          H=spec["H"], p=entry.get("p"),
-                          component_H=None if cH is None else tuple(cH))
+                          H=spec["H"], p=spec.get("p"),
+                          component_H=spec.get("component_H"))
     problem, params, reference, y_star = _BUILDERS[family]({**entry, **spec},
                                                            params)
     _check_dim(name, "the problem's dim", problem.dim, spec["d"])

@@ -15,6 +15,9 @@ bisection succeeds with probability 1 - delta.  The mode's
 :class:`~rqode.estimators.Backend` record also sets the cell-count law and
 the midpoint rule.
 
+:func:`bisection_solve` is the one entry point and checks the inputs once;
+the defect estimate it bisects on is internal to it.
+
 One bisection builds every iteration's cell family on one
 :class:`~rqode.estimators.Workspace`: the item grid, its scratch, the table
 and the estimators' gathers reuse the same buffers, which grow only when a
@@ -41,7 +44,6 @@ from .taylor import fetch_jet
 __all__ = [
     "ClassViolationError",
     "inverse_class_params",
-    "estimate_H",
     "bisection_solve",
     "BisectionResult",
     "CellGeometry",
@@ -174,7 +176,7 @@ class CellResidualFamily(IndexedFamily):
 
 
 def _defect(problem, params, y, eps1, backend, inv, k, rng, ledger,
-            workspace=None):
+            workspace):
     """One estimate of the arrival-time defect at y.
 
     The cell count balances discretization bias against estimator cost; a
@@ -207,40 +209,6 @@ def _defect(problem, params, y, eps1, backend, inv, k, rng, ledger,
     est = globals()[backend.estimator](family, eps1 / (2.0 * scale), rng, k=k)
     return (geom.exact_part + geom.sign * width * geom.delta ** order
             * float(est.value[0]) - b_minus_a)
-
-
-def _require_endpoint_class(problem: IvpProblem, params: HolderParams):
-    """The endpoint solver's input class: d = 1 and a declared bound p."""
-    if problem.dim != 1:
-        raise ValueError("the endpoint solver handles scalar problems only")
-    if params.p is None:
-        raise ValueError("params must declare the lower bound p")
-
-
-def estimate_H(problem: IvpProblem, params: HolderParams, y: float,
-               eps1: float, mode: str, rng: Optional[RngStream] = None,
-               ledger: Optional[CostLedger] = None):
-    """Estimate the arrival-time defect at y to within eps1, w.p. >= 3/4.
-
-    The [eta, y] interval is split into cells; the degree-r Taylor part of
-    1/f is integrated exactly and the scaled cell residuals are averaged by
-    the mode's mean backend (bias and estimation error each budgeted at
-    eps1/2).  Deterministic mode enumerates every midpoint and is certain.
-    Returns ``(A, cost_receipt)``.
-    """
-    backend = get_backend(mode)
-    require_finite_input("eps1", eps1)
-    if eps1 <= 0:
-        raise ValueError("eps1 must be positive")
-    _require_endpoint_class(problem, params)
-    ledger = ledger if ledger is not None else CostLedger()
-    rng = rng if rng is not None else RngStream(0, ledger)
-    snap = ledger.snapshot()
-    width = abs(float(y) - float(problem.eta[0]))
-    span = max(width, params.D[0] * (problem.b - problem.a))
-    inv = inverse_class_params(params, span)
-    A = _defect(problem, params, float(y), eps1, backend, inv, 1, rng, ledger)
-    return A, ledger.delta_since(snap)
 
 
 @dataclass
@@ -289,7 +257,10 @@ def bisection_solve(problem: IvpProblem, params: HolderParams, eps: float,
     past the budget is reported as a (low-probability) contract breach.
     """
     backend = get_backend(mode)
-    _require_endpoint_class(problem, params)
+    if problem.dim != 1:
+        raise ValueError("the endpoint solver handles scalar problems only")
+    if params.p is None:
+        raise ValueError("params must declare the lower bound p")
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
     require_finite_input("eps", eps)

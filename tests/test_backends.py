@@ -18,7 +18,7 @@ from rqode.core import CostLedger
 from rqode.estimators import ArrayFamily, median_boost
 from rqode.fixtures import get_fixture
 from rqode.rng import RngStream
-from rqode.scalar import bisection_solve, estimate_H
+from rqode.scalar import bisection_solve
 from rqode.solver import MODES, SolveConfig
 
 ESTIMATOR = {"deterministic": "full_mean", "randomized": "mc_mean",
@@ -47,8 +47,6 @@ ENTRY_POINTS = {
     "SolveConfig.resolved": lambda fx: SolveConfig(n=2, mode="bogus").resolved(),
     "bisection_solve": lambda fx: bisection_solve(fx.problem, fx.params, 1e-3,
                                                   0.1, mode="bogus"),
-    "estimate_H": lambda fx: estimate_H(fx.problem, fx.params, 0.5, 1e-3,
-                                        "bogus"),
     "ExperimentPlan": lambda fx: ExperimentPlan(fixture="inv1p", mode="bogus",
                                                 ladder=[1e-3, 1e-2]),
 }

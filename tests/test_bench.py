@@ -75,6 +75,16 @@ class TestPlans:
             ExperimentPlan(fixture="sin_flow", mode=mode, ladder=[2, 3],
                            trials=trials)
 
+    @pytest.mark.parametrize("delta", [0.7, 0.5, 0.0, -0.1, float("nan")])
+    @pytest.mark.parametrize("mode", ["deterministic", "randomized",
+                                      "quantum_sim"])
+    def test_delta_outside_range_rejected(self, mode, delta):
+        # at construction, not at the first rung (in a worker if pooled)
+        with pytest.raises(ValueError,
+                           match=r"^delta must lie in \(0, 1/2\)"):
+            ExperimentPlan(fixture="sin_flow", mode=mode, ladder=[2, 3],
+                           delta=delta, workers=2)
+
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers"):
             ExperimentPlan(fixture="sin_flow", mode="deterministic",

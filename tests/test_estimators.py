@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqode.core import CostLedger
-from rqode.estimators import (ArrayFamily, MeanEstimate, _sample_size,
-                              binomial_fail_tail, full_mean, inner_rep_count,
-                              mc_mean, median_boost, median_rep_count,
-                              quantum_sim_mean)
+from rqode.estimators import (ArrayFamily, MeanEstimate, Workspace,
+                              _sample_size, binomial_fail_tail, full_mean,
+                              inner_rep_count, mc_mean, median_boost,
+                              median_rep_count, quantum_sim_mean)
 from rqode.fixtures import get_fixture
 from rqode.rng import RngStream
 
@@ -443,17 +443,24 @@ class TestItemTable:
                          solver.SolveConfig(n=12, mode="randomized"))))
 
     def _cell_family(self, monkeypatch):
+        # inv1p_r1's randomized defect estimate at y = 1.2, eps1 = 1e-4, on
+        # a workspace of its own, as a bisection builds it
         from rqode import scalar
         fx = get_fixture("inv1p_r1")
+        span = fx.params.D[0] * (fx.problem.b - fx.problem.a)
+        inv = scalar.inverse_class_params(fx.params, span)
         return _first_family(monkeypatch, scalar, "mc_mean", lambda: (
-            scalar.estimate_H(fx.problem, fx.params, 1.2, 1e-4, "randomized",
-                              RngStream(3))))
+            scalar._defect(fx.problem, fx.params, 1.2, 1e-4,
+                           scalar.get_backend("randomized"), inv, 1,
+                           RngStream(3), CostLedger(), Workspace())))
 
     @pytest.mark.parametrize("which", ["residual", "cell"])
     def test_tabulate_bit_identical_to_compute(self, monkeypatch, which):
         fam, _ = (self._residual_family(monkeypatch) if which == "residual"
                   else self._cell_family(monkeypatch))
-        whole = fam._compute(np.arange(fam.size))
+        # a copy: on a workspace, tabulate() reuses the buffer that holds
+        # what _compute returned
+        whole = fam._compute(np.arange(fam.size)).copy()
         assert fam.tabulate().tobytes() == whole.tobytes()
 
     def test_access_charges_per_index_from_table(self):
@@ -681,6 +688,17 @@ class TestBoostedRuns:
             for k in (0, 2, -1):
                 with pytest.raises(ValueError, match="odd positive"):
                     base(fam, 0.1, RngStream(0), k=k)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("base", [mc_mean, quantum_sim_mean])
+    def test_non_finite_eps1_rejected(self, base, bad):
+        # named before any draw or charge: an infinite eps1 would otherwise
+        # divide by a zero sample size, or charge no query for a value
+        led = CostLedger()
+        fam = ArrayFamily([[0.1], [0.2], [0.3], [0.5]], ledger=led)
+        with pytest.raises(ValueError, match="^eps1 must be finite"):
+            base(fam, bad, RngStream(0, led))
+        assert led.total == led.rng_draws == 0
 
     @pytest.mark.parametrize("size, sigma, reps, g", [
         (3, 1, 1, 5), (100, 25, 1, 4), (1000003, 17, 5, 3),

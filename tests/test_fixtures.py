@@ -207,9 +207,35 @@ class TestFixtureFile:
          r"fixture 'sin_flow': unknown family \['x'\]; known: constant, "),
         ({"family": "planted"}, KeyError,
          r"fixture 'sin_flow': the planted entry has no 'lambdas'"),
-    ], ids=["D", "eta", "r", "a", "family", "family_list", "lambdas"])
+        ({"p": "abc"}, ValueError, r"fixture 'sin_flow': 'p' is 'abc' \("),
+        ({"component_H": 3}, ValueError,
+         r"fixture 'sin_flow': 'component_H' is 3 \("),
+        ({"peak_coeff": "abc"}, ValueError,
+         r"fixture 'sin_flow': 'peak_coeff' is 'abc' \("),
+    ], ids=["D", "eta", "r", "a", "family", "family_list", "lambdas", "p",
+            "component_H", "peak_coeff"])
     def test_malformed_entry_named(self, tmp_path, change, error, message):
         entry = dict(get_fixture("sin_flow").meta, **change)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(error, match=message):
+            load_fixture_file(path)
+
+    @pytest.mark.parametrize("d, c, error, message", [
+        (2, None, KeyError, r"fixture 'constant': the constant entry has no "
+                            r"'c'"),
+        (3, None, KeyError, r"fixture 'constant': the constant entry has no "
+                            r"'c'"),
+        (2, [0.7, -0.3, 0.1], ValueError,
+         r"fixture 'constant': len\(c\) is 3 but d is 2"),
+        (2, [float("nan"), 0.1], ValueError,
+         r"fixture 'constant': 'c' is \[nan, 0\.1\], not all finite"),
+    ], ids=["missing", "missing_d3", "length", "nan"])
+    def test_constant_entry_needs_finite_c(self, tmp_path, d, c, error,
+                                           message):
+        entry = dict(get_fixture("constant").meta, d=d, eta=[0.0] * d, c=c)
+        if c is None:
+            del entry["c"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([entry]))
         with pytest.raises(error, match=message):

@@ -12,7 +12,7 @@ from rqode.fixtures import get_fixture
 from rqode.rng import RngStream
 from rqode.planted import make_planted
 from rqode.scalar import (CellGeometry, CellResidualFamily,
-                          ClassViolationError, bisection_solve, estimate_H,
+                          ClassViolationError, bisection_solve,
                           inverse_class_params)
 from rqode.solver import ResidualFamily, SolveConfig, solve
 from rqode.taylor import fetch_jet
@@ -58,20 +58,31 @@ class TestInverseClassParams:
             inverse_class_params(p, 1.0)
 
 
+def defect(problem, params, y, eps1, mode, rng=None, ledger=None):
+    """One estimate (k = 1) of the arrival-time defect at y, from the
+    inputs ``bisection_solve`` builds: the mode's backend, the inverse-class
+    bounds over the bracket's width D_0 (b - a), and a workspace."""
+    ledger = ledger if ledger is not None else CostLedger()
+    rng = rng if rng is not None else RngStream(0, ledger)
+    inv = inverse_class_params(params, params.D[0] * (problem.b - problem.a))
+    return scalar._defect(problem, params, y, eps1, scalar.get_backend(mode),
+                          inv, 1, rng, ledger, Workspace())
+
+
 class TestEstimateDefect:
     def test_unit_field_exact_zero(self):
         prob, params = constant_field_problem(1.0)
-        A, cost = estimate_H(prob, params, 1.0, 1e-9, "deterministic")
+        A = defect(prob, params, 1.0, 1e-9, "deterministic")
         assert A == pytest.approx(0.0, abs=1e-12)
 
     def test_inv1p_root_closed_form(self):
         fx = get_fixture("inv1p")
-        A, _ = estimate_H(fx.problem, fx.params, 1.0, 1e-7, "deterministic")
+        A = defect(fx.problem, fx.params, 1.0, 1e-7, "deterministic")
         assert A == pytest.approx(0.0, abs=1e-7)
 
     def test_inv1p_interior_value(self):
         fx = get_fixture("inv1p")
-        A, _ = estimate_H(fx.problem, fx.params, 0.5, 1e-7, "deterministic")
+        A = defect(fx.problem, fx.params, 0.5, 1e-7, "deterministic")
         assert A == pytest.approx(-0.875, abs=1e-7)
 
     @pytest.mark.parametrize("mode", ["randomized", "quantum_sim"])
@@ -81,8 +92,8 @@ class TestEstimateDefect:
         hits = 0
         T = 200
         for t in range(T):
-            A, _ = estimate_H(fx.problem, fx.params, 0.5, 0.01, mode,
-                              RngStream(7000 + t, led), led)
+            A = defect(fx.problem, fx.params, 0.5, 0.01, mode,
+                       RngStream(7000 + t, led), led)
             hits += abs(A + 0.875) <= 0.01
         # contract: within eps1 with probability >= 3/4 (allow 4 sigma)
         assert hits / T >= 0.75 - 4 * math.sqrt(0.75 * 0.25 / T)
@@ -95,14 +106,24 @@ class TestEstimateDefect:
         prob = IvpProblem(1, derivs, [0.0], (0.0, 1.0))
         params = HolderParams(r=0, rho=1.0, D=(1.0,), H=1.0, p=0.5)
         with pytest.raises(ClassViolationError):
-            estimate_H(prob, params, 0.9, 1e-3, "deterministic")
+            defect(prob, params, 0.9, 1e-3, "deterministic")
 
-    def test_cost_receipt_matches_ledger(self):
+    def test_cost_receipt_matches_ledger(self, monkeypatch):
+        # the ledger holds the anchors' jet, one f evaluation per cell at
+        # r = 0, plus the estimator's receipt, and no other charge
         fx = get_fixture("inv1p")
+        seen = []
+
+        def recorded(family, *args, **kwargs):
+            est = mc_mean(family, *args, **kwargs)
+            seen.append((family.cells, est.cost))
+            return est
+        monkeypatch.setattr(scalar, "mc_mean", recorded)
         led = CostLedger()
-        _, receipt = estimate_H(fx.problem, fx.params, 0.8, 1e-4,
-                                "randomized", RngStream(1, led), led)
-        assert receipt["f_evals"] == led.f_evals
+        defect(fx.problem, fx.params, 0.8, 1e-4, "randomized",
+               RngStream(1, led), led)
+        ((cells, receipt),) = seen
+        assert receipt["f_evals"] + cells == led.f_evals
         assert led.total == led.f_evals
 
 
@@ -378,8 +399,6 @@ class TestNonFiniteInput:
         fx = get_fixture("inv1p")
         with pytest.raises(ValueError, match="^eps must be finite"):
             bisection_solve(fx.problem, fx.params, bad, 0.25, mode=mode)
-        with pytest.raises(ValueError, match="^eps1 must be finite"):
-            estimate_H(fx.problem, fx.params, 1.2, bad, mode)
 
 
 class TestSandwich:
@@ -498,13 +517,11 @@ class TestBisection:
         fx2 = get_fixture("sin_flow")  # no lower bound p declared
         with pytest.raises(ValueError):
             bisection_solve(fx2.problem, fx2.params, 1e-3, 0.1)
-        # a 2-D problem fails at either entry point, even with p declared
+        # a 2-D problem fails, even with p declared
         fx3 = get_fixture("cos_time")
         params = dataclasses.replace(fx3.params, p=0.5)
         with pytest.raises(ValueError, match="scalar problems only"):
             bisection_solve(fx3.problem, params, 1e-3, 0.1)
-        with pytest.raises(ValueError, match="scalar problems only"):
-            estimate_H(fx3.problem, params, 0.5, 1e-3, "deterministic")
 
 
 class TestCostScaling:
@@ -516,8 +533,8 @@ class TestCostScaling:
         eps_list = [1e-2, 1e-3, 1e-4]
         for eps1 in eps_list:
             led = CostLedger()
-            estimate_H(fx.problem, fx.params, 1.2, eps1, "randomized",
-                       RngStream(3, led), led)
+            defect(fx.problem, fx.params, 1.2, eps1, "randomized",
+                   RngStream(3, led), led)
             led_costs.append(led.total)
         slopes = [math.log(led_costs[i + 1] / led_costs[i]) / math.log(10.0)
                   for i in range(2)]
@@ -529,8 +546,8 @@ class TestCostScaling:
         led_costs = []
         for eps1 in (1e-2, 1e-3, 1e-4):
             led = CostLedger()
-            estimate_H(fx.problem, fx.params, 1.2, eps1, "quantum_sim",
-                       RngStream(3, led), led)
+            defect(fx.problem, fx.params, 1.2, eps1, "quantum_sim",
+                   RngStream(3, led), led)
             led_costs.append(led.total)
         slopes = [math.log(led_costs[i + 1] / led_costs[i]) / math.log(10.0)
                   for i in range(2)]
