@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .core import is_whole, require_whole
 from .estimators import MODES, empirical_quantile, get_backend
 from .fixtures import Fixture, get_fixture
 from .rng import check_seed, child_seed
@@ -50,7 +50,8 @@ class ExperimentPlan:
 
     A stock fixture name is resolved to its ``Fixture`` here, and values no
     rung can use (rungs out of order, trials, delta, seed, workers) are
-    rejected here rather than in a worker.  Workers rebuild the fixture from
+    rejected here rather than in a worker; seed, trials, det_N and workers
+    must be whole numbers (31.0 runs as 31).  Workers rebuild the fixture from
     its entry, so a hand-built one (no ``meta``) needs ``workers=1``.
     """
 
@@ -66,7 +67,10 @@ class ExperimentPlan:
     def __post_init__(self):
         if isinstance(self.fixture, str):
             object.__setattr__(self, "fixture", get_fixture(self.fixture))
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        for name in ("trials", "det_N", "workers"):
+            object.__setattr__(self, name,
+                               require_whole(name, getattr(self, name)))
         rungs = tuple(self.ladder)
         if any(b <= a for a, b in zip(rungs, rungs[1:])):
             raise ValueError("ladder must be strictly increasing")
@@ -209,8 +213,7 @@ def run_ladder(plan: ExperimentPlan) -> SlopeReport:
     if plan.fixture.reference is None:
         raise ValueError("ladders need a fixture with a reference solution")
     for n in plan.ladder:
-        if not (isinstance(n, numbers.Real) and float(n).is_integer()
-                and n >= 1):
+        if not (is_whole(n) and n >= 1):
             raise ValueError("ladder rung n = %s is not a positive integer"
                              % (n,))
     rows = _map_rungs(_run_ivp_rung,

@@ -12,6 +12,7 @@ simulated quantum queries).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -30,6 +31,8 @@ __all__ = [
     "ClassViolationError",
     "require_finite",
     "require_finite_input",
+    "is_whole",
+    "require_whole",
 ]
 
 
@@ -50,6 +53,21 @@ def require_finite_input(name: str, *values) -> None:
     finite."""
     if not all(math.isfinite(v) for v in values):
         raise ValueError("%s must be finite" % name)
+
+
+def is_whole(value) -> bool:
+    """Whether ``value`` is a whole number: an integer, or an integral real
+    such as 31.0 (not NaN, an infinity or 2.5)."""
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+
+
+def require_whole(name: str, value) -> int:
+    """``value`` as an int; raise ``ValueError`` naming the input ``name``
+    unless it is whole, rather than truncate it."""
+    if not is_whole(value):
+        raise ValueError("%s must be a whole number, got %r" % (name, value))
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,11 @@ Charges are per index requested, whether an item is computed or read back
 from the family's item table: ``mc_mean`` tabulates the whole family once
 when its k runs draw at least as many items in total as the family holds,
 so the runs share one table, but the ledger still pays for every draw.
-The family's exact mean is computed once, next to its table, for the
-quantum stub and the estimate-error audit.
 
-The sampled and exact means read a family through ``IndexedFamily.mean_at``.
-From a table it takes each draw's items component by component and sums
-them in the order numpy's ``items.mean(axis=0)`` would (pairwise for d = 1,
-row after row for d >= 2), so a table changes wall time only, never a value
-or a charge.  A block of draws is reduced row by row in that same order.
+Every mean of a family, sampled or exact, is one ``_row_means`` reduction
+of its items laid out component-major, in the order numpy's
+``items.mean(axis=0)`` takes (pairwise for d = 1, row after row for
+d >= 2), so a table changes wall time only, never a value or a charge.
 
 ``BACKENDS`` holds one :class:`Backend` record per oracle-cost model, keyed
 by mode name (``MODES``): everything the solvers, the endpoint bisection and
@@ -114,12 +111,12 @@ class IndexedFamily:
     sup-norm bound on the items, used by the sampled backends for
     calibration.
 
-    ``tabulate`` fills an item table once, free of charge; ``access`` then
-    reads items from it instead of computing them, and still charges per
-    index.  ``mean_at`` reads and reduces in one step, from a
-    component-major copy of the table.  ``exact_mean`` caches the mean of
-    the table.  Whether tabulating pays is the caller's call: ``mc_mean``
-    tabulates when its k runs together read at least s items.
+    ``tabulate`` fills the item table once, free of charge: one ``(d, s)``
+    component-major array, read as its ``(s, d)`` transpose.  ``access``
+    then reads items from it instead of computing them, and still charges
+    per index.  ``mean_at`` and ``exact_mean`` reduce items with
+    ``_row_means``.  Whether tabulating pays is the caller's call:
+    ``mc_mean`` tabulates when its k runs together read at least s items.
 
     Large arrays come from ``_buffer(name, shape)``: new arrays, or views of
     the ``workspace`` buffers when one is given.  Buffer ``"table"`` holds
@@ -146,8 +143,6 @@ class IndexedFamily:
         self.ledger = ledger if ledger is not None else CostLedger()
         self._workspace = workspace
         self._table = None
-        self._columns = None
-        self._mean = None
         self._peeked = False
 
     def _items(self, i: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -165,17 +160,18 @@ class IndexedFamily:
         """All items from one broadcast over the grid; charges nothing.
 
         Midpoints run on the outer axis so the elementwise loops are long;
-        one transposed copy into buffer ``"table"`` puts the items in index
-        order.  Later calls return the same table: for the family's life
-        without a workspace, else until the next family on the workspace
-        computes items.
+        one transposed copy into buffer ``"table"``, shaped ``(d, cells,
+        n_mid)``, puts each component's items in index order, and the
+        result is its ``(s, d)`` transpose.  Later calls return the same
+        table: for the family's life without a workspace, else until the
+        next family on the workspace computes items.
         """
         if self._table is None:
             grid = self._items(np.arange(self.cells),
                                np.arange(self.n_mid)[:, None])
-            table = self._buffer("table", (self.cells, self.n_mid, self.dim))
-            np.copyto(table, grid.swapaxes(0, 1))
-            self._table = table.reshape(self.size, self.dim)
+            table = self._buffer("table", (self.dim, self.cells, self.n_mid))
+            np.copyto(table, grid.transpose(2, 1, 0))
+            self._table = table.reshape(self.dim, self.size).T
         return self._table
 
     def access(self, idx) -> np.ndarray:
@@ -188,38 +184,25 @@ class IndexedFamily:
 
     def mean_at(self, idx) -> np.ndarray:
         """Row means of a ``(sigma,)`` or ``(rows, sigma)`` index block,
-        charged like ``access``.
-
-        Row by row equal bit for bit to ``access(row).mean(axis=0)``, which
-        is how the block is reduced when there is no table (one ``access``).
-        With a table it gathers from the ``(d, s)`` component-major copy
-        (built once; for d = 1 a view of the table), into buffer ``"grid"``,
-        without copying ``(sigma, d)`` rows, and sums each row in numpy's own
-        axis-0 order: one pairwise sum for d = 1, where numpy reduces the
-        ``(sigma, 1)`` array as one contiguous run, and a row-sequential sum
-        per component for d >= 2, where it adds row after row.  Totals are
-        divided by sigma.  Indices take numpy's bounds, [-s, s).
+        charged like ``access``: one ``_row_means`` over the block's items,
+        from one ``access`` or, with a table, gathered from its ``(d, s)``
+        array into buffer ``"grid"`` and reduced there.  Indices take
+        numpy's bounds, [-s, s).
         """
         idx = np.atleast_1d(np.asarray(idx, dtype=int))
-        sigma = idx.shape[-1]
+        block = (self.dim,) + idx.shape
         if self._table is None:
-            items = self.access(idx.reshape(-1))
-            return items.reshape(idx.shape + (self.dim,)).mean(axis=-2)
-        if self._columns is None:
-            self._columns = np.ascontiguousarray(self._table.T)
-        # "raise" would gather into a temporary and copy that into the
-        # buffer; "wrap" writes straight into it, once the bounds hold
-        if idx.size and (idx.min() < -self.size or idx.max() >= self.size):
-            raise IndexError("index out of range for a family of %d items"
-                             % self.size)
-        items = np.take(self._columns, idx, axis=1, mode="wrap",
-                        out=self._buffer("grid", (self.dim,) + idx.shape))
-        if self.dim == 1:
-            total = items.sum(axis=-1)
+            items, out = self.access(idx.reshape(-1)).T.reshape(block), None
         else:
-            total = np.cumsum(items, axis=-1, out=items)[..., -1]
-        self.ledger.f_evals += idx.size
-        return total.T / sigma
+            # "raise" would gather into a temporary and copy that into the
+            # buffer; "wrap" writes straight into it, once the bounds hold
+            if idx.size and (idx.min() < -self.size or idx.max() >= self.size):
+                raise IndexError("index out of range for a family of %d "
+                                 "items" % self.size)
+            items = out = np.take(self._table.T, idx, axis=1, mode="wrap",
+                                  out=self._buffer("grid", block))
+            self.ledger.f_evals += idx.size
+        return _row_means(items, out)
 
     def peek_all(self) -> np.ndarray:
         """All items without ledger charges (simulation overhead only).
@@ -235,14 +218,19 @@ class IndexedFamily:
         return items
 
     def exact_mean(self) -> np.ndarray:
-        """The mean of all items, from ``peek_all``, computed once.
+        """The mean of all items, from ``peek_all`` and booked like it."""
+        return _row_means(self.peek_all().T)
 
-        Read-only; booked like ``peek_all`` (``sim_evals`` once per family).
-        """
-        if self._mean is None:
-            self._mean = self.peek_all().mean(axis=0)
-            self._mean.setflags(write=False)
-        return self._mean
+
+def _row_means(items: np.ndarray, out=None) -> np.ndarray:
+    """The ``(..., d)`` means over the last axis of a ``(d, ..., sigma)``
+    block, each summed as ``.mean(axis=0)`` sums ``(sigma, d)`` items:
+    pairwise for d = 1, row after row (into ``out`` if given) for d >= 2."""
+    if items.shape[0] == 1:
+        total = items.sum(axis=-1)
+    else:
+        total = np.cumsum(items, axis=-1, out=out)[..., -1]
+    return total.T / items.shape[-1]
 
 
 class ArrayFamily(IndexedFamily):

@@ -205,9 +205,12 @@ def _fixture_from_entry(entry: dict) -> Fixture:
             raise ValueError("fixture %r: %r is %r (%s)"
                              % (name, key, entry[key], exc)) from None
     _check_dim(name, "len(eta)", len(spec["eta"]), spec["d"])
-    params = HolderParams(r=spec["r"], rho=spec["rho"], D=tuple(spec["D"]),
-                          H=spec["H"], p=spec.get("p"),
-                          component_H=spec.get("component_H"))
+    try:
+        params = HolderParams(r=spec["r"], rho=spec["rho"], D=tuple(spec["D"]),
+                              H=spec["H"], p=spec.get("p"),
+                              component_H=spec.get("component_H"))
+    except ValueError as exc:
+        raise ValueError("fixture %r: %s" % (name, exc)) from None
     problem, params, reference, y_star = _BUILDERS[family]({**entry, **spec},
                                                            params)
     _check_dim(name, "the problem's dim", problem.dim, spec["d"])

@@ -13,10 +13,13 @@ import math
 
 import numpy as np
 
+from .core import is_whole
+
 
 def check_seed(seed) -> int:
-    """``seed`` as an int; a negative one raises a ``ValueError`` naming it."""
-    if int(seed) < 0:
+    """``seed`` as an int; one that is negative or not whole (NaN included)
+    raises a ``ValueError`` naming it."""
+    if not (is_whole(seed) and seed >= 0):
         raise ValueError("seed must be a non-negative integer, got %r" % seed)
     return int(seed)
 

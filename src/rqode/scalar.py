@@ -38,7 +38,7 @@ from .core import (ClassViolationError, CostLedger, HolderParams, IvpProblem,
                    require_finite, require_finite_input)
 from .estimators import (IndexedFamily, Workspace, full_mean, get_backend,
                          mc_mean, quantum_sim_mean)
-from .rng import RngStream
+from .rng import RngStream, check_seed
 from .taylor import fetch_jet
 
 __all__ = [
@@ -257,6 +257,7 @@ def bisection_solve(problem: IvpProblem, params: HolderParams, eps: float,
     past the budget is reported as a (low-probability) contract breach.
     """
     backend = get_backend(mode)
+    seed = check_seed(seed)
     if problem.dim != 1:
         raise ValueError("the endpoint solver handles scalar problems only")
     if params.p is None:

@@ -24,11 +24,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (CostLedger, HolderParams, IvpProblem, build_mesh,
-                   require_finite, require_finite_input, residual_bound,
-                   residual_bound_vector)
+                   require_finite, require_finite_input, require_whole,
+                   residual_bound, residual_bound_vector)
 from .estimators import (MODES, IndexedFamily, full_mean, get_backend,
                          mc_mean, quantum_sim_mean)
-from .rng import RngStream, child_seed
+from .rng import RngStream, check_seed, child_seed
 from .taylor import (PiecewiseTaylorApprox, fetch_jet, flow_coeffs_from_jet,
                      horner, integrate_field_along)
 
@@ -50,7 +50,8 @@ class SolveConfig:
     Mode defaults come from the mode's backend record: m = N = n^mesh_power
     (n^2 randomized, n otherwise), and boosted modes default eps1 = 1/n.
     Each estimate is the median of k = ``Backend.run_count(n, delta)`` runs
-    (1 when exact).  Every mode needs delta in (0, 1/2) and eps1 >= 0.
+    (1 when exact).  Every mode needs delta in (0, 1/2) and eps1 >= 0;
+    n, m, N and seed must be whole numbers (31.0 runs as 31).
     """
 
     n: int
@@ -63,14 +64,15 @@ class SolveConfig:
 
     def resolved(self) -> "SolveConfig":
         backend = get_backend(self.mode)
-        if self.n < 1:
+        n = require_whole("n", self.n)
+        if n < 1:
             raise ValueError("n must be a positive integer")
-        mesh = self.n ** backend.mesh_power
-        m = mesh if self.m is None else self.m
-        N = mesh if self.N is None else self.N
+        mesh = n ** backend.mesh_power
+        m = mesh if self.m is None else require_whole("m", self.m)
+        N = mesh if self.N is None else require_whole("N", self.N)
         eps1 = self.eps1
         if eps1 is None:
-            eps1 = 1.0 / self.n if backend.boosted else 0.0
+            eps1 = 1.0 / n if backend.boosted else 0.0
         if m < 1 or N < 1:
             raise ValueError("m and N must be positive integers")
         require_finite_input("eps1", eps1)
@@ -80,7 +82,8 @@ class SolveConfig:
             raise ValueError("stochastic modes need eps1 > 0")
         if not 0.0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 1/2)")
-        return replace(self, m=int(m), N=int(N), eps1=float(eps1))
+        return replace(self, n=n, m=m, N=N, eps1=float(eps1),
+                       seed=check_seed(self.seed))
 
     def as_dict(self) -> dict:
         cfg = self.resolved()

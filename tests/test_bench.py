@@ -90,6 +90,33 @@ class TestPlans:
             ExperimentPlan(fixture="sin_flow", mode="deterministic",
                            ladder=[2, 3], workers=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 30.5), ("trials", float("nan")), ("det_N", 2.5),
+        ("workers", 1.5)])
+    def test_fractional_count_rejected(self, field, value):
+        # at construction: trials = 30.5 used to fail in a rung, and
+        # det_N = 2.5 to run with N = 2
+        with pytest.raises(ValueError, match="^%s must be a whole number, "
+                           "got %r$" % (field, value)):
+            ExperimentPlan(fixture="sin_flow", mode="randomized",
+                           ladder=[2, 3], **{field: value})
+
+    def test_integral_floats_run_as_ints(self):
+        plan = ExperimentPlan(fixture="sin_flow", mode="randomized",
+                              ladder=[2, 3], trials=31.0, det_N=2.0,
+                              workers=1.0, seed=5.0)
+        assert (plan.trials, plan.det_N, plan.workers, plan.seed) == (
+            31, 2, 1, 5)
+        assert all(type(v) is int for v in (plan.trials, plan.det_N,
+                                            plan.workers, plan.seed))
+
+    @pytest.mark.parametrize("seed", [2.7, float("nan")])
+    def test_fractional_seed_rejected_at_construction(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative "
+                           "integer, got %r$" % seed):
+            ExperimentPlan(fixture="sin_flow", mode="deterministic",
+                           ladder=[2, 3], seed=seed)
+
     @pytest.mark.parametrize("fixture,mode", [("sin_flow", "deterministic"),
                                               ("inv1p", "randomized")])
     def test_negative_seed_rejected_at_construction(self, fixture, mode):

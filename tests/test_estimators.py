@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -515,17 +516,32 @@ class TestItemTable:
         assert est.value.tobytes() == ref.value.tobytes()
         assert est.cost == ref.cost
 
-    def test_quantum_boost_books_sim_evals_once(self):
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_quantum_boost_books_sim_evals_once(self, dim):
         # q = ceil(1/0.05) = 20 < s = 400: every run perturbs the exact
-        # mean, which is computed once and booked as s sim_evals once
-        fam = CountingFamily(np.linspace(-1, 1, 400) ** 3, bound=1.0)
+        # mean, whose items are computed once and booked as s sim_evals once
+        vals = np.linspace(-1, 1, 400 * dim).reshape(400, dim) ** 3
+        fam = CountingFamily(vals, bound=1.0)
         est = median_boost(quantum_sim_mean, fam, 0.05, 7, RngStream(2))
         assert est.cost["sim_evals"] == 400
         assert est.cost["quantum_queries"] == 7 * 20
         assert fam.computed == 400
-        mean = fam.exact_mean()
-        assert mean is fam.exact_mean() and not mean.flags.writeable
-        assert mean.tobytes() == fam._values.mean(axis=0).tobytes()
+        assert fam.exact_mean().tobytes() == vals.mean(axis=0).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_tabulated_read_copies_no_items(self, dim):
+        # the table is the one copy of the items: a first read from it
+        # allocates far less than another s * d floats
+        fam = ArrayFamily(np.random.default_rng(dim).uniform(
+            -1, 1, size=(4096, dim)))
+        fam.tabulate()
+        tracemalloc.start()
+        try:
+            fam.mean_at(np.arange(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < fam.size * dim * 8 / 2
 
     def test_no_table_when_one_run_reads_less(self):
         vals = np.random.default_rng(2).uniform(-1, 1, size=(1000, 2))

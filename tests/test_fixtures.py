@@ -212,8 +212,17 @@ class TestFixtureFile:
          r"fixture 'sin_flow': 'component_H' is 3 \("),
         ({"peak_coeff": "abc"}, ValueError,
          r"fixture 'sin_flow': 'peak_coeff' is 'abc' \("),
+        # values that convert but leave the class
+        ({"p": float("nan")}, ValueError,
+         r"^fixture 'sin_flow': p must be finite$"),
+        ({"p": 5.0}, ValueError,
+         r"^fixture 'sin_flow': p must not exceed D_0$"),
+        ({"H": -1}, ValueError, r"^fixture 'sin_flow': H must be positive$"),
+        ({"component_H": [2.0]}, ValueError,
+         r"^fixture 'sin_flow': component_H entries must lie in \[0, H\]$"),
     ], ids=["D", "eta", "r", "a", "family", "family_list", "lambdas", "p",
-            "component_H", "peak_coeff"])
+            "component_H", "peak_coeff", "p_nan", "p_above_D0", "H_negative",
+            "component_H_above_H"])
     def test_malformed_entry_named(self, tmp_path, change, error, message):
         entry = dict(get_fixture("sin_flow").meta, **change)
         path = tmp_path / "bad.json"

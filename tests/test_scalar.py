@@ -265,7 +265,7 @@ class TestBufferReuse:
         assert ws._buffers["table"].size == big
         assert table.tobytes() == fresh.tabulate().tobytes()
         assert fam.mean_at(idx).tobytes() == fresh.mean_at(idx).tobytes()
-        assert np.shares_memory(fam._columns, ws._buffers["table"])
+        assert np.shares_memory(fam._table, ws._buffers["table"])
 
     @pytest.mark.parametrize("tabulated", [False, True])
     def test_index_out_of_range_raises(self, tabulated):
@@ -399,6 +399,21 @@ class TestNonFiniteInput:
         fx = get_fixture("inv1p")
         with pytest.raises(ValueError, match="^eps must be finite"):
             bisection_solve(fx.problem, fx.params, bad, 0.25, mode=mode)
+
+    @pytest.mark.parametrize("seed", [2.7, np.nan])
+    def test_bisection_rejects_fractional_seed(self, seed):
+        # a seed of 2.7 used to run on stream 2 and be reported as 2.7
+        fx = get_fixture("inv1p")
+        with pytest.raises(ValueError, match="^seed must be a non-negative "
+                           "integer, got %r$" % seed):
+            bisection_solve(fx.problem, fx.params, 1e-2, 0.25, seed=seed)
+
+    def test_bisection_reports_the_seed_used(self):
+        fx = get_fixture("inv1p")
+        res = bisection_solve(fx.problem, fx.params, 1e-2, 0.25, seed=3.0)
+        ref = bisection_solve(fx.problem, fx.params, 1e-2, 0.25, seed=3)
+        assert type(res.to_report()["seed"]) is int
+        assert res.to_report() == ref.to_report()
 
 
 class TestSandwich:

@@ -56,6 +56,30 @@ class TestConfigDefaults:
         with pytest.raises(ValueError, match="^eps1 must be finite"):
             SolveConfig(n=4, mode=mode, eps1=bad).resolved()
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2.5), ("m", 2.5), ("N", 3.7), ("N", np.nan), ("m", np.inf)])
+    def test_fractional_mesh_size_rejected(self, field, value):
+        # named, not truncated by int(): m = 2.5 used to run with m = 2
+        kwargs = dict({"n": 4}, **{field: value})
+        with pytest.raises(ValueError, match="^%s must be a whole number, "
+                           "got %r$" % (field, value)):
+            SolveConfig(**kwargs).resolved()
+
+    def test_integral_floats_run_as_ints(self):
+        cfg = SolveConfig(n=4.0, m=3.0, N=np.float64(5.0), seed=7.0).resolved()
+        assert (cfg.n, cfg.m, cfg.N, cfg.seed) == (4, 3, 5, 7)
+        assert all(type(v) is int for v in (cfg.n, cfg.m, cfg.N, cfg.seed))
+
+    @pytest.mark.parametrize("seed", [2.7, np.nan, -1])
+    def test_seed_must_be_whole(self, seed):
+        # the seed is checked before it is used, so a report's seed is the
+        # seed its streams were built from
+        fx = get_fixture("sin_flow")
+        with pytest.raises(ValueError, match="^seed must be a non-negative "
+                           "integer, got %r$" % seed):
+            solve(fx.problem, fx.params,
+                  SolveConfig(n=2, mode="randomized", seed=seed))
+
 
 class TestConstantField:
     @pytest.mark.parametrize("mode", ["deterministic", "randomized", "quantum_sim"])
