@@ -119,13 +119,19 @@ class IndexedFamily:
     ``mc_mean`` tabulates when its k runs together read at least s items.
 
     Large arrays come from ``_buffer(name, shape)``: new arrays, or views of
-    the ``workspace`` buffers when one is given.  Buffer ``"table"`` holds
-    the table, and ``"grid"`` what ``_items`` computes, then ``mean_at``'s
-    gathers: the grid is dead once the table is written.  Items are computed
-    only while there is no table, so ``_items`` may use ``"table"`` as
-    scratch.  With a workspace, what ``access`` computes stays valid only
-    until items are next computed on that workspace, and the table until
-    the next family on it computes items.
+    the ``workspace`` buffers when one is given.  The workspace belongs to
+    whoever builds the families on it, for that owner's own life: a solve
+    for its steps' residual families, a bisection for its iterations' cell
+    families; no estimate and no result holds a view of it.  Buffer
+    ``"table"`` holds the table, and ``"grid"`` what ``_items`` computes,
+    then ``mean_at``'s gathers: the grid is dead once the table is written.
+    Items are computed only while there is no table, so ``_items`` may use
+    ``"table"`` and names of its own as scratch (a subclass lists them).
+    ``_compute`` checks the indices' bounds, so ``_items`` may gather rows
+    with ``_gather``, which writes straight into a buffer.  With a
+    workspace, what ``access`` computes stays valid only until items are
+    next computed on that workspace, and the table until the next family on
+    it computes items.
     """
 
     def __init__(self, cells: int, n_mid: int, dim: int, bound: float,
@@ -153,8 +159,23 @@ class IndexedFamily:
             return np.empty(shape)
         return self._workspace.array(name, shape)
 
+    def _gather(self, name: str, rows: np.ndarray, idx) -> np.ndarray:
+        """``rows[idx]`` for indices known to lie in [-len(rows), len(rows)),
+        gathered into buffer ``name``: ``"wrap"`` writes straight into it,
+        where ``"raise"`` would gather into a temporary and copy that."""
+        out = self._buffer(name, np.shape(idx) + rows.shape[1:])
+        return np.take(rows, idx, axis=0, mode="wrap", out=out)
+
     def _compute(self, idx: np.ndarray) -> np.ndarray:
-        return self._items(idx // self.n_mid, idx % self.n_mid)
+        self._check_bounds(idx)
+        i = idx // self.n_mid
+        return self._items(i, idx - i * self.n_mid)
+
+    def _check_bounds(self, idx: np.ndarray) -> None:
+        # numpy's bounds, [-s, s)
+        if idx.size and (idx.min() < -self.size or idx.max() >= self.size):
+            raise IndexError("index out of range for a family of %d items"
+                             % self.size)
 
     def tabulate(self) -> np.ndarray:
         """All items from one broadcast over the grid; charges nothing.
@@ -196,9 +217,7 @@ class IndexedFamily:
         else:
             # "raise" would gather into a temporary and copy that into the
             # buffer; "wrap" writes straight into it, once the bounds hold
-            if idx.size and (idx.min() < -self.size or idx.max() >= self.size):
-                raise IndexError("index out of range for a family of %d "
-                                 "items" % self.size)
+            self._check_bounds(idx)
             items = out = np.take(self._table.T, idx, axis=1, mode="wrap",
                                   out=self._buffer("grid", block))
             self.ledger.f_evals += idx.size
@@ -284,6 +303,20 @@ def _run_count(k) -> int:
     return int(k)
 
 
+def _median(values, axis: int = 0) -> np.ndarray:
+    """``np.median`` of an odd count along ``axis``: the middle element of
+    one ``np.partition``, bit for bit the same, but NaN wherever the count
+    holds one (a partition sorts NaN last, so its middle can miss it) and a
+    -0.0 middle keeping its sign."""
+    values = np.asarray(values)
+    n = values.shape[axis]
+    mid = np.partition(values, n // 2, axis=axis).take(n // 2, axis)
+    nan = np.isnan(values).any(axis=axis)
+    if nan.any():
+        mid[nan] = np.nan
+    return mid
+
+
 def _median_of_runs(values, success: float):
     """The median-of-k rule: the value and nominal success of k odd runs,
     each of nominal success ``success`` (3/4, or 1.0 for exact runs).  One
@@ -291,8 +324,7 @@ def _median_of_runs(values, success: float):
     equal, so it is their median, zeros keeping their sign."""
     if len(values) == 1 or success == 1.0:
         return values[0], success
-    return (np.median(values, axis=0),
-            1.0 - float(binomial_fail_tail(len(values))))
+    return _median(values), 1.0 - float(binomial_fail_tail(len(values)))
 
 
 def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream,
@@ -337,7 +369,7 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream,
             idx = rng.integers(0, s, size=(min(g, k - j) * reps, sigma))
             means.append(family.mean_at(idx))
         draws = np.concatenate(means).reshape(k, reps, dim)
-        values = draws[:, 0] if reps == 1 else np.median(draws, axis=1)
+        values = draws[:, 0] if reps == 1 else _median(draws, axis=1)
     value, success = _median_of_runs(values, 0.75)
     return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),
                         eps_target=float(eps1), success_prob=success)
@@ -379,7 +411,7 @@ def quantum_sim_mean(family: IndexedFamily, eps1: float, rng: RngStream,
         noise = np.where(fail < 0.25, (2.0 * wide - 1.0) * 2.0 * M_c,
                          (2.0 * narrow - 1.0) * eps1)
         draws = np.clip(truth + noise, -2.0 * M_c, 2.0 * M_c)
-        values = draws[:, 0] if reps == 1 else np.median(draws, axis=1)
+        values = draws[:, 0] if reps == 1 else _median(draws, axis=1)
         success = 0.75
     value, success = _median_of_runs(values, success)
     return MeanEstimate(value=value, cost=family.ledger.delta_since(snap),

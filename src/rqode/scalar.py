@@ -137,7 +137,9 @@ class CellResidualFamily(IndexedFamily):
 
     Item (i, k), flattened as i*N_c + k, is the residual of cell i at
     midpoint (k + 1/2)/N_c, scaled by delta^(r+rho); each access costs one f
-    evaluation.
+    evaluation.  ``_items`` computes in the bisection's buffers ``"grid"``
+    (the midpoints, then the Taylor sum and the result) and ``"table"``
+    (each Taylor term, then 1/f).
     """
 
     def __init__(self, problem: IvpProblem, params: HolderParams,

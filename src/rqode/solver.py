@@ -12,6 +12,13 @@ backend, which returns the median of the step's k runs (one when exact).
 Residual families are lazy: items are computed on demand, or tabulated once
 when the k Monte Carlo runs of a step read at least as many items in total
 as the family holds.  Either way the backends pay per index they touch.
+
+One solve builds every step's residual family on one
+:class:`~rqode.estimators.Workspace`: the residual arithmetic, the table and
+the estimators' gathers reuse the same buffers, which grow only when a
+larger family needs them and are freed with the solve.  A family's items
+and table are valid until the next step's family computes items; estimates
+and the result hold no view of them.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ import numpy as np
 from .core import (CostLedger, HolderParams, IvpProblem, build_mesh,
                    require_finite, require_finite_input, require_whole,
                    residual_bound, residual_bound_vector)
-from .estimators import (MODES, IndexedFamily, full_mean, get_backend,
-                         mc_mean, quantum_sim_mean)
+from .estimators import (MODES, IndexedFamily, Workspace, full_mean,
+                         get_backend, mc_mean, quantum_sim_mean)
 from .rng import RngStream, check_seed, child_seed
 from .taylor import (PiecewiseTaylorApprox, fetch_jet, flow_coeffs_from_jet,
                      horner, integrate_field_along)
@@ -101,11 +108,21 @@ class ResidualFamily(IndexedFamily):
     access costs one f evaluation; the field-expansion value is free.
     Residuals that are not finite raise ``ClassViolationError`` naming the
     coarse step ``step``.
+
+    ``solve`` builds every step's family on one workspace, its own for the
+    solve's life.  ``_items`` computes every table-sized array in a buffer
+    of it, and only the oracle's output is a new array: ``"C"``,
+    ``"jet0"``, ``"jet1"`` and ``"jet2"`` hold the gathered piece rows,
+    ``"tau"`` the midpoint offsets, ``"Y"`` the flow values and then their
+    displacement from the piece start, ``"order1"`` and ``"order2"`` the
+    expansion's order-1 and order-2 products, ``"sum2"`` the order-2 sum,
+    and ``"grid"`` the expansion's value W and then the result.
     """
 
     def __init__(self, problem: IvpProblem, params: HolderParams,
                  piece_coeffs: np.ndarray, jets: list, hbar: float, N: int,
-                 ledger: CostLedger, step: int = 0):
+                 ledger: CostLedger, step: int = 0,
+                 workspace: Optional[Workspace] = None):
         self._problem = problem
         self._params = params
         self._C = piece_coeffs              # (m, deg+1, d)
@@ -114,23 +131,41 @@ class ResidualFamily(IndexedFamily):
         self._step = int(step)
         super().__init__(piece_coeffs.shape[0], N, problem.dim,
                          residual_bound(params, problem.dim), ledger,
-                         bound_vec=residual_bound_vector(params, problem.dim))
+                         bound_vec=residual_bound_vector(params, problem.dim),
+                         workspace=workspace)
 
     def _items(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
-        C = self._C[j]
-        Y = horner(C, (k + 0.5) / self.n_mid * self._hbar)
-        F = np.asarray(self._problem.f(Y.reshape(-1, self.dim)),
-                       dtype=float).reshape(Y.shape)
-        delta = (Y - C[..., 0, :])[..., None, :]
+        d = self.dim
+        shape = np.broadcast_shapes(np.shape(j), np.shape(k)) + (d,)
+        C = self._gather("C", self._C, j)
+        tau = np.add(k, 0.5, out=self._buffer("tau", np.shape(k)))
+        tau /= self.n_mid
+        tau *= self._hbar
+        Y = horner(C, tau, out=self._buffer("Y", shape))
+        F = np.asarray(self._problem.f(Y.reshape(-1, d)),
+                       dtype=float).reshape(shape)
+        if np.may_share_memory(F, Y):   # f may hand back its input
+            F = F.copy()
+        grid = self._buffer("grid", shape)
+        W = self._gather("jet0", self._T[0], j)
         # products summed over trailing axes: np.einsum is several times
         # slower on the broadcast grid of ``tabulate``
-        W = self._T[0][j]
         if len(self._T) >= 2:
-            W = W + (self._T[1][j] * delta).sum(-1)
+            delta = np.subtract(Y, C[..., 0, :], out=Y)[..., None, :]
+            prod = np.multiply(self._gather("jet1", self._T[1], j), delta,
+                               out=self._buffer("order1", shape + (d,)))
+            W = np.add(np.sum(prod, axis=-1, out=grid), W, out=grid)
         if len(self._T) >= 3:
-            W = W + 0.5 * (self._T[2][j] * delta[..., None]
-                           * delta[..., None, :]).sum((-2, -1))
-        out = (F - W) / self._hbar ** self._params.order
+            prod = np.multiply(self._gather("jet2", self._T[2], j),
+                               delta[..., None],
+                               out=self._buffer("order2", shape + (d, d)))
+            prod *= delta[..., None, :]
+            term = np.sum(prod, axis=(-2, -1),
+                          out=self._buffer("sum2", shape))
+            term *= 0.5
+            W += term
+        out = np.subtract(F, W, out=grid)
+        out /= self._hbar ** self._params.order
         require_finite((out,), "f or the residual at the fine-cell midpoints "
                        "not finite at coarse step %d", self._step)
         return out
@@ -196,6 +231,7 @@ def solve(problem: IvpProblem, params: HolderParams,
     bases, steps = mesh.pieces()
     coeffs = np.empty((cfg.n, cfg.m, order + 1, d))
 
+    workspace = Workspace()
     y = problem.eta.copy()
     y_grid = np.empty((cfg.n + 1, d))
     y_grid[0] = y
@@ -222,7 +258,7 @@ def solve(problem: IvpProblem, params: HolderParams,
                                axis=0)[-1]
 
         family = ResidualFamily(problem, params, C, jets, mesh.hbar, cfg.N,
-                                ledger, step=i)
+                                ledger, step=i, workspace=workspace)
         est = estimator(family, cfg.eps1, step_streams[i], k=k_rep)
 
         y = y + w_integral + scale * est.value
@@ -284,6 +320,7 @@ def run_trials(problem: IvpProblem, params: HolderParams, config: SolveConfig,
     repetition count, removing the logarithmic factor that boosting adds to
     the raw cost.
     """
+    trials = require_whole("trials", trials)
     if trials < 1:
         raise ValueError("trials must be positive")
     errors = np.empty(trials)

@@ -73,12 +73,18 @@ def flow_coeffs_from_jet(y: np.ndarray, jet: List[np.ndarray], order: int,
     return out
 
 
-def horner(C: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def horner(C: np.ndarray, tau: np.ndarray,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
     """Values sum_q C[..., q, :] tau^q of (deg+1, d) polynomials ``C[...]``
-    at points ``tau`` whose shape broadcasts with ``C.shape[:-2]``."""
-    out = C[..., -1, :]
+    at points ``tau`` whose shape broadcasts with ``C.shape[:-2]``, written
+    into ``out`` when given."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(C.shape[:-2], np.shape(tau))
+                       + C.shape[-1:])
+    out[...] = C[..., -1, :]
     for q in range(C.shape[-2] - 2, -1, -1):
-        out = out * tau[..., None] + C[..., q, :]
+        out *= tau[..., None]
+        out += C[..., q, :]
     return out
 
 

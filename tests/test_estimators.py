@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from rqode.core import CostLedger
 from rqode.estimators import (ArrayFamily, MeanEstimate, Workspace,
-                              _sample_size, binomial_fail_tail, full_mean,
+                              _median, _sample_size, binomial_fail_tail,
+                              full_mean,
                               inner_rep_count, mc_mean, median_boost,
                               median_rep_count, quantum_sim_mean)
 from rqode.fixtures import get_fixture
@@ -321,6 +322,44 @@ class TestMedianBoost:
             median_boost(run, fam, 0.01, 5, rng)
         assert len(misses) == 4000
         assert abs(np.mean(misses) - 0.25) <= 0.03
+
+
+class TestOddMedian:
+    """``_median``, the median of the k runs and of the inner repetitions,
+    against ``np.median``."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("k", range(1, 22, 2))
+    def test_bit_equal_to_np_median(self, k, axis):
+        rng = np.random.default_rng(100 * k + axis)
+        shape = [4, 3, 2]
+        shape[axis] = k
+        for _ in range(5):
+            block = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8)
+            assert (_median(block, axis).tobytes()
+                    == np.median(block, axis=axis).tobytes())
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_nan_run_gives_nan(self, axis):
+        # one NaN run in a column is NaN there, as with np.median, even
+        # when the middle element of the partition is a number
+        block = np.random.default_rng(9).standard_normal((9, 9))
+        block[0, 2] = block[3, 2] = block[2, 5] = np.nan
+        if axis == 1:
+            block = block.T
+        med = _median(block, axis)
+        assert np.isnan(med).tolist() == np.isnan(
+            np.median(block, axis=axis)).tolist()
+        assert np.flatnonzero(np.isnan(med)).tolist() == [2, 5]
+        others = ~np.isnan(med)
+        assert (med[others].tobytes()
+                == np.median(block, axis=axis)[others].tobytes())
+
+    def test_negative_zero_keeps_its_sign(self):
+        # np.median's mean of the one middle element turns it into +0.0
+        med = _median(np.array([[-0.0, 1.0], [-0.0, -2.0], [3.0, -0.0]]))
+        assert med.tolist() == [0.0, 0.0]
+        assert np.signbit(med).tolist() == [True, True]
 
 
 class TestRepetitionCounts:

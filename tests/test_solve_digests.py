@@ -1,8 +1,9 @@
 """Bit-identity regression: solves, bisections and ladder reports.
 
 ``tests/data/solve_digests.json`` holds, for every shipped fixture x mode x
-n in {2, 5}, for the ``EXTRA_SOLVES`` cases and for a planted problem of
-each order r = 0, 1, 2 in every mode at a fixed seed, the sha256 of
+n in {2, 5}, for the ``EXTRA_SOLVES`` cases, for ``cos_time``'s oracle under
+an r = 2 class in every mode at n = 5 and for a planted problem of each
+order r = 0, 1, 2 in every mode at a fixed seed, the sha256 of
 ``y_grid.tobytes()`` and the ledger dict, plus the sha256 of two
 ``to_report(include_pieces=True)`` documents.  It also holds the sha256 of
 ``bisection_solve(...).to_report()`` for the scalar fixtures in every mode
@@ -45,10 +46,18 @@ SIZES = (2, 5)
 # draws sigma = 9,216 < s = 20,736 <= 5*sigma items per Monte Carlo run, so
 # it goes through the branch that tabulates the residual family; n=16 is the
 # benchmark's 2-D randomized solve (d = 2, sigma = 16,384 < s = 65,536, read
-# from the table), and cos_time n=12 a tabulated r = 0 case
+# from the table), cos_time n=12 a tabulated r = 0 case, and sin_flow n=16
+# the benchmark ladder's untabulated rung (sigma = 1,024: one (15, 1,024)
+# block of a 65,536-item family per step)
 EXTRA_SOLVES = (("cos_time_r1", "randomized", 12),
                 ("cos_time_r1", "randomized", 16),
-                ("cos_time", "randomized", 12))
+                ("cos_time", "randomized", 12),
+                ("sin_flow", "randomized", 16))
+# cos_time's oracle under an r = 2 class, solved in every mode at n = 5:
+# the d = 2, r = 2 residual, which no stock fixture reaches
+COS_TIME_R2 = HolderParams(r=2, rho=1.0, D=(1.0, 1.0, 1.0), H=1.0,
+                           component_H=(0.0, 1.0))
+COS_TIME_R2_N = 5
 # (fixture, mode, n) whose full piece report is digested: one r=0, one r=1
 REPORT_CASES = (("sin_flow", "randomized", 2), ("cos_time_r1", "quantum_sim", 5))
 # (fixture, eps, delta, modes) bisected; eps = 1e-4 is the accuracy of the
@@ -81,11 +90,12 @@ LADDERS = ((run_ladder, "sin_flow", (2, 3), 0.25, ("randomized", "quantum_sim"))
            (run_scalar_ladder, "inv1p", (1e-3, 1e-2), 0.1, MODES))
 
 
-def _solve(name, mode, n):
+def _solve(name, mode, n, params=None):
     fx = get_fixture(name)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return solve(fx.problem, fx.params, SolveConfig(n=n, mode=mode, seed=SEED))
+        return solve(fx.problem, fx.params if params is None else params,
+                     SolveConfig(n=n, mode=mode, seed=SEED))
 
 
 def _sha(data: bytes) -> str:
@@ -151,6 +161,12 @@ def compute_digests() -> dict:
     for name, mode, n in cases:
         res = _solve(name, mode, n)
         solves["%s/%s/n=%d" % (name, mode, n)] = {
+            "y_grid_sha256": _sha(res.y_grid.tobytes()),
+            "ledger": res.ledger.as_dict(),
+        }
+    for mode in MODES:
+        res = _solve("cos_time", mode, COS_TIME_R2_N, COS_TIME_R2)
+        solves["cos_time_r2/%s/n=%d" % (mode, COS_TIME_R2_N)] = {
             "y_grid_sha256": _sha(res.y_grid.tobytes()),
             "ledger": res.ledger.as_dict(),
         }

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,8 +12,10 @@ import pytest
 from rqode.core import (ClassViolationError, CostLedger, HolderParams,
                         IvpProblem, residual_bound)
 from rqode.fixtures import fixture_names, get_fixture, reference_solver
-from rqode.estimators import empirical_quantile, rms_error
-from rqode.solver import SolveConfig, run_trials, solve, sup_error
+from rqode.estimators import Workspace, empirical_quantile, rms_error
+from rqode.solver import (ResidualFamily, SolveConfig, run_trials, solve,
+                          sup_error)
+from rqode.taylor import fetch_jet
 
 
 class TestConfigDefaults:
@@ -378,6 +381,160 @@ class TestTrialEstimates:
                            "integer, got -1$"):
             run_trials(fx.problem, fx.params, SolveConfig(n=2, seed=-1), 1,
                        fx.reference)
+
+    def test_fractional_trial_count_named(self):
+        fx = get_fixture("sin_flow")
+        with pytest.raises(ValueError, match="^trials must be a whole "
+                           "number, got 2.5$"):
+            run_trials(fx.problem, fx.params, SolveConfig(n=2), 2.5,
+                       fx.reference)
+
+    def test_integral_float_trial_count_runs(self):
+        fx = get_fixture("sin_flow")
+        cfg = SolveConfig(n=2, mode="randomized", seed=5)
+        s1 = run_trials(fx.problem, fx.params, cfg, 2.0, fx.reference)
+        s2 = run_trials(fx.problem, fx.params, cfg, 2, fx.reference)
+        assert s1.errors.shape == (2,)
+        assert s1.errors.tobytes() == s2.errors.tobytes()
+        assert s1.costs.tobytes() == s2.costs.tobytes()
+
+
+def leaves(obj):
+    """Every leaf value in a result's fields, recursively."""
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif hasattr(obj, "__dict__"):
+        obj = list(vars(obj).values())
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [leaf for item in obj for leaf in leaves(item)]
+    return [obj]
+
+
+def shares_a_buffer(value, workspace) -> bool:
+    return any(np.shares_memory(value, buf)
+               for buf in workspace._buffers.values())
+
+
+def class_r2(name):
+    # a stock oracle (it supplies orders 0..2) under an r = 2 class
+    fx = get_fixture(name)
+    return fx.problem, HolderParams(r=2, rho=1.0, D=(1.0,) * 3, H=1.0,
+                                    component_H=fx.params.component_H)
+
+
+# (d, r) in {(1, 0), (1, 1), (1, 2), (2, 1), (2, 2)}; exp_flow's f hands
+# back its input
+REUSE_PROBLEMS = {
+    "sin_flow": lambda: (get_fixture("sin_flow").problem,
+                         get_fixture("sin_flow").params),
+    "exp_flow_r1": lambda: (get_fixture("exp_flow_r1").problem,
+                            get_fixture("exp_flow_r1").params),
+    "sin_flow_r2": lambda: class_r2("sin_flow"),
+    "cos_time_r1": lambda: (get_fixture("cos_time_r1").problem,
+                            get_fixture("cos_time_r1").params),
+    "cos_time_r2": lambda: class_r2("cos_time"),
+}
+
+
+def residual_family(prob, params, m, N, workspace=None):
+    # the first coarse step of a deterministic solve with m pieces, jets
+    # refetched at the piece starts, and N midpoints per piece
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = solve(prob, params, SolveConfig(n=2, m=m, N=N))
+    C = res.approx.coeffs[:m]
+    jets = [np.stack(t) for t in
+            zip(*(fetch_jet(prob, c[0], params.r) for c in C))]
+    return ResidualFamily(prob, params, C, jets, res.approx.mesh.hbar, N,
+                          CostLedger(), workspace=workspace)
+
+
+def reference_items(fam, idx):
+    """The residual items at ``idx`` by the textbook formula, in new arrays:
+    f at the flow value minus the degree-r field expansion about the piece
+    start, over hbar^(r+rho)."""
+    j, k = np.divmod(idx, fam.n_mid)
+    C = fam._C[j]
+    Y = C[:, -1]
+    for q in range(C.shape[1] - 2, -1, -1):
+        Y = Y * ((k + 0.5) / fam.n_mid * fam._hbar)[:, None] + C[:, q]
+    F = np.asarray(fam._problem.f(Y), dtype=float)
+    delta = (Y - C[:, 0])[:, None, :]
+    W = fam._T[0][j]
+    if len(fam._T) >= 2:
+        W = W + (fam._T[1][j] * delta).sum(-1)
+    if len(fam._T) >= 3:
+        W = W + 0.5 * (fam._T[2][j] * delta[..., None]
+                       * delta[..., None, :]).sum((-2, -1))
+    return (F - W) / fam._hbar ** fam._params.order
+
+
+class TestBufferReuse:
+    """One solve builds every step's residual family on one workspace: the
+    reused buffers change no bit, and no estimate or result holds a view of
+    them."""
+
+    @pytest.mark.parametrize("name", sorted(REUSE_PROBLEMS))
+    def test_reused_buffers_equal_fresh_ones(self, name):
+        # a larger family, then a smaller one, leave their values in every
+        # buffer; the next family's items equal a fresh family's and the
+        # textbook formula's bit for bit, computed, tabulated and averaged
+        prob, params = REUSE_PROBLEMS[name]()
+        ws = Workspace()
+        rng = np.random.default_rng(8)
+        for m, N in ((12, 9), (3, 2)):
+            fam = residual_family(prob, params, m, N, ws)
+            fam.access(rng.integers(0, fam.size, 150))
+            fam.tabulate()
+        fam = residual_family(prob, params, 8, 5, ws)
+        fresh = residual_family(prob, params, 8, 5)
+        idx = rng.integers(-fam.size, fam.size, (3, 30))
+        flat = idx.ravel()
+        expected = reference_items(fresh, flat)
+        assert fam.access(flat).tobytes() == expected.tobytes()
+        assert fresh.access(flat).tobytes() == expected.tobytes()
+        means = fresh.mean_at(idx).tobytes()
+        assert fam.mean_at(idx).tobytes() == means
+        all_items = reference_items(fresh, np.arange(fam.size)).tobytes()
+        table = fam.tabulate()
+        assert np.shares_memory(table, ws._buffers["table"])
+        assert table.tobytes() == fresh.tabulate().tobytes() == all_items
+        assert fam.mean_at(idx).tobytes() == means
+
+    @pytest.mark.filterwarnings("ignore:step-smallness")
+    @pytest.mark.parametrize("name, mode, n", [
+        ("sin_flow", "deterministic", 8),
+        ("sin_flow", "randomized", 8),     # k runs read less: no table
+        ("sin_flow", "quantum_sim", 8),
+        ("cos_time_r1", "randomized", 8),  # enumerated from the table
+        ("cos_time_r1", "randomized", 12),  # sampled from the table
+        ("exp_flow_r1", "randomized", 4),  # f hands back its input
+    ])
+    def test_solve_holds_no_buffer_view(self, monkeypatch, name, mode, n):
+        from rqode import solver
+        fx = get_fixture(name)
+        checked = []
+        est_name = solver.get_backend(mode).estimator
+        backend = getattr(solver, est_name)
+
+        def checked_backend(family, *args, **kwargs):
+            est = backend(family, *args, **kwargs)
+            checked.append(not shares_a_buffer(est.value, family._workspace))
+            return est
+        made = []
+        monkeypatch.setattr(solver, est_name, checked_backend)
+        monkeypatch.setattr(solver, "Workspace",
+                            lambda: made.append(Workspace()) or made[-1])
+        res = solve(fx.problem, fx.params, SolveConfig(n=n, mode=mode,
+                                                       seed=3))
+        (ws,) = made
+        assert ws._buffers and len(checked) == n and all(checked)
+        arrays = [leaf for leaf in leaves(res)
+                  if isinstance(leaf, np.ndarray)]
+        assert any(a is res.approx.coeffs for a in arrays)
+        assert not any(shares_a_buffer(leaf, ws) for leaf in arrays)
 
 
 class TestErrorRecursionSanity:
