@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import is_whole, require_whole
+from .core import require_count, require_delta, require_whole
 from .estimators import MODES, empirical_quantile, get_backend
 from .fixtures import Fixture, get_fixture
 from .rng import check_seed, child_seed
@@ -50,9 +50,10 @@ class ExperimentPlan:
 
     A stock fixture name is resolved to its ``Fixture`` here, and values no
     rung can use (rungs out of order, trials, delta, seed, workers) are
-    rejected here rather than in a worker; seed, trials, det_N and workers
-    must be whole numbers (31.0 runs as 31).  Workers rebuild the fixture from
-    its entry, so a hand-built one (no ``meta``) needs ``workers=1``.
+    rejected here rather than in a worker: trials and workers are counts
+    (31.0 runs as 31), seed and det_N whole and >= 0 (det_N = 0 means N = n).
+    Workers rebuild the fixture from its entry, so a hand-built one (no
+    ``meta``) needs ``workers=1``.
     """
 
     fixture: Fixture
@@ -68,21 +69,19 @@ class ExperimentPlan:
         if isinstance(self.fixture, str):
             object.__setattr__(self, "fixture", get_fixture(self.fixture))
         object.__setattr__(self, "seed", check_seed(self.seed))
-        for name in ("trials", "det_N", "workers"):
-            object.__setattr__(self, name,
-                               require_whole(name, getattr(self, name)))
+        for name, rule in (("trials", require_count), ("det_N", require_whole),
+                           ("workers", require_count)):
+            object.__setattr__(self, name, rule(name, getattr(self, name)))
+        if self.det_N < 0:
+            raise ValueError("det_N must be a non-negative integer, got %d"
+                             % self.det_N)
         rungs = tuple(self.ladder)
         if any(b <= a for a, b in zip(rungs, rungs[1:])):
             raise ValueError("ladder must be strictly increasing")
         object.__setattr__(self, "ladder", rungs)
-        if self.trials < 1:
-            raise ValueError("trials must be a positive integer")
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError("delta must lie in (0, 1/2)")
+        require_delta(self.delta)
         if get_backend(self.mode).boosted and self.trials < 30:
             raise ValueError("stochastic ladders need at least 30 trials")
-        if self.workers < 1:
-            raise ValueError("workers must be a positive integer")
         if self.workers > 1 and self.fixture.meta is None:
             raise ValueError("fixture %r has no entry to rebuild in workers; "
                              "use workers=1" % self.fixture.name)
@@ -212,13 +211,9 @@ def run_ladder(plan: ExperimentPlan) -> SlopeReport:
     """
     if plan.fixture.reference is None:
         raise ValueError("ladders need a fixture with a reference solution")
-    for n in plan.ladder:
-        if not (is_whole(n) and n >= 1):
-            raise ValueError("ladder rung n = %s is not a positive integer"
-                             % (n,))
-    rows = _map_rungs(_run_ivp_rung,
-                      [(plan, i, int(n)) for i, n in enumerate(plan.ladder)],
-                      plan.workers)
+    rungs = [(plan, i, require_count("ladder rung n", n))
+             for i, n in enumerate(plan.ladder)]
+    rows = _map_rungs(_run_ivp_rung, rungs, plan.workers)
     errors = _column(rows, "error")
     return _slope_report(plan, "ivp", rows, (_column(rows, "deflated"), errors),
                          (_column(rows, "cost"), errors))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bench import ExperimentPlan, emit_report, json_text, report_bytes, \
     run_ladder, run_scalar_ladder
-from .core import HolderParams, validate_holder
+from .core import HolderParams, require_count, validate_holder
 from .estimators import MODES
 from .fixtures import get_fixture
 from .planted import make_planted
@@ -173,8 +173,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_plant(args) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be a positive integer, got %d" % args.n)
+    require_count("--n", args.n)
     rng = np.random.default_rng(check_seed(args.seed))
     lambdas = rng.uniform(-1.0, 1.0, size=args.n)
     D = tuple([1.0] * (args.r + 1))

@@ -33,6 +33,9 @@ __all__ = [
     "require_finite_input",
     "is_whole",
     "require_whole",
+    "require_count",
+    "require_delta",
+    "require_positive",
 ]
 
 
@@ -70,6 +73,29 @@ def require_whole(name: str, value) -> int:
     return int(value)
 
 
+def require_count(name: str, value) -> int:
+    """As :func:`require_whole`, and the count must be at least 1."""
+    count = require_whole(name, value)
+    if count < 1:
+        raise ValueError("%s must be a positive integer, got %r"
+                         % (name, value))
+    return count
+
+
+def require_delta(delta) -> None:
+    """Raise ``ValueError`` unless the confidence delta lies in (0, 1/2)."""
+    if not 0.0 < delta < 0.5:
+        raise ValueError("delta must lie in (0, 1/2)")
+
+
+def require_positive(name: str, value) -> float:
+    """Finite, positive ``value`` as a float; else ``ValueError`` naming it."""
+    require_finite_input(name, value)
+    if value <= 0:
+        raise ValueError("%s must be positive" % name)
+    return float(value)
+
+
 @dataclass(frozen=True)
 class HolderParams:
     """Smoothness-class parameters (r, rho, D_0..D_r, H [, p]).
@@ -90,6 +116,7 @@ class HolderParams:
     def __post_init__(self):
         if self.r not in (0, 1, 2):
             raise ValueError("r must be 0, 1 or 2 (supported orders r <= 2)")
+        object.__setattr__(self, "r", int(self.r))
         if not (0.0 < self.rho <= 1.0):
             raise ValueError("rho must lie in (0, 1]")
         if self.r == 0 and self.rho != 1.0:
@@ -97,17 +124,12 @@ class HolderParams:
         D = tuple(float(x) for x in self.D)
         if len(D) != self.r + 1:
             raise ValueError("D must list r+1 derivative bounds D_0..D_r")
-        require_finite_input("D", *D)
-        if any(x <= 0 for x in D):
-            raise ValueError("all derivative bounds D_i must be positive")
+        for x in D:
+            require_positive("D", x)
         object.__setattr__(self, "D", D)
-        require_finite_input("H", self.H)
-        if self.H <= 0:
-            raise ValueError("H must be positive")
+        require_positive("H", self.H)
         if self.p is not None:
-            require_finite_input("p", self.p)
-            if self.p <= 0:
-                raise ValueError("p must be positive when given")
+            require_positive("p", self.p)
             if self.p > D[0]:
                 raise ValueError("p must not exceed D_0")
         if self.component_H is not None:
@@ -183,13 +205,11 @@ class IvpProblem:
 
     def __init__(self, dim: int, derivs: Callable, eta, interval: tuple,
                  name: str = ""):
-        if dim < 1:
-            raise ValueError("dim must be a positive integer")
+        self.dim = require_count("dim", dim)
         a, b = float(interval[0]), float(interval[1])
         require_finite_input("interval", a, b)
         if not a < b:
             raise ValueError("interval must satisfy a < b")
-        self.dim = int(dim)
         self.f = lambda y: derivs(0, y)[0]
         self.derivs = derivs
         eta = np.asarray(eta, dtype=float)
@@ -257,12 +277,10 @@ class TwoLevelMesh:
 
 def build_mesh(a: float, b: float, n: int, m: int) -> TwoLevelMesh:
     """Construct the two-level mesh over [a, b] with n coarse, m fine cells."""
-    if n < 1 or m < 1 or n != int(n) or m != int(m):
-        raise ValueError("n and m must be positive integers")
+    n, m = require_count("n", n), require_count("m", m)
     a, b = float(a), float(b)
     if not a < b:
         raise ValueError("mesh requires a < b")
-    n, m = int(n), int(m)
     h = (b - a) / n
     x = np.linspace(a, b, n + 1)
     return TwoLevelMesh(a=a, b=b, n=n, m=m, h=h, hbar=h / m, x=x)

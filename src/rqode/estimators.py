@@ -47,7 +47,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CostLedger, require_finite_input
+from .core import (CostLedger, require_count, require_delta,
+                   require_positive, require_whole)
 from .rng import RngStream
 
 __all__ = [
@@ -298,9 +299,10 @@ def _sample_size(family: IndexedFamily, eps1: float) -> int:
 
 
 def _run_count(k) -> int:
+    k = require_whole("k", k)
     if k < 1 or k % 2 == 0:
-        raise ValueError("k must be an odd positive integer")
-    return int(k)
+        raise ValueError("k must be an odd positive integer, got %d" % k)
+    return k
 
 
 def _median(values, axis: int = 0) -> np.ndarray:
@@ -348,9 +350,7 @@ def mc_mean(family: IndexedFamily, eps1: float, rng: RngStream,
     Philox continues a draw across calls, so the value is
     ``median_boost(mc_mean, ..., k)``'s bit for bit.
     """
-    require_finite_input("eps1", eps1)
-    if eps1 <= 0:
-        raise ValueError("eps1 must be positive")
+    eps1 = require_positive("eps1", eps1)
     k = _run_count(k)
     snap = family.ledger.snapshot()
     s, dim = family.size, family.dim
@@ -391,9 +391,7 @@ def quantum_sim_mean(family: IndexedFamily, eps1: float, rng: RngStream,
     one ``(k, 3, reps, d)`` block: what k runs drawing in turn would draw,
     so the value is ``median_boost(quantum_sim_mean, ..., k)``'s bit for bit.
     """
-    require_finite_input("eps1", eps1)
-    if eps1 <= 0:
-        raise ValueError("eps1 must be positive")
+    eps1 = require_positive("eps1", eps1)
     k = _run_count(k)
     snap = family.ledger.snapshot()
     M = family.bound
@@ -455,10 +453,8 @@ def median_rep_count(n: int, delta: float) -> int:
     3/4-success base then make all n boosted estimates succeed jointly with
     probability at least ``1 - delta``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0.0 < delta < 0.5:
-        raise ValueError("delta must lie in (0, 1/2)")
+    n = require_count("n", n)
+    require_delta(delta)
     target = 1.0 - (1.0 - delta) ** (1.0 / n)
     for k in range(1, 2002, 2):
         if binomial_fail_tail(k) <= target:

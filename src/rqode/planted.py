@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import HolderParams, IvpProblem
+from .core import HolderParams, IvpProblem, require_count, require_positive
 from .scalar import inverse_class_params, reciprocal_jet
 
 __all__ = [
@@ -200,9 +200,7 @@ def recover_mean(z1_est: float, eta: float, n: int, mean_scale: float,
     Affine in the estimate; an endpoint error of e maps to a mean error of
     exactly ``e * n^order / mean_scale``.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if mean_scale <= 0:
-        raise ValueError("mean_scale must be positive")
+    n = require_count("n", n)
+    mean_scale = require_positive("mean_scale", mean_scale)
     return (1.0 - z1_est + eta) / (mean_scale * float(n) ** (-float(order)))
 

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (ClassViolationError, CostLedger, HolderParams, IvpProblem,
-                   require_finite, require_finite_input)
+                   require_delta, require_finite, require_positive)
 from .estimators import (IndexedFamily, Workspace, full_mean, get_backend,
                          mc_mean, quantum_sim_mean)
 from .rng import RngStream, check_seed
@@ -264,11 +264,8 @@ def bisection_solve(problem: IvpProblem, params: HolderParams, eps: float,
         raise ValueError("the endpoint solver handles scalar problems only")
     if params.p is None:
         raise ValueError("params must declare the lower bound p")
-    if not 0.0 < delta < 0.5:
-        raise ValueError("delta must lie in (0, 1/2)")
-    require_finite_input("eps", eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    require_delta(delta)
+    require_positive("eps", eps)
 
     ledger = CostLedger()
     rng = RngStream(seed, ledger)

@@ -31,8 +31,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (CostLedger, HolderParams, IvpProblem, build_mesh,
-                   require_finite, require_finite_input, require_whole,
-                   residual_bound, residual_bound_vector)
+                   require_count, require_delta, require_finite,
+                   require_finite_input, require_whole, residual_bound,
+                   residual_bound_vector)
 from .estimators import (MODES, IndexedFamily, Workspace, full_mean,
                          get_backend, mc_mean, quantum_sim_mean)
 from .rng import RngStream, check_seed, child_seed
@@ -58,7 +59,7 @@ class SolveConfig:
     (n^2 randomized, n otherwise), and boosted modes default eps1 = 1/n.
     Each estimate is the median of k = ``Backend.run_count(n, delta)`` runs
     (1 when exact).  Every mode needs delta in (0, 1/2) and eps1 >= 0;
-    n, m, N and seed must be whole numbers (31.0 runs as 31).
+    n, m and N are counts (31.0 runs as 31) and seed is whole and >= 0.
     """
 
     n: int
@@ -71,24 +72,19 @@ class SolveConfig:
 
     def resolved(self) -> "SolveConfig":
         backend = get_backend(self.mode)
-        n = require_whole("n", self.n)
-        if n < 1:
-            raise ValueError("n must be a positive integer")
+        n = require_count("n", self.n)
         mesh = n ** backend.mesh_power
-        m = mesh if self.m is None else require_whole("m", self.m)
-        N = mesh if self.N is None else require_whole("N", self.N)
+        m = mesh if self.m is None else require_count("m", self.m)
+        N = mesh if self.N is None else require_count("N", self.N)
         eps1 = self.eps1
         if eps1 is None:
             eps1 = 1.0 / n if backend.boosted else 0.0
-        if m < 1 or N < 1:
-            raise ValueError("m and N must be positive integers")
         require_finite_input("eps1", eps1)
         if eps1 < 0:
             raise ValueError("eps1 must be non-negative")
         if backend.boosted and eps1 == 0:
             raise ValueError("stochastic modes need eps1 > 0")
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError("delta must lie in (0, 1/2)")
+        require_delta(self.delta)
         return replace(self, n=n, m=m, N=N, eps1=float(eps1),
                        seed=check_seed(self.seed))
 
@@ -288,6 +284,7 @@ def sup_error(result: SolveResult, reference: Callable,
     The grid is ``probe_count`` uniform points joined with every piece's
     start and b, so piece boundaries are always probed.
     """
+    probe_count = require_whole("probe_count", probe_count)
     if probe_count < 2:
         raise ValueError("probe_count must be at least 2")
     mesh = result.approx.mesh
@@ -320,9 +317,7 @@ def run_trials(problem: IvpProblem, params: HolderParams, config: SolveConfig,
     repetition count, removing the logarithmic factor that boosting adds to
     the raw cost.
     """
-    trials = require_whole("trials", trials)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = require_count("trials", trials)
     errors = np.empty(trials)
     costs = np.empty(trials)
     deflated = np.empty(trials)

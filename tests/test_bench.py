@@ -101,6 +101,15 @@ class TestPlans:
             ExperimentPlan(fixture="sin_flow", mode="randomized",
                            ladder=[2, 3], **{field: value})
 
+    @pytest.mark.parametrize("det_N", [-3, -1.0])
+    def test_negative_det_N_rejected(self, det_N):
+        with pytest.raises(ValueError, match="^det_N must be a non-negative "
+                           "integer, got %d$" % det_N):
+            ExperimentPlan(fixture="sin_flow", mode="deterministic",
+                           ladder=[2, 3], det_N=det_N)
+        assert ExperimentPlan(fixture="sin_flow", mode="deterministic",
+                              ladder=[2, 3], det_N=0).det_N == 0
+
     def test_integral_floats_run_as_ints(self):
         plan = ExperimentPlan(fixture="sin_flow", mode="randomized",
                               ladder=[2, 3], trials=31.0, det_N=2.0,
@@ -132,8 +141,8 @@ class TestPlans:
         # truncated by int()
         from rqode import bench
         monkeypatch.setattr(bench, "_map_rungs", None)
-        with pytest.raises(ValueError, match="^ladder rung n = %s is not a "
-                           "positive integer$" % bad):
+        with pytest.raises(ValueError, match="^ladder rung n must be a whole "
+                           "number, got %s$" % bad):
             run_ladder(ExperimentPlan(fixture="sin_flow", mode="deterministic",
                                       ladder=ladder))
 

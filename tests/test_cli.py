@@ -158,7 +158,7 @@ class TestErrors:
         assert run_cli(["ladder", "--fixture", "sin_flow", "--n", "4", "8",
                         "--trials", "-3"]) == 1
         assert capsys.readouterr().err == (
-            "error: trials must be a positive integer\n")
+            "error: trials must be a positive integer, got -3\n")
 
     @pytest.mark.parametrize("flags,message", [
         (["--eps", "-1"], "eps1 must be non-negative"),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqode.core import (CostLedger, HolderParams, IvpProblem, build_mesh,
+                        require_count, require_delta, require_positive,
                         residual_bound, residual_bound_vector, validate_holder)
 from rqode.fixtures import get_fixture
 from rqode.planted import make_planted
@@ -62,6 +63,29 @@ class TestMesh:
             build_mesh(0, 1, 4, -1)
         with pytest.raises(ValueError):
             build_mesh(1, 1, 4, 4)
+
+
+class TestInputRules:
+    def test_count(self):
+        assert type(require_count("n", 31.0)) is int
+        for bad, text in [(2.5, "whole number"), (float("nan"), "whole number"),
+                          (0, "positive integer"), (-2.0, "positive integer")]:
+            with pytest.raises(ValueError, match="^n must be a %s, got %r$"
+                               % (text, bad)):
+                require_count("n", bad)
+
+    def test_delta(self):
+        require_delta(0.25)
+        for bad in (0.0, 0.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"^delta must lie in \(0, "):
+                require_delta(bad)
+
+    def test_positive(self):
+        assert require_positive("eps", np.float64(0.5)) == 0.5
+        for bad, text in [(0.0, "positive"), (-1, "positive"),
+                          (float("nan"), "finite"), (float("inf"), "finite")]:
+            with pytest.raises(ValueError, match="^eps must be %s$" % text):
+                require_positive("eps", bad)
 
 
 class TestHolderParams:
@@ -182,6 +206,18 @@ class TestProblemConstruction:
             return [np.asarray(y, dtype=float)]
         with pytest.raises(ValueError, match="^%s must be finite" % name):
             IvpProblem(2, derivs, eta(bad), interval(bad))
+
+    @pytest.mark.parametrize("dim, message", [
+        (1.5, r"^dim must be a whole number, got 1\.5$"),
+        (0, r"^dim must be a positive integer, got 0$")],
+        ids=["fractional", "zero"])
+    def test_dim_must_be_count(self, dim, message):
+        # named, not truncated to dim = 1
+        def derivs(k, y):
+            return [np.ones_like(np.asarray(y, dtype=float))]
+        with pytest.raises(ValueError, match=message):
+            IvpProblem(dim, derivs, [1.0], (0.0, 1.0))
+        assert IvpProblem(1.0, derivs, [1.0], (0.0, 1.0)).dim == 1
 
 
 class TestLedger:

@@ -367,6 +367,12 @@ class TestRepetitionCounts:
         # one 3/4-success call meets delta = 1/4 for n = 1
         assert median_rep_count(1, 0.25) == 1
 
+    def test_fractional_estimate_count_named(self):
+        with pytest.raises(ValueError,
+                           match=r"^n must be a whole number, got 2\.5$"):
+            median_rep_count(2.5, 0.1)
+        assert median_rep_count(3.0, 0.1) == median_rep_count(3, 0.1)
+
     def test_exact_tail_values(self):
         # frozen from the exact binomial oracle (see exact_tail above)
         assert exact_tail(9) == Fraction(12826, 262144)
@@ -743,6 +749,16 @@ class TestBoostedRuns:
             for k in (0, 2, -1):
                 with pytest.raises(ValueError, match="odd positive"):
                     base(fam, 0.1, RngStream(0), k=k)
+
+    @pytest.mark.parametrize("base", [full_mean, mc_mean, quantum_sim_mean])
+    def test_fractional_k_named(self, base):
+        # named, not truncated to an even k = 2 (median success 0.5625)
+        led = CostLedger()
+        fam = ArrayFamily(np.linspace(0.0, 1.0, 64), bound=1.0, ledger=led)
+        with pytest.raises(ValueError,
+                           match=r"^k must be a whole number, got 2\.5$"):
+            base(fam, 0.1, RngStream(0, led), k=2.5)
+        assert led.total == led.rng_draws == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("base", [mc_mean, quantum_sim_mean])

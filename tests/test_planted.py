@@ -228,5 +228,10 @@ class TestRecoverMean:
             recover_mean(1.0, 0.0, 0, 0.1, 1.0)
         with pytest.raises(ValueError):
             recover_mean(1.0, 0.0, 4, -0.1, 1.0)
+        with pytest.raises(ValueError,
+                           match=r"^n must be a whole number, got 2\.5$"):
+            recover_mean(1.0, 0.0, 2.5, 0.1, 1.0)
+        with pytest.raises(ValueError, match="^mean_scale must be finite$"):
+            recover_mean(1.0, 0.0, 4, float("nan"), 1.0)
         with pytest.raises(ValueError):
             make_planted([1.5], PARAMS_R0)

@@ -73,6 +73,18 @@ class TestConfigDefaults:
         assert (cfg.n, cfg.m, cfg.N, cfg.seed) == (4, 3, 5, 7)
         assert all(type(v) is int for v in (cfg.n, cfg.m, cfg.N, cfg.seed))
 
+    @pytest.mark.parametrize("mode", ["deterministic", "randomized"])
+    def test_integral_float_order_solves_as_int(self, mode):
+        # r indexes the jet orders, so r = 1.0 must solve as r = 1
+        fx = get_fixture("sin_flow_r1")
+        params = dataclasses.replace(fx.params, r=1.0)
+        assert type(params.r) is int and params == fx.params
+        cfg = SolveConfig(n=4, mode=mode, seed=7)
+        got = solve(fx.problem, params, cfg)
+        ref = solve(fx.problem, fx.params, cfg)
+        assert got.y_grid.tobytes() == ref.y_grid.tobytes()
+        assert got.ledger.as_dict() == ref.ledger.as_dict()
+
     @pytest.mark.parametrize("seed", [2.7, np.nan, -1])
     def test_seed_must_be_whole(self, seed):
         # the seed is checked before it is used, so a report's seed is the
@@ -340,6 +352,11 @@ class TestEvalAndSupError:
         res = solve(fx.problem, fx.params, SolveConfig(n=2, m=2, N=2))
         with pytest.raises(ValueError):
             sup_error(res, fx.reference, probe_count=1)
+        with pytest.raises(ValueError, match=r"^probe_count must be a whole "
+                           r"number, got 2\.5$"):
+            sup_error(res, fx.reference, probe_count=2.5)
+        assert sup_error(res, fx.reference, probe_count=256.0) == \
+            sup_error(res, fx.reference)
 
     def test_misshapen_reference_rejected(self):
         # a reference giving (len(ts),) values for a d = 1 problem would
