@@ -309,8 +309,12 @@ def validate_holder(problem: IvpProblem, params: HolderParams,
 
     Records a violation whenever a sampled order-``i`` partial exceeds
     ``D_i + tol``, or a grid pair violates the order-``r`` Holder bound by
-    more than ``tol``.  Oracle failures propagate with the point identified.
+    more than ``tol``, which must be finite and >= 0.  Oracle failures
+    propagate with the point identified.
     """
+    require_finite_input("tol", tol)
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
     pts = [np.asarray(g, dtype=float).reshape(problem.dim) for g in grid]
     if not pts:
         raise ValueError("grid must be non-empty")

@@ -26,10 +26,12 @@ from the family's item table: ``mc_mean`` tabulates the whole family once
 when its k runs draw at least as many items in total as the family holds,
 so the runs share one table, but the ledger still pays for every draw.
 
-Every mean of a family, sampled or exact, is one ``_row_means`` reduction
-of its items laid out component-major, in the order numpy's
-``items.mean(axis=0)`` takes (pairwise for d = 1, row after row for
-d >= 2), so a table changes wall time only, never a value or a charge.
+A family's items have one layout, ``(..., d)`` rows, and one reader,
+``IndexedFamily.access``, which charges them.  Every mean of a family,
+sampled or exact, is one ``_row_means`` reduction of items read there, in
+the order numpy's ``items.mean(axis=0)`` takes (pairwise for d = 1, row
+after row for d >= 2), so a table changes wall time only, never a value or
+a charge.
 
 ``BACKENDS`` holds one :class:`Backend` record per oracle-cost model, keyed
 by mode name (``MODES``): everything the solvers, the endpoint bisection and
@@ -106,18 +108,18 @@ class IndexedFamily:
     ``_items`` over index arrays ``i`` (cell) and ``k`` (midpoint) that
     broadcast together, returning their broadcast shape plus ``(dim,)``, and
     must put every element through the same operations in the same order
-    whatever the shapes.  ``_compute`` feeds it flat index arrays and
-    ``tabulate`` the whole grid, so the two agree bit for bit.  ``access``
-    charges one f evaluation per index requested.  ``bound`` is a uniform
-    sup-norm bound on the items, used by the sampled backends for
+    whatever the shapes.  ``access`` feeds it flat index arrays and
+    ``tabulate`` the whole grid, so the two agree bit for bit.  ``bound`` is
+    a uniform sup-norm bound on the items, used by the sampled backends for
     calibration.
 
-    ``tabulate`` fills the item table once, free of charge: one ``(d, s)``
-    component-major array, read as its ``(s, d)`` transpose.  ``access``
-    then reads items from it instead of computing them, and still charges
-    per index.  ``mean_at`` and ``exact_mean`` reduce items with
-    ``_row_means``.  Whether tabulating pays is the caller's call:
-    ``mc_mean`` tabulates when its k runs together read at least s items.
+    ``access`` is the one reader: it checks the indices' bounds, computes
+    the items or, once ``tabulate`` has filled the item table (free of
+    charge, one C-contiguous ``(s, d)`` array), gathers them from it, and
+    charges one f evaluation per index either way.  ``mean_at`` and
+    ``exact_mean`` reduce items with ``_row_means``.  Whether tabulating
+    pays is the caller's call: ``mc_mean`` tabulates when its k runs
+    together read at least s items.
 
     Large arrays come from ``_buffer(name, shape)``: new arrays, or views of
     the ``workspace`` buffers when one is given.  The workspace belongs to
@@ -125,14 +127,14 @@ class IndexedFamily:
     for its steps' residual families, a bisection for its iterations' cell
     families; no estimate and no result holds a view of it.  Buffer
     ``"table"`` holds the table, and ``"grid"`` what ``_items`` computes,
-    then ``mean_at``'s gathers: the grid is dead once the table is written.
-    Items are computed only while there is no table, so ``_items`` may use
-    ``"table"`` and names of its own as scratch (a subclass lists them).
-    ``_compute`` checks the indices' bounds, so ``_items`` may gather rows
-    with ``_gather``, which writes straight into a buffer.  With a
-    workspace, what ``access`` computes stays valid only until items are
-    next computed on that workspace, and the table until the next family on
-    it computes items.
+    then ``access``'s table gathers: the grid is dead once the table is
+    written.  Items are computed only while there is no table, so
+    ``_items`` may use ``"table"`` and names of its own as scratch (a
+    subclass lists them).  ``access`` has checked the bounds, so ``_items``
+    may gather rows with ``_gather``, which writes straight into a buffer.
+    With a workspace, what ``access`` returns, computed or gathered, stays
+    valid only until the next read on that workspace, and the table until
+    the next family on it computes items.
     """
 
     def __init__(self, cells: int, n_mid: int, dim: int, bound: float,
@@ -167,62 +169,49 @@ class IndexedFamily:
         out = self._buffer(name, np.shape(idx) + rows.shape[1:])
         return np.take(rows, idx, axis=0, mode="wrap", out=out)
 
-    def _compute(self, idx: np.ndarray) -> np.ndarray:
-        self._check_bounds(idx)
-        i = idx // self.n_mid
-        return self._items(i, idx - i * self.n_mid)
-
-    def _check_bounds(self, idx: np.ndarray) -> None:
-        # numpy's bounds, [-s, s)
-        if idx.size and (idx.min() < -self.size or idx.max() >= self.size):
-            raise IndexError("index out of range for a family of %d items"
-                             % self.size)
-
     def tabulate(self) -> np.ndarray:
         """All items from one broadcast over the grid; charges nothing.
 
         Midpoints run on the outer axis so the elementwise loops are long;
-        one transposed copy into buffer ``"table"``, shaped ``(d, cells,
-        n_mid)``, puts each component's items in index order, and the
-        result is its ``(s, d)`` transpose.  Later calls return the same
-        table: for the family's life without a workspace, else until the
-        next family on the workspace computes items.
+        one transposed copy into buffer ``"table"``, shaped ``(cells, n_mid,
+        d)``, puts the items in index order, and the result is its ``(s,
+        d)`` reshape.  Later calls return the same table: for the family's
+        life without a workspace, else until the next family on the
+        workspace computes items.
         """
         if self._table is None:
             grid = self._items(np.arange(self.cells),
                                np.arange(self.n_mid)[:, None])
-            table = self._buffer("table", (self.dim, self.cells, self.n_mid))
-            np.copyto(table, grid.transpose(2, 1, 0))
-            self._table = table.reshape(self.dim, self.size).T
+            table = self._buffer("table", (self.cells, self.n_mid, self.dim))
+            np.copyto(table, grid.transpose(1, 0, 2))
+            self._table = table.reshape(self.size, self.dim)
         return self._table
 
     def access(self, idx) -> np.ndarray:
-        """Items at the given indices, charged to the ledger."""
+        """Items at the given indices, ``idx.shape + (d,)``, charged to the
+        ledger one f evaluation per index.  Indices take numpy's bounds,
+        [-s, s).  Without a table the items are computed; with one they are
+        gathered into buffer ``"grid"``."""
         idx = np.atleast_1d(np.asarray(idx, dtype=int))
-        out = (self._compute(idx) if self._table is None
-               else np.take(self._table, idx, axis=0))
+        if idx.size and (idx.min() < -self.size or idx.max() >= self.size):
+            raise IndexError("index out of range for a family of %d items"
+                             % self.size)
+        if self._table is None:
+            flat = idx.reshape(-1)
+            i = flat // self.n_mid
+            items = self._items(i, flat - i * self.n_mid).reshape(
+                idx.shape + (self.dim,))
+        else:
+            items = self._gather("grid", self._table, idx)
         self.ledger.f_evals += idx.size
-        return out
+        return items
 
     def mean_at(self, idx) -> np.ndarray:
-        """Row means of a ``(sigma,)`` or ``(rows, sigma)`` index block,
-        charged like ``access``: one ``_row_means`` over the block's items,
-        from one ``access`` or, with a table, gathered from its ``(d, s)``
-        array into buffer ``"grid"`` and reduced there.  Indices take
-        numpy's bounds, [-s, s).
-        """
-        idx = np.atleast_1d(np.asarray(idx, dtype=int))
-        block = (self.dim,) + idx.shape
-        if self._table is None:
-            items, out = self.access(idx.reshape(-1)).T.reshape(block), None
-        else:
-            # "raise" would gather into a temporary and copy that into the
-            # buffer; "wrap" writes straight into it, once the bounds hold
-            self._check_bounds(idx)
-            items = out = np.take(self._table.T, idx, axis=1, mode="wrap",
-                                  out=self._buffer("grid", block))
-            self.ledger.f_evals += idx.size
-        return _row_means(items, out)
+        """Row means of a ``(sigma,)`` or ``(rows, sigma)`` index block: one
+        ``_row_means`` over the items ``access`` reads, charged like it (in
+        place in buffer ``"grid"`` for a table gather)."""
+        items = self.access(idx)
+        return _row_means(items, None if self._table is None else items)
 
     def peek_all(self) -> np.ndarray:
         """All items without ledger charges (simulation overhead only).
@@ -239,18 +228,18 @@ class IndexedFamily:
 
     def exact_mean(self) -> np.ndarray:
         """The mean of all items, from ``peek_all`` and booked like it."""
-        return _row_means(self.peek_all().T)
+        return _row_means(self.peek_all())
 
 
 def _row_means(items: np.ndarray, out=None) -> np.ndarray:
-    """The ``(..., d)`` means over the last axis of a ``(d, ..., sigma)``
-    block, each summed as ``.mean(axis=0)`` sums ``(sigma, d)`` items:
-    pairwise for d = 1, row after row (into ``out`` if given) for d >= 2."""
-    if items.shape[0] == 1:
-        total = items.sum(axis=-1)
+    """The ``(..., d)`` means of a ``(..., sigma, d)`` block over its sigma
+    axis, summed as ``.mean(axis=0)`` sums ``(sigma, d)`` items: pairwise
+    for d = 1, row after row (into ``out`` if given) for d >= 2."""
+    if items.shape[-1] == 1:
+        total = items[..., 0].sum(axis=-1)[..., None]
     else:
-        total = np.cumsum(items, axis=-1, out=out)[..., -1]
-    return total.T / items.shape[-1]
+        total = np.cumsum(items, axis=-2, out=out)[..., -1, :]
+    return total / items.shape[-2]
 
 
 class ArrayFamily(IndexedFamily):
@@ -446,6 +435,15 @@ def binomial_fail_tail(k: int) -> Fraction:
     return total
 
 
+def _smallest_odd_run(target) -> int:
+    """Smallest odd k <= 2001 whose exact binomial failure tail is at most
+    ``target``."""
+    for k in range(1, 2002, 2):
+        if binomial_fail_tail(k) <= target:
+            return k
+    raise RuntimeError("no odd k <= 2001 meets the failure target %g" % target)
+
+
 def median_rep_count(n: int, delta: float) -> int:
     """Smallest odd k whose exact binomial failure tail meets the target.
 
@@ -455,28 +453,18 @@ def median_rep_count(n: int, delta: float) -> int:
     """
     n = require_count("n", n)
     require_delta(delta)
-    target = 1.0 - (1.0 - delta) ** (1.0 / n)
-    for k in range(1, 2002, 2):
-        if binomial_fail_tail(k) <= target:
-            return k
-    raise RuntimeError("no odd k <= 2001 meets the failure target %g" % target)
+    return _smallest_odd_run(1.0 - (1.0 - delta) ** (1.0 / n))
 
 
 @functools.lru_cache(maxsize=None)
 def inner_rep_count(dim: int) -> int:
     """Per-component repetitions keeping the vector-norm success at 3/4.
 
-    For d > 1 each component's failure probability is pushed below 1/(4d)
-    by an inner median, so a union bound over components leaves the
-    max-norm event with probability at least 3/4.  d = 1 needs none.
+    Each component's failure probability is pushed to at most 1/(4d) by an
+    inner median of that many runs, so a union bound over components leaves
+    the max-norm event with probability at least 3/4; d = 1 gets one run.
     """
-    if dim <= 1:
-        return 1
-    target = Fraction(1, 4 * dim)
-    k = 1
-    while binomial_fail_tail(k) > target:
-        k += 2
-    return k
+    return _smallest_odd_run(Fraction(1, 4 * require_count("dim", dim)))
 
 
 def rms_error(errors, delta=None) -> float:

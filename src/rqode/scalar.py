@@ -35,7 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (ClassViolationError, CostLedger, HolderParams, IvpProblem,
-                   require_delta, require_finite, require_positive)
+                   require_count, require_delta, require_finite,
+                   require_positive)
 from .estimators import (IndexedFamily, Workspace, full_mean, get_backend,
                          mc_mean, quantum_sim_mean)
 from .rng import RngStream, check_seed
@@ -110,8 +111,8 @@ class CellGeometry:
         self.y = y
         self.sign = 1.0 if y >= eta else -1.0
         self.width = abs(y - eta)
-        self.cells = int(cells)
-        self.delta = self.width / self.cells if self.cells else 0.0
+        self.cells = require_count("cells", cells)
+        self.delta = self.width / self.cells
         self.anchors = eta + self.sign * self.delta * np.arange(self.cells)
         f_jet = [t.reshape(self.cells) for t in fetch_jet(
             problem, self.anchors[:, None], params.r, ledger)]

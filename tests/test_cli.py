@@ -117,6 +117,12 @@ class TestValidateCommand:
         assert code == 0
         assert json.loads(out.read_text())["passed"] is True
 
+    def test_nan_tol_named(self, capsys):
+        code = run_cli(["validate-class", "--fixture", "sin_flow",
+                        "--tol", "nan"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: tol must be finite\n"
+
 
 class TestPlantCommand:
     def test_emits_loadable_fixture(self, tmp_path):

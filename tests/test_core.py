@@ -303,6 +303,19 @@ class TestValidateHolder:
         with pytest.raises(ValueError):
             validate_holder(fx.problem, fx.params, [])
 
+    @pytest.mark.parametrize("tol, message", [
+        (float("nan"), "tol must be finite"),
+        (float("inf"), "tol must be finite"),
+        (-1.0, "tol must be non-negative")])
+    def test_tol_finite_and_non_negative(self, tol, message):
+        # a NaN or infinite tol would pass any class
+        fx = get_fixture("sin_flow")
+        tight = HolderParams(r=0, rho=1.0, D=(1e-3,), H=1e-3)
+        grid = np.linspace(-3, 3, 16)[:, None]
+        assert not validate_holder(fx.problem, tight, grid).passed
+        with pytest.raises(ValueError, match="^%s$" % message):
+            validate_holder(fx.problem, tight, grid, tol=tol)
+
 
 class TestResidualBound:
     def test_scaled_by_holder_constant(self):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqode.core import CostLedger
-from rqode.estimators import (ArrayFamily, MeanEstimate, Workspace,
+from rqode.estimators import (ArrayFamily, IndexedFamily, MeanEstimate,
+                              Workspace,
                               _median, _sample_size, binomial_fail_tail,
                               full_mean,
                               inner_rep_count, mc_mean, median_boost,
@@ -425,6 +426,25 @@ class TestRepetitionCounts:
         assert inner_rep_count(1) == 1
         assert inner_rep_count(2) == 5  # first odd k with tail <= 1/8
 
+    def test_inner_reps_need_a_count(self):
+        # the search has no d <= 1 shortcut, so d = 0 is a named error
+        with pytest.raises(ValueError,
+                           match=r"^dim must be a positive integer, got 0$"):
+            inner_rep_count(0)
+
+    def test_counts_pinned(self):
+        # both counts are one search for the smallest odd k; recorded from
+        # the two searches it replaced
+        assert [inner_rep_count(d) for d in range(1, 65)] == (
+            [1, 5, 7, 9, 9, 11, 11] + [13] * 3 + [15] * 4 + [17] * 6
+            + [19] * 8 + [21] * 10 + [23] * 15 + [25] * 11)
+        ns = (1, 2, 3, 4, 8, 16, 64, 256, 1024)
+        deltas = (0.01, 0.05, 0.1, 0.25, 0.49)
+        assert [[median_rep_count(n, d) for d in deltas] for n in ns] == [
+            [19, 9, 7, 1, 1], [23, 13, 9, 5, 1], [27, 17, 11, 7, 3],
+            [27, 17, 13, 9, 5], [33, 23, 17, 11, 7], [37, 27, 21, 15, 11],
+            [45, 35, 31, 25, 19], [55, 45, 39, 33, 27], [63, 53, 49, 41, 37]]
+
 
 class TestCostExactness:
     def test_no_hidden_accesses(self):
@@ -505,8 +525,8 @@ class TestItemTable:
         fam, _ = (self._residual_family(monkeypatch) if which == "residual"
                   else self._cell_family(monkeypatch))
         # a copy: on a workspace, tabulate() reuses the buffer that holds
-        # what _compute returned
-        whole = fam._compute(np.arange(fam.size)).copy()
+        # what access returned
+        whole = fam.access(np.arange(fam.size)).copy()
         assert fam.tabulate().tobytes() == whole.tobytes()
 
     def test_access_charges_per_index_from_table(self):
@@ -673,6 +693,53 @@ class TestMeanAt:
         assert twin._table is None
         assert ref.value.tobytes() == est.value.tobytes()
         assert ref.cost == est.cost
+
+
+class TestOneReadPath:
+    """``access`` is the one place that reads and charges items, and every
+    layout reduces to ``exact_mean``'s bits."""
+
+    def test_access_sees_every_charged_read(self, monkeypatch):
+        # wrapped as an instrumenting tracer wraps it: the indices it sees
+        # sum to what each read charged, tabulated or not, for d = 1 and 2,
+        # 1-D and (rows, sigma) blocks, mc_mean draws and full_mean
+        seen = []
+        access = IndexedFamily.access
+
+        def counted(family, idx):
+            seen.append(np.size(idx))
+            return access(family, idx)
+        monkeypatch.setattr(IndexedFamily, "access", counted)
+        gen = np.random.default_rng(11)
+        reads = {
+            "block": lambda fam: fam.mean_at(gen.integers(0, fam.size, 300)),
+            "rows": lambda fam: fam.mean_at(
+                gen.integers(0, fam.size, (3, 100))),
+            "mc_mean": lambda fam: mc_mean(fam, 0.5, RngStream(2), k=3),
+            "full_mean": lambda fam: full_mean(fam),
+        }
+        for dim in (1, 2):
+            for tabulated in (False, True):
+                for name, read in reads.items():
+                    led = CostLedger()
+                    fam = ArrayFamily(gen.uniform(-1, 1, (2000, dim)),
+                                      bound=1.0, ledger=led)
+                    if tabulated:
+                        fam.tabulate()
+                    seen.clear()
+                    read(fam)
+                    assert led.f_evals > 0
+                    assert sum(seen) == led.f_evals, (dim, tabulated, name)
+
+    def test_peek_all_mean_is_exact_mean(self):
+        # the table is (s, d) rows, so numpy's own mean of it sums as
+        # exact_mean does, bit for bit
+        for dim in (1, 2, 3):
+            vals = np.random.default_rng(dim).standard_normal(
+                (65536, dim)) * 1e3
+            fam = ArrayFamily(vals)
+            truth = fam.peek_all().mean(axis=0)
+            assert truth.tobytes() == fam.exact_mean().tobytes(), dim
 
 
 class TestBoostedRuns:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,16 @@ TABLE_CASES = {
 }
 
 
+class TestCellGeometryInput:
+    @pytest.mark.parametrize("cells, message", [
+        (0, "cells must be a positive integer, got 0"),
+        (2.5, "cells must be a whole number, got 2.5")])
+    def test_cell_count_named(self, cells, message):
+        fx = get_fixture("inv1p")
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            CellGeometry(fx.problem, fx.params, 1.2, cells, CostLedger())
+
+
 class TestCellTable:
     @pytest.mark.parametrize("case", sorted(TABLE_CASES))
     def test_table_equals_compute(self, case):
@@ -191,7 +202,7 @@ class TestCellTable:
         idx = np.random.default_rng(4).integers(0, fam.size, 400)
         assert np.array_equal(table[idx], twin.access(idx))
         assert twin._table is None
-        assert table.tobytes() == twin._compute(np.arange(fam.size)).tobytes()
+        assert table.tobytes() == twin.access(np.arange(fam.size)).tobytes()
 
 
 class FreshBuffers(Workspace):
@@ -259,7 +270,7 @@ class TestBufferReuse:
         fam, fresh = family(y, 37, 5, ws), family(y, 37, 5, None)
         idx = np.random.default_rng(6).integers(0, fam.size, (3, 120))
         assert (fam.access(idx[0]).tobytes()
-                == fresh._compute(idx[0]).tobytes())
+                == fresh.access(idx[0]).tobytes())
         table = fam.tabulate()
         assert np.shares_memory(table, ws._buffers["table"])
         assert ws._buffers["table"].size == big
