@@ -22,10 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import require_count, require_delta, require_whole
+from .core import require_count, require_delta, require_nonnegative_int
 from .estimators import MODES, empirical_quantile, get_backend
 from .fixtures import Fixture, get_fixture
-from .rng import check_seed, child_seed
+from .rng import child_seed
 from .scalar import bisection_solve
 # solve and sup_error stay bound here for instrumentation that patches them
 from .solver import SolveConfig, run_trials, solve, sup_error
@@ -68,13 +68,11 @@ class ExperimentPlan:
     def __post_init__(self):
         if isinstance(self.fixture, str):
             object.__setattr__(self, "fixture", get_fixture(self.fixture))
-        object.__setattr__(self, "seed", check_seed(self.seed))
-        for name, rule in (("trials", require_count), ("det_N", require_whole),
+        for name, rule in (("seed", require_nonnegative_int),
+                           ("trials", require_count),
+                           ("det_N", require_nonnegative_int),
                            ("workers", require_count)):
             object.__setattr__(self, name, rule(name, getattr(self, name)))
-        if self.det_N < 0:
-            raise ValueError("det_N must be a non-negative integer, got %d"
-                             % self.det_N)
         rungs = tuple(self.ladder)
         if any(b <= a for a, b in zip(rungs, rungs[1:])):
             raise ValueError("ladder must be strictly increasing")

@@ -34,8 +34,10 @@ __all__ = [
     "is_whole",
     "require_whole",
     "require_count",
+    "require_nonnegative_int",
     "require_delta",
     "require_positive",
+    "require_nonnegative",
 ]
 
 
@@ -82,6 +84,14 @@ def require_count(name: str, value) -> int:
     return count
 
 
+def require_nonnegative_int(name: str, value) -> int:
+    """As :func:`require_whole`, and >= 0: one test, one message."""
+    if not (is_whole(value) and value >= 0):
+        raise ValueError("%s must be a non-negative integer, got %r"
+                         % (name, value))
+    return int(value)
+
+
 def require_delta(delta) -> None:
     """Raise ``ValueError`` unless the confidence delta lies in (0, 1/2)."""
     if not 0.0 < delta < 0.5:
@@ -93,6 +103,14 @@ def require_positive(name: str, value) -> float:
     require_finite_input(name, value)
     if value <= 0:
         raise ValueError("%s must be positive" % name)
+    return float(value)
+
+
+def require_nonnegative(name: str, value) -> float:
+    """As :func:`require_positive`, but 0 passes."""
+    require_finite_input(name, value)
+    if value < 0:
+        raise ValueError("%s must be non-negative" % name)
     return float(value)
 
 
@@ -312,9 +330,7 @@ def validate_holder(problem: IvpProblem, params: HolderParams,
     more than ``tol``, which must be finite and >= 0.  Oracle failures
     propagate with the point identified.
     """
-    require_finite_input("tol", tol)
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    require_nonnegative("tol", tol)
     pts = [np.asarray(g, dtype=float).reshape(problem.dim) for g in grid]
     if not pts:
         raise ValueError("grid must be non-empty")

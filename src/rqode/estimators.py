@@ -121,20 +121,21 @@ class IndexedFamily:
     pays is the caller's call: ``mc_mean`` tabulates when its k runs
     together read at least s items.
 
-    Large arrays come from ``_buffer(name, shape)``: new arrays, or views of
-    the ``workspace`` buffers when one is given.  The workspace belongs to
-    whoever builds the families on it, for that owner's own life: a solve
-    for its steps' residual families, a bisection for its iterations' cell
-    families; no estimate and no result holds a view of it.  Buffer
-    ``"table"`` holds the table, and ``"grid"`` what ``_items`` computes,
-    then ``access``'s table gathers: the grid is dead once the table is
-    written.  Items are computed only while there is no table, so
-    ``_items`` may use ``"table"`` and names of its own as scratch (a
-    subclass lists them).  ``access`` has checked the bounds, so ``_items``
-    may gather rows with ``_gather``, which writes straight into a buffer.
-    With a workspace, what ``access`` returns, computed or gathered, stays
-    valid only until the next read on that workspace, and the table until
-    the next family on it computes items.
+    Every family computes in a :class:`Workspace`, its own unless it is
+    given one: ``_buffer(name, shape)`` is a view of buffer ``name``, and
+    ``_gather`` takes rows straight into one (``access`` has checked the
+    bounds).  A shared workspace belongs to whoever builds the families on
+    it, for that owner's own life: a solve for its steps' residual
+    families, a bisection for its iterations' cell families; no estimate
+    and no result holds a view of it.  Buffer ``"table"`` holds the table,
+    and ``"grid"`` what ``_items`` computes, then ``access``'s table
+    gathers.  ``_items`` runs only while there is no table, so it may use
+    ``"table"`` and names of its own as scratch (a subclass lists them),
+    and it returns a new array or a buffer.  So what ``access`` returns is
+    scratch, valid until the next read on the workspace, and the table is
+    valid until the next family on the workspace computes items: for the
+    family's life on a workspace of its own.  Table-sized intermediates go
+    in buffers on the paths the perfbench workloads run.
     """
 
     def __init__(self, cells: int, n_mid: int, dim: int, bound: float,
@@ -150,7 +151,7 @@ class IndexedFamily:
         self.bound_vec = np.full(self.dim, self.bound) if bound_vec is None \
             else np.asarray(bound_vec, dtype=float)
         self.ledger = ledger if ledger is not None else CostLedger()
-        self._workspace = workspace
+        self._workspace = workspace if workspace is not None else Workspace()
         self._table = None
         self._peeked = False
 
@@ -158,8 +159,6 @@ class IndexedFamily:
         raise NotImplementedError
 
     def _buffer(self, name: str, shape: tuple) -> np.ndarray:
-        if self._workspace is None:
-            return np.empty(shape)
         return self._workspace.array(name, shape)
 
     def _gather(self, name: str, rows: np.ndarray, idx) -> np.ndarray:
@@ -175,9 +174,8 @@ class IndexedFamily:
         Midpoints run on the outer axis so the elementwise loops are long;
         one transposed copy into buffer ``"table"``, shaped ``(cells, n_mid,
         d)``, puts the items in index order, and the result is its ``(s,
-        d)`` reshape.  Later calls return the same table: for the family's
-        life without a workspace, else until the next family on the
-        workspace computes items.
+        d)`` reshape.  Later calls return the same table, until the next
+        family on the workspace computes items.
         """
         if self._table is None:
             grid = self._items(np.arange(self.cells),
@@ -208,10 +206,10 @@ class IndexedFamily:
 
     def mean_at(self, idx) -> np.ndarray:
         """Row means of a ``(sigma,)`` or ``(rows, sigma)`` index block: one
-        ``_row_means`` over the items ``access`` reads, charged like it (in
-        place in buffer ``"grid"`` for a table gather)."""
+        ``_row_means`` over the items ``access`` reads, charged like it, in
+        place, as they are scratch."""
         items = self.access(idx)
-        return _row_means(items, None if self._table is None else items)
+        return _row_means(items, items)
 
     def peek_all(self) -> np.ndarray:
         """All items without ledger charges (simulation overhead only).

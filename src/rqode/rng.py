@@ -13,15 +13,13 @@ import math
 
 import numpy as np
 
-from .core import is_whole
+from .core import require_nonnegative_int
 
 
 def check_seed(seed) -> int:
     """``seed`` as an int; one that is negative or not whole (NaN included)
     raises a ``ValueError`` naming it."""
-    if not (is_whole(seed) and seed >= 0):
-        raise ValueError("seed must be a non-negative integer, got %r" % seed)
-    return int(seed)
+    return require_nonnegative_int("seed", seed)
 
 
 def child_seed(seed, *key) -> int:

@@ -19,11 +19,8 @@ the midpoint rule.
 the defect estimate it bisects on is internal to it.
 
 One bisection builds every iteration's cell family on one
-:class:`~rqode.estimators.Workspace`: the item grid, its scratch, the table
-and the estimators' gathers reuse the same buffers, which grow only when a
-larger table needs them and are freed with the bisection.  A family's table
-is valid until the next iteration's family computes items; estimates and
-the result hold no view of it.
+:class:`~rqode.estimators.Workspace`, freed with the bisection, under the
+buffer rule of :class:`~rqode.estimators.IndexedFamily`.
 """
 
 from __future__ import annotations
@@ -138,9 +135,9 @@ class CellResidualFamily(IndexedFamily):
 
     Item (i, k), flattened as i*N_c + k, is the residual of cell i at
     midpoint (k + 1/2)/N_c, scaled by delta^(r+rho); each access costs one f
-    evaluation.  ``_items`` computes in the bisection's buffers ``"grid"``
-    (the midpoints, then the Taylor sum and the result) and ``"table"``
-    (each Taylor term, then 1/f).
+    evaluation.  ``_items`` computes in its workspace's buffers (the
+    bisection's): ``"grid"`` (the midpoints, then the Taylor sum and the
+    result) and ``"table"`` (each Taylor term, then 1/f).
     """
 
     def __init__(self, problem: IvpProblem, params: HolderParams,
@@ -278,8 +275,7 @@ def bisection_solve(problem: IvpProblem, params: HolderParams, eps: float,
     max_iters = max(max_iters, 1)
     k_rep = backend.run_count(max_iters, delta)
 
-    f_eta = float(np.asarray(problem.f(problem.eta))[0])
-    ledger.f_evals += 1
+    f_eta = float(fetch_jet(problem, problem.eta, 0, ledger)[0][0])
     if abs(f_eta) < p:
         raise ClassViolationError("|f(eta)| = %.3g < p = %.3g" % (abs(f_eta), p))
     increasing = f_eta > 0  # sign of d defect / dy = 1/f

@@ -14,11 +14,8 @@ when the k Monte Carlo runs of a step read at least as many items in total
 as the family holds.  Either way the backends pay per index they touch.
 
 One solve builds every step's residual family on one
-:class:`~rqode.estimators.Workspace`: the residual arithmetic, the table and
-the estimators' gathers reuse the same buffers, which grow only when a
-larger family needs them and are freed with the solve.  A family's items
-and table are valid until the next step's family computes items; estimates
-and the result hold no view of them.
+:class:`~rqode.estimators.Workspace`, freed with the solve, under the buffer
+rule of :class:`~rqode.estimators.IndexedFamily`.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import numpy as np
 
 from .core import (CostLedger, HolderParams, IvpProblem, build_mesh,
                    require_count, require_delta, require_finite,
-                   require_finite_input, require_whole, residual_bound,
+                   require_nonnegative, require_whole, residual_bound,
                    residual_bound_vector)
 from .estimators import (MODES, IndexedFamily, Workspace, full_mean,
                          get_backend, mc_mean, quantum_sim_mean)
@@ -79,13 +76,11 @@ class SolveConfig:
         eps1 = self.eps1
         if eps1 is None:
             eps1 = 1.0 / n if backend.boosted else 0.0
-        require_finite_input("eps1", eps1)
-        if eps1 < 0:
-            raise ValueError("eps1 must be non-negative")
+        eps1 = require_nonnegative("eps1", eps1)
         if backend.boosted and eps1 == 0:
             raise ValueError("stochastic modes need eps1 > 0")
         require_delta(self.delta)
-        return replace(self, n=n, m=m, N=N, eps1=float(eps1),
+        return replace(self, n=n, m=m, N=N, eps1=eps1,
                        seed=check_seed(self.seed))
 
     def as_dict(self) -> dict:
@@ -106,13 +101,14 @@ class ResidualFamily(IndexedFamily):
     coarse step ``step``.
 
     ``solve`` builds every step's family on one workspace, its own for the
-    solve's life.  ``_items`` computes every table-sized array in a buffer
-    of it, and only the oracle's output is a new array: ``"C"``,
-    ``"jet0"``, ``"jet1"`` and ``"jet2"`` hold the gathered piece rows,
-    ``"tau"`` the midpoint offsets, ``"Y"`` the flow values and then their
-    displacement from the piece start, ``"order1"`` and ``"order2"`` the
-    expansion's order-1 and order-2 products, ``"sum2"`` the order-2 sum,
-    and ``"grid"`` the expansion's value W and then the result.
+    solve's life.  For r <= 1, the orders the perfbench workloads run,
+    ``_items`` computes every table-sized array in a buffer of it, and only
+    the oracle's output is a new array: ``"C"``, ``"jet0"`` and ``"jet1"``
+    hold the gathered piece rows, ``"tau"`` the midpoint offsets, ``"Y"``
+    the flow values and then their displacement from the piece start,
+    ``"order1"`` the expansion's order-1 products, and ``"grid"`` the
+    expansion's value W and then the result.  The order-2 term is one plain
+    expression in new arrays.
     """
 
     def __init__(self, problem: IvpProblem, params: HolderParams,
@@ -152,14 +148,8 @@ class ResidualFamily(IndexedFamily):
                                out=self._buffer("order1", shape + (d,)))
             W = np.add(np.sum(prod, axis=-1, out=grid), W, out=grid)
         if len(self._T) >= 3:
-            prod = np.multiply(self._gather("jet2", self._T[2], j),
-                               delta[..., None],
-                               out=self._buffer("order2", shape + (d, d)))
-            prod *= delta[..., None, :]
-            term = np.sum(prod, axis=(-2, -1),
-                          out=self._buffer("sum2", shape))
-            term *= 0.5
-            W += term
+            W += 0.5 * np.sum(self._T[2][j] * delta[..., None]
+                              * delta[..., None, :], axis=(-2, -1))
         out = np.subtract(F, W, out=grid)
         out /= self._hbar ** self._params.order
         require_finite((out,), "f or the residual at the fine-cell midpoints "

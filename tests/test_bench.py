@@ -96,15 +96,17 @@ class TestPlans:
     def test_fractional_count_rejected(self, field, value):
         # at construction: trials = 30.5 used to fail in a rung, and
         # det_N = 2.5 to run with N = 2
-        with pytest.raises(ValueError, match="^%s must be a whole number, "
-                           "got %r$" % (field, value)):
+        rule = "a non-negative integer" if field == "det_N" \
+            else "a whole number"
+        with pytest.raises(ValueError, match="^%s must be %s, got %r$"
+                           % (field, rule, value)):
             ExperimentPlan(fixture="sin_flow", mode="randomized",
                            ladder=[2, 3], **{field: value})
 
     @pytest.mark.parametrize("det_N", [-3, -1.0])
     def test_negative_det_N_rejected(self, det_N):
         with pytest.raises(ValueError, match="^det_N must be a non-negative "
-                           "integer, got %d$" % det_N):
+                           "integer, got %r$" % det_N):
             ExperimentPlan(fixture="sin_flow", mode="deterministic",
                            ladder=[2, 3], det_N=det_N)
         assert ExperimentPlan(fixture="sin_flow", mode="deterministic",

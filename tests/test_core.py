@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqode.core import (CostLedger, HolderParams, IvpProblem, build_mesh,
-                        require_count, require_delta, require_positive,
+                        require_count, require_delta, require_nonnegative,
+                        require_nonnegative_int, require_positive,
                         residual_bound, residual_bound_vector, validate_holder)
 from rqode.fixtures import get_fixture
 from rqode.planted import make_planted
@@ -86,6 +87,25 @@ class TestInputRules:
                           (float("nan"), "finite"), (float("inf"), "finite")]:
             with pytest.raises(ValueError, match="^eps must be %s$" % text):
                 require_positive("eps", bad)
+
+    def test_nonnegative_int(self):
+        # one test and one message, whatever is wrong with the value
+        assert require_nonnegative_int("seed", 0) == 0
+        assert type(require_nonnegative_int("seed", 31.0)) is int
+        for bad in (-1, -1.0, 2.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError) as err:
+                require_nonnegative_int("seed", bad)
+            assert str(err.value) == (
+                "seed must be a non-negative integer, got %r" % bad)
+
+    def test_nonnegative(self):
+        assert require_nonnegative("tol", 0) == 0.0
+        assert type(require_nonnegative("tol", np.float64(0.5))) is float
+        for bad, text in [(-1, "non-negative"), (-1e-300, "non-negative"),
+                          (float("nan"), "finite"), (float("-inf"), "finite"),
+                          (float("inf"), "finite")]:
+            with pytest.raises(ValueError, match="^tol must be %s$" % text):
+                require_nonnegative("tol", bad)
 
 
 class TestHolderParams:

@@ -742,6 +742,39 @@ class TestOneReadPath:
             assert truth.tobytes() == fam.exact_mean().tobytes(), dim
 
 
+class TestOneBufferRule:
+    """Every family computes in a workspace, its own unless it is given
+    one: what ``access`` returns is scratch, valid until the next read, and
+    ``mean_at`` reduces it in place; the table lasts the family's life."""
+
+    def test_tabulated_reads_share_a_buffer(self):
+        vals = np.random.default_rng(4).uniform(-1, 1, (60, 2))
+        fam = ArrayFamily(vals)
+        table = fam.tabulate()
+        first = fam.access([0, 1, 2])
+        assert np.shares_memory(first, fam.access([57, 58, 59]))
+        fam.mean_at(np.arange(60).reshape(3, 20))
+        full_mean(fam)
+        assert fam.tabulate() is table
+        assert table.tobytes() == vals.tobytes()
+
+    def test_untabulated_d2_mean_at_reduces_in_place(self, monkeypatch):
+        from rqode import estimators
+        handed = []
+        row_means = estimators._row_means
+
+        def recorded(items, out=None):
+            handed.append(out is items)
+            return row_means(items, out)
+        monkeypatch.setattr(estimators, "_row_means", recorded)
+        vals = np.random.default_rng(5).uniform(-1, 1, (500, 2))
+        fam = ArrayFamily(vals)
+        idx = np.random.default_rng(6).integers(0, 500, 300)
+        got = fam.mean_at(idx)
+        assert fam._table is None and handed == [True]
+        assert got.tobytes() == vals[idx].mean(axis=0).tobytes()
+
+
 class TestBoostedRuns:
     """``mc_mean`` and ``quantum_sim_mean`` with ``k`` runs equal
     ``median_boost`` over k single runs bit for bit, in every regime."""

@@ -463,6 +463,22 @@ class TestBisection:
                               seed=3)
         assert abs(res.y_out - math.exp(0.5)) <= 1e-4
 
+    @pytest.mark.parametrize("mode", ["deterministic", "randomized",
+                                      "quantum_sim"])
+    def test_f_eta_charged_through_the_jet_fetch(self, monkeypatch, mode):
+        # f(eta) is one fetch_jet of order 0, so f itself only ever sees
+        # the cell families' (B, 1) batches
+        fx = get_fixture("inv1p")
+        shapes = []
+        f = fx.problem.f
+
+        def recorded(y):
+            shapes.append(np.shape(y))
+            return f(y)
+        monkeypatch.setattr(fx.problem, "f", recorded)
+        bisection_solve(fx.problem, fx.params, 1e-3, 0.1, mode=mode, seed=4)
+        assert shapes and all(len(shape) == 2 for shape in shapes)
+
     def test_negative_field_mirrored_bracket(self):
         prob, params = constant_field_problem(-0.8)
         res = bisection_solve(prob, params, 1e-6, 0.1, mode="deterministic")

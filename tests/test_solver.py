@@ -520,6 +520,14 @@ class TestBufferReuse:
         assert table.tobytes() == fresh.tabulate().tobytes() == all_items
         assert fam.mean_at(idx).tobytes() == means
 
+    @pytest.mark.parametrize("name", ["sin_flow", "cos_time_r1"])  # d = 1, 2
+    def test_own_workspace_reads_share_a_buffer(self, name):
+        # a family built without a workspace computes in one of its own
+        prob, params = REUSE_PROBLEMS[name]()
+        fam = residual_family(prob, params, 8, 5)
+        first = fam.access([0, 3, 7])
+        assert np.shares_memory(first, fam.access([1, 2, 39]))
+
     @pytest.mark.filterwarnings("ignore:step-smallness")
     @pytest.mark.parametrize("name, mode, n", [
         ("sin_flow", "deterministic", 8),
