@@ -148,6 +148,7 @@ def _cmd_ladder(args, run, rungs) -> int:
 
 
 def _cmd_validate(args) -> int:
+    count = require_count("--grid", args.grid)
     fx = get_fixture(args.fixture)
     lo = args.lo
     hi = args.hi
@@ -161,11 +162,11 @@ def _cmd_validate(args) -> int:
         else:
             lo = float(fx.problem.eta.min()) - 1.0 if lo is None else lo
             hi = float(fx.problem.eta.max()) + 1.0 if hi is None else hi
-    pts = np.linspace(lo, hi, args.grid)
+    pts = np.linspace(lo, hi, count)
     if fx.problem.dim == 1:
         grid = pts[:, None]
     else:
-        grid = np.tile(fx.problem.eta, (args.grid, 1))
+        grid = np.tile(fx.problem.eta, (count, 1))
         grid[:, 0] = pts
     rep = validate_holder(fx.problem, fx.params, grid, tol=args.tol)
     _json_out(dataclasses.asdict(rep), args.out)

@@ -327,22 +327,27 @@ def validate_holder(problem: IvpProblem, params: HolderParams,
 
     Records a violation whenever a sampled order-``i`` partial exceeds
     ``D_i + tol``, or a grid pair violates the order-``r`` Holder bound by
-    more than ``tol``, which must be finite and >= 0.  Oracle failures
-    propagate with the point identified.
+    more than ``tol``, which must be finite and >= 0.  Grid points must be
+    finite.  Oracle failures propagate, and oracle values that are not
+    finite raise ``ClassViolationError``, with the point identified.
     """
     require_nonnegative("tol", tol)
     pts = [np.asarray(g, dtype=float).reshape(problem.dim) for g in grid]
     if not pts:
         raise ValueError("grid must be non-empty")
+    require_finite_input("grid", *np.concatenate(pts))
     violations = []
 
     tensors = []
     for y in pts:
         try:
-            tensors.append(problem.derivs(params.r, y))
+            row = problem.derivs(params.r, y)
         except Exception as exc:
             raise RuntimeError("derivative oracle failed up to order %d at "
                                "point %r" % (params.r, y.tolist())) from exc
+        require_finite(row, "derivative oracle not finite up to order %d at "
+                       "point %r", params.r, y.tolist())
+        tensors.append(row)
 
     for y, row in zip(pts, tensors):
         for k, tens in enumerate(row):

@@ -281,8 +281,9 @@ def full_mean(family: IndexedFamily, eps1: float = 0.0,
 def _sample_size(family: IndexedFamily, eps1: float) -> int:
     if family.bound == 0.0:
         return 0
-    return min(family.size,
-               int(math.ceil((MC_CALIBRATION * family.bound / eps1) ** 2)))
+    # clamped at s before squaring: a root above s is a sample above s
+    root = min(MC_CALIBRATION * family.bound / eps1, family.size)
+    return min(family.size, int(math.ceil(root ** 2)))
 
 
 def _run_count(k) -> int:
@@ -382,8 +383,8 @@ def quantum_sim_mean(family: IndexedFamily, eps1: float, rng: RngStream,
     k = _run_count(k)
     snap = family.ledger.snapshot()
     M = family.bound
-    q = family.size if M == 0.0 else min(
-        family.size, int(math.ceil(QUANTUM_COST_CONSTANT * M / eps1)))
+    q = family.size if M == 0.0 else int(math.ceil(
+        min(QUANTUM_COST_CONSTANT * M / eps1, family.size)))
     truth = family.exact_mean()
     family.ledger.quantum_queries += k * q
     if q >= family.size:

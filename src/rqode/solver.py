@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,13 +82,6 @@ class SolveConfig:
         require_delta(self.delta)
         return replace(self, n=n, m=m, N=N, eps1=eps1,
                        seed=check_seed(self.seed))
-
-    def as_dict(self) -> dict:
-        cfg = self.resolved()
-        return {
-            "n": cfg.n, "m": cfg.m, "N": cfg.N, "eps1": cfg.eps1,
-            "delta": cfg.delta, "mode": cfg.mode, "seed": cfg.seed,
-        }
 
 
 class ResidualFamily(IndexedFamily):
@@ -171,7 +164,7 @@ class SolveResult:
 
     def to_report(self, include_pieces: bool = False) -> dict:
         rep = {
-            "config": self.config.as_dict(),
+            "config": asdict(self.config),
             "seed": self.config.seed,
             "k_rep": self.k_rep,
             "y_grid": self.y_grid.tolist(),

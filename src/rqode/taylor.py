@@ -125,11 +125,11 @@ def integrate_field_along(jets: List[np.ndarray], coeffs: np.ndarray,
 class PiecewiseTaylorApprox:
     """The global approximation: n*m flow pieces tiling [a, b].
 
-    ``coeffs`` has shape (n*m, r+2, d) and ``basepoints`` shape (n*m,);
-    piece p is sum_q coeffs[p, q] (t - basepoints[p])^q.  Piece lookup is
-    right-open except at b, so evaluation at a coarse point x_i returns the
-    value of the piece starting there (the updated state y_i), and
-    evaluation at b uses the final piece.
+    ``coeffs`` has shape (n*m, r+2, d) and ``basepoints`` shape (n*m,), the
+    increasing piece starts; piece p is sum_q coeffs[p, q]
+    (t - basepoints[p])^q.  t is evaluated on the piece with the last start
+    <= t, so a coarse point x_i returns the value of the piece starting
+    there (the corrected state y_i), and b the final piece's value.
     """
 
     def __init__(self, mesh, coeffs: np.ndarray, basepoints: np.ndarray):
@@ -137,19 +137,18 @@ class PiecewiseTaylorApprox:
             raise ValueError("expected %d pieces, got %d coefficient rows and "
                              "%d basepoints" % (mesh.n * mesh.m, coeffs.shape[0],
                                                 basepoints.size))
+        if basepoints[0] != mesh.a or np.any(np.diff(basepoints) <= 0):
+            raise ValueError("basepoints must increase from a = %g" % mesh.a)
         self.mesh = mesh
         self.coeffs = coeffs
         self.basepoints = basepoints
 
     def eval(self, t):
-        """Value of the unique covering piece at scalar or array t in [a, b]."""
-        mesh = self.mesh
+        """Value of the covering piece at scalar or array t in [a, b]."""
+        a, b = self.mesh.a, self.mesh.b
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < mesh.a) or np.any(t_arr > mesh.b):
-            raise ValueError("t outside the domain [%g, %g]" % (mesh.a, mesh.b))
-        i = np.clip(np.floor((t_arr - mesh.a) / mesh.h).astype(int), 0, mesh.n - 1)
-        j = np.clip(np.floor((t_arr - mesh.x[i]) / mesh.hbar).astype(int), 0,
-                    mesh.m - 1)
-        idx = i * mesh.m + j
-        out = horner(self.coeffs[idx], t_arr - self.basepoints[idx])
+        if not np.all((a <= t_arr) & (t_arr <= b)):
+            raise ValueError("t outside the domain [%g, %g]" % (a, b))
+        p = np.searchsorted(self.basepoints, t_arr, side="right") - 1
+        out = horner(self.coeffs[p], t_arr - self.basepoints[p])
         return out if np.ndim(t) else out[0]

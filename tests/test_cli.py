@@ -123,6 +123,15 @@ class TestValidateCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: tol must be finite\n"
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--lo", "nan", "grid must be finite"),
+        ("--grid", "-5", "--grid must be a positive integer, got -5")])
+    def test_bad_grid_named(self, option, value, message, capsys):
+        code = run_cli(["validate-class", "--fixture", "sin_flow",
+                        option, value])
+        assert code == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
+
 
 class TestPlantCommand:
     def test_emits_loadable_fixture(self, tmp_path):

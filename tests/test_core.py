@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rqode.core import (CostLedger, HolderParams, IvpProblem, build_mesh,
-                        require_count, require_delta, require_nonnegative,
-                        require_nonnegative_int, require_positive,
-                        residual_bound, residual_bound_vector, validate_holder)
+from rqode.core import (ClassViolationError, CostLedger, HolderParams,
+                        IvpProblem, build_mesh, require_count, require_delta,
+                        require_nonnegative, require_nonnegative_int,
+                        require_positive, residual_bound,
+                        residual_bound_vector, validate_holder)
 from rqode.fixtures import get_fixture
 from rqode.planted import make_planted
 
@@ -316,6 +317,23 @@ class TestValidateHolder:
         prob = IvpProblem(1, derivs, [0.0], (0, 1))
         params = HolderParams(r=1, rho=1.0, D=(2.0, 1.0), H=1.0)
         with pytest.raises(RuntimeError, match="order 1"):
+            validate_holder(prob, params, np.array([[0.0], [1.0]]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_grid_point_rejected(self, bad):
+        # every comparison with a NaN point is False: any class would pass
+        fx = get_fixture("sin_flow")
+        with pytest.raises(ValueError, match="^grid must be finite$"):
+            validate_holder(fx.problem, fx.params, np.array([[0.0], [bad]]))
+
+    def test_non_finite_oracle_value_identifies_point(self):
+        def derivs(k, y):
+            y = np.asarray(y, dtype=float)
+            value = np.where(y > 0.5, np.nan, 0.5)
+            return [value] + [np.zeros(y.shape[:-1] + (1, 1))] * k
+        prob = IvpProblem(1, derivs, [0.0], (0, 1))
+        params = HolderParams(r=1, rho=1.0, D=(1.0, 1.0), H=1.0)
+        with pytest.raises(ClassViolationError, match=r"at point \[1\.0\]"):
             validate_holder(prob, params, np.array([[0.0], [1.0]]))
 
     def test_empty_grid_rejected(self):

@@ -457,6 +457,18 @@ class TestCostExactness:
         assert est.cost["f_evals"] == delta["f_evals"]
         assert delta["f_evals"] == int(math.ceil((2.0 / 0.05) ** 2))
 
+    @pytest.mark.parametrize("eps1", [1e-160, 5e-324])
+    @pytest.mark.parametrize("backend, counter", [
+        (mc_mean, "f_evals"), (quantum_sim_mean, "quantum_queries")])
+    def test_tiny_tolerance_enumerates(self, backend, counter, eps1):
+        # (2M/eps1)^2 overflows a float and M/eps1 is inf at 5e-324: a run
+        # that would charge more than s items charges s and is exact
+        vals = np.linspace(-0.7, 0.7, 61)
+        est = backend(ArrayFamily(vals, bound=1.0), eps1, RngStream(0))
+        assert est.value[0] == full_mean(ArrayFamily(vals)).value[0]
+        assert est.cost[counter] == 61
+        assert est.success_prob == 1.0
+
     def test_full_vs_clamped_mc_equivalence(self):
         # when the sample-size formula clamps, mc enumerates: identical to
         # full_mean bit for bit

@@ -9,7 +9,7 @@ from rqode.core import CostLedger, HolderParams, IvpProblem, build_mesh
 from rqode.fixtures import get_fixture
 from rqode.solver import ResidualFamily, SolveConfig, solve
 from rqode.taylor import (PiecewiseTaylorApprox, fetch_jet,
-                          flow_coeffs_from_jet, integrate_field_along)
+                          flow_coeffs_from_jet, horner, integrate_field_along)
 
 
 def quadratic_problem():
@@ -333,15 +333,40 @@ class TestPieceTiling:
                 assert np.array_equal(end, C[p + 1, 0])
 
     def test_eval_at_boundaries(self):
-        fx = get_fixture("sin_flow")
-        res = solve(fx.problem, fx.params, SolveConfig(n=4, m=2, N=2))
-        # left endpoint returns the initial value exactly
-        assert np.array_equal(res.approx.eval(0.0), fx.problem.eta)
-        # coarse points return the updated states (right-piece rule)
-        for i, x in enumerate(res.approx.mesh.x[:-1]):
-            assert np.array_equal(res.approx.eval(float(x)), res.y_grid[i])
-        # b is right-closed: evaluated on the final piece
-        res.approx.eval(1.0)
+        # n = 9, 11, 12 and 17 on [0, 1] and n = 9 and 13 on [0, 1.5] are
+        # meshes whose floored (t - a) / h once put a coarse point on the
+        # piece before it
+        cases = [("sin_flow", n) for n in list(range(2, 18)) + [33]]
+        cases += [("inv1p", 9), ("inv1p", 13)]
+        for name, n in cases:
+            fx = get_fixture(name)
+            res = solve(fx.problem, fx.params, SolveConfig(n=n, m=2, N=2))
+            approx = res.approx
+            # left endpoint returns the initial value exactly
+            assert np.array_equal(approx.eval(fx.problem.a), fx.problem.eta)
+            # coarse points return the corrected states (right-piece rule)
+            for i, x in enumerate(approx.mesh.x[:-1]):
+                assert np.array_equal(approx.eval(float(x)), res.y_grid[i]), \
+                    (name, n, i)
+            # every piece start returns that piece's constant term
+            assert np.array_equal(approx.eval(approx.basepoints),
+                                  approx.coeffs[:, 0])
+            # b is right-closed: evaluated on the final piece
+            tail = approx.coeffs[-1:]
+            tau = np.array([fx.problem.b - approx.basepoints[-1]])
+            assert np.array_equal(approx.eval(fx.problem.b),
+                                  horner(tail, tau)[0])
+            for t in (float("nan"), [0.5, float("nan")]):
+                with pytest.raises(ValueError, match="domain"):
+                    approx.eval(t)
+
+    @pytest.mark.parametrize("bases", [[0.25, 0.5], [0.0, 0.0], [0.0, -0.5]])
+    def test_basepoints_must_increase_from_a(self, bases):
+        # eval finds a piece among the starts, so they must tile [a, b]
+        coeffs = np.zeros((2, 2, 1))
+        with pytest.raises(ValueError, match="basepoints must increase"):
+            PiecewiseTaylorApprox(build_mesh(0.0, 1.0, 1, 2), coeffs,
+                                  np.array(bases))
 
     def test_out_of_domain_rejected(self):
         fx = get_fixture("sin_flow")
