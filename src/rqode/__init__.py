@@ -21,7 +21,7 @@ from .scalar import BisectionResult, bisection_solve, inverse_class_params
 from .planted import PlantedProblem, make_planted, recover_mean
 from .fixtures import (Fixture, fixture_names, get_fixture, load_fixture_file,
                        reference_solver)
-from .bench import (ExperimentPlan, SlopeReport, emit_report, run_ladder,
+from .bench import (ExperimentPlan, SlopeReport, report_bytes, run_ladder,
                     run_scalar_ladder)
 from .rng import RngStream
 

@@ -35,7 +35,7 @@ __all__ = [
     "SlopeReport",
     "run_ladder",
     "run_scalar_ladder",
-    "emit_report",
+    "report_bytes",
     "fit_loglog",
 ]
 
@@ -108,9 +108,6 @@ class SlopeReport:
     header: str = ""
     extras: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def fit_loglog(xs, ys):
     """Least-squares slope of log10(y) on log10(x), plus the max residual."""
@@ -175,6 +172,18 @@ def _column(rows, key) -> list:
     return [row[key] for row in rows]
 
 
+def _fitted_columns(rows, *keys) -> list:
+    """The columns ``keys`` of the rung rows, which the slope fits take the
+    logs of: a value that is not > 0 raises ``ValueError`` naming its rung."""
+    for row in rows:
+        for key in keys:
+            if not row[key] > 0:
+                raise ValueError("ladder rung %s: %s is %r, but the log-log "
+                                 "fit needs values > 0"
+                                 % (row["rung"], key, row[key]))
+    return [_column(rows, key) for key in keys]
+
+
 def _slope_report(plan: ExperimentPlan, kind: str, rows, fit, raw_fit,
                   **extras) -> SlopeReport:
     """The report of one ladder from its rung rows and fitted data.
@@ -212,9 +221,10 @@ def run_ladder(plan: ExperimentPlan) -> SlopeReport:
     rungs = [(plan, i, require_count("ladder rung n", n))
              for i, n in enumerate(plan.ladder)]
     rows = _map_rungs(_run_ivp_rung, rungs, plan.workers)
-    errors = _column(rows, "error")
-    return _slope_report(plan, "ivp", rows, (_column(rows, "deflated"), errors),
-                         (_column(rows, "cost"), errors))
+    deflated, costs, errors = _fitted_columns(rows, "deflated", "cost",
+                                              "error")
+    return _slope_report(plan, "ivp", rows, (deflated, errors),
+                         (costs, errors))
 
 
 def _run_scalar_rung(args):
@@ -257,11 +267,11 @@ def run_scalar_ladder(plan: ExperimentPlan) -> SlopeReport:
                       [(plan, i, e) for i, e in enumerate(eps_rungs)],
                       plan.workers)
     inv_eps = [1.0 / e for e in eps_rungs]
-    costs = _column(rows, "cost")
+    deflated, costs = _fitted_columns(rows, "deflated", "cost")
     log_deflated = [c / math.log2(ie) ** log_power
                     for c, ie in zip(costs, inv_eps)]
     return _slope_report(
-        plan, "scalar", rows, (inv_eps, _column(rows, "deflated")),
+        plan, "scalar", rows, (inv_eps, deflated),
         (inv_eps, costs), mean_iters=_column(rows, "mean_iters"),
         log_power=log_power,
         log_deflated_slope=fit_loglog(inv_eps, log_deflated)[0],
@@ -322,7 +332,7 @@ def _fmt(x) -> str:
 
 def report_bytes(report: SlopeReport, format: str = "json") -> bytes:
     """Serialize a report deterministically in json, csv, or markdown-table."""
-    rep = report.as_dict()
+    rep = asdict(report)
     if format == "json":
         return json_text(rep).encode()
     rows = list(zip(rep["rungs"], rep["costs"], rep["deflated_costs"],
@@ -345,11 +355,3 @@ def report_bytes(report: SlopeReport, format: str = "json") -> bytes:
             _fmt(rep["tolerance"]), _fmt(rep["passed"])))
         return ("\n".join(lines) + "\n").encode()
     raise ValueError("unknown report format %r" % format)
-
-
-def emit_report(report: SlopeReport, path, format: str = "json"):
-    """Write a report file with byte-deterministic content."""
-    data = report_bytes(report, format)
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return path

@@ -3,6 +3,8 @@
 Subcommands: solve, bisect, ladder, scalar-ladder, validate-class, plant.
 Exit codes: 0 on success/pass, 2 when a slope or validation check fails,
 1 on any error.  RQODE_WORKERS sets the worker count for ladder rungs.
+This is the one module that writes output: the library returns it as text
+(``json_text``) or bytes (``report_bytes``).
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ import sys
 
 import numpy as np
 
-from .bench import ExperimentPlan, emit_report, json_text, report_bytes, \
-    run_ladder, run_scalar_ladder
-from .core import HolderParams, require_count, validate_holder
+from .bench import ExperimentPlan, json_text, report_bytes, run_ladder, \
+    run_scalar_ladder
+from .core import HolderParams, require_count, require_finite_input, \
+    require_nonnegative_int, validate_holder
 from .estimators import MODES
 from .fixtures import get_fixture
 from .planted import make_planted
-from .rng import check_seed
 from .scalar import bisection_solve
 from .solver import SolveConfig, solve
 
@@ -32,10 +34,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _json_out(payload: dict, out):
-    text = json_text(payload)
+def _write(text: str, out) -> None:
+    """Write a command's output to the ``--out`` path, or else to stdout."""
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -115,7 +117,7 @@ def _cmd_solve(args) -> int:
     cfg = SolveConfig(n=args.n, mode=args.mode, m=args.m, N=args.N,
                       eps1=args.eps, delta=args.delta, seed=args.seed)
     res = solve(fx.problem, fx.params, cfg)
-    _json_out(res.to_report(include_pieces=args.pieces), args.out)
+    _write(json_text(res.to_report(include_pieces=args.pieces)), args.out)
     return 0
 
 
@@ -123,17 +125,7 @@ def _cmd_bisect(args) -> int:
     fx = get_fixture(args.fixture)
     res = bisection_solve(fx.problem, fx.params, args.eps, args.delta,
                           mode=args.mode, seed=args.seed)
-    _json_out(res.to_report(), args.out)
-    return 0
-
-
-def _emit(report, args) -> int:
-    if args.out:
-        emit_report(report, args.out, args.format)
-    else:
-        sys.stdout.write(report_bytes(report, args.format).decode())
-    if report.passed is False:
-        return 2
+    _write(json_text(res.to_report()), args.out)
     return 0
 
 
@@ -144,7 +136,9 @@ def _cmd_ladder(args, run, rungs) -> int:
     plan = ExperimentPlan(fixture=args.fixture, mode=args.mode, ladder=rungs,
                           trials=args.trials, delta=args.delta, seed=args.seed,
                           workers=int(raw))
-    return _emit(run(plan), args)
+    report = run(plan)
+    _write(report_bytes(report, args.format).decode(), args.out)
+    return 2 if report.passed is False else 0
 
 
 def _cmd_validate(args) -> int:
@@ -162,6 +156,7 @@ def _cmd_validate(args) -> int:
         else:
             lo = float(fx.problem.eta.min()) - 1.0 if lo is None else lo
             hi = float(fx.problem.eta.max()) + 1.0 if hi is None else hi
+    require_finite_input("grid", lo, hi)
     pts = np.linspace(lo, hi, count)
     if fx.problem.dim == 1:
         grid = pts[:, None]
@@ -169,19 +164,19 @@ def _cmd_validate(args) -> int:
         grid = np.tile(fx.problem.eta, (count, 1))
         grid[:, 0] = pts
     rep = validate_holder(fx.problem, fx.params, grid, tol=args.tol)
-    _json_out(dataclasses.asdict(rep), args.out)
+    _write(json_text(dataclasses.asdict(rep)), args.out)
     return 0 if rep.passed else 2
 
 
 def _cmd_plant(args) -> int:
     require_count("--n", args.n)
-    rng = np.random.default_rng(check_seed(args.seed))
+    rng = np.random.default_rng(require_nonnegative_int("seed", args.seed))
     lambdas = rng.uniform(-1.0, 1.0, size=args.n)
     D = tuple([1.0] * (args.r + 1))
     params = HolderParams(r=args.r, rho=args.rho, D=D, H=args.H)
     planted = make_planted(lambdas, params)
     entry = planted.to_entry("planted_n%d_seed%d" % (args.n, args.seed))
-    _json_out([entry], args.out)
+    _write(json_text([entry]), args.out)
     return 0
 
 

@@ -317,9 +317,6 @@ class ValidationReport:
     grid_size: int
     tol: float
 
-    def __bool__(self):
-        return self.passed
-
 
 def validate_holder(problem: IvpProblem, params: HolderParams,
                     grid: Sequence, tol: float = 0.0) -> ValidationReport:

@@ -142,11 +142,10 @@ class IndexedFamily:
                  ledger: Optional[CostLedger] = None,
                  bound_vec: Optional[np.ndarray] = None,
                  workspace: Optional[Workspace] = None):
-        self.cells, self.n_mid = int(cells), int(n_mid)
+        self.cells = require_count("cells", cells)
+        self.n_mid = require_count("n_mid", n_mid)
         self.size = self.cells * self.n_mid
-        if self.size < 1:
-            raise ValueError("family must contain at least one item")
-        self.dim = int(dim)
+        self.dim = require_count("dim", dim)
         self.bound = float(bound)
         self.bound_vec = np.full(self.dim, self.bound) if bound_vec is None \
             else np.asarray(bound_vec, dtype=float)

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import HolderParams, IvpProblem
+from .core import HolderParams, IvpProblem, require_count, require_whole
 from .planted import PlantedProblem
 
 __all__ = [
@@ -172,8 +172,9 @@ _BUILDERS = {
 # the keys of the declarative format that every family reads, each with the
 # conversion its value must pass
 _floats = functools.partial(np.fromiter, dtype=float)
-_ENTRY_KEYS = {"name": str, "d": int, "r": int, "rho": float, "D": _floats,
-               "H": float, "a": float, "b": float, "eta": _floats}
+_ENTRY_KEYS = {"name": str, "d": functools.partial(require_count, "d"),
+               "r": functools.partial(require_whole, "r"), "rho": float,
+               "D": _floats, "H": float, "a": float, "b": float, "eta": _floats}
 # the keys that an entry may leave out (or set to null), converted alike
 _OPTIONAL_KEYS = {"p": float, "component_H": _floats, "peak_coeff": float,
                   "c": _floats}
@@ -205,6 +206,9 @@ def _fixture_from_entry(entry: dict) -> Fixture:
             raise ValueError("fixture %r: %r is %r (%s)"
                              % (name, key, entry[key], exc)) from None
     _check_dim(name, "len(eta)", len(spec["eta"]), spec["d"])
+    if "component_H" in spec:
+        _check_dim(name, "len(component_H)", len(spec["component_H"]),
+                   spec["d"])
     try:
         params = HolderParams(r=spec["r"], rho=spec["rho"], D=tuple(spec["D"]),
                               H=spec["H"], p=spec.get("p"),

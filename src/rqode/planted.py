@@ -114,8 +114,9 @@ class PlantedProblem:
         self.n = lambdas.size
         self.params_g = params
         self.eta = float(eta)
-        self.peak_coeff = default_peak_coeff(params.r, params.rho, params.H) \
-            if peak_coeff is None else float(peak_coeff)
+        if peak_coeff is None:
+            peak_coeff = default_peak_coeff(params.r, params.rho, params.H)
+        self.peak_coeff = require_positive("peak_coeff", peak_coeff)
         self.width = 1.0 / (2.0 * self.n)
         self.mass_coeff = self.peak_coeff * TEMPLATE_UNIT_INTEGRAL
         # bump mass = mass_coeff * (1/(2n))^(r+rho+1) = mean_scale * n^-(r+rho+1)
@@ -152,6 +153,10 @@ class PlantedProblem:
         """Class declaration for f = 1/g from the g-construction bounds."""
         pg = self.params_g
         gamma = self.peak_coeff * 0.5 ** pg.order    # sup |g - 1|, any n >= 1
+        if gamma >= 1.0:
+            raise ValueError("peak_coeff %r gives sup |g - 1| = peak_coeff * "
+                             "2^-(r + rho) = %r >= 1, so g reaches 0"
+                             % (self.peak_coeff, gamma))
         g_lo = 1.0 - gamma
         Dg = [1.0 + gamma]
         for k in range(1, pg.r + 1):

@@ -16,16 +16,10 @@ import numpy as np
 from .core import require_nonnegative_int
 
 
-def check_seed(seed) -> int:
-    """``seed`` as an int; one that is negative or not whole (NaN included)
-    raises a ``ValueError`` naming it."""
-    return require_nonnegative_int("seed", seed)
-
-
 def child_seed(seed, *key) -> int:
     """The int seed of the child of ``seed`` with spawn key ``key``."""
-    return int(np.random.SeedSequence(
-        entropy=check_seed(seed), spawn_key=key).generate_state(1)[0])
+    return int(np.random.SeedSequence(require_nonnegative_int("seed", seed),
+                                      spawn_key=key).generate_state(1)[0])
 
 
 class RngStream:
@@ -41,8 +35,9 @@ class RngStream:
     """
 
     def __init__(self, seed, ledger=None):
-        self._seq = (seed if isinstance(seed, np.random.SeedSequence)
-                     else np.random.SeedSequence(check_seed(seed)))
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(require_nonnegative_int("seed", seed))
+        self._seq = seed
         self._gen = np.random.Generator(np.random.Philox(key=None, seed=self._seq))
         self.ledger = ledger
 

@@ -33,10 +33,10 @@ import numpy as np
 
 from .core import (ClassViolationError, CostLedger, HolderParams, IvpProblem,
                    require_count, require_delta, require_finite,
-                   require_positive)
+                   require_nonnegative_int, require_positive)
 from .estimators import (IndexedFamily, Workspace, full_mean, get_backend,
                          mc_mean, quantum_sim_mean)
-from .rng import RngStream, check_seed
+from .rng import RngStream
 from .taylor import fetch_jet
 
 __all__ = [
@@ -257,7 +257,7 @@ def bisection_solve(problem: IvpProblem, params: HolderParams, eps: float,
     past the budget is reported as a (low-probability) contract breach.
     """
     backend = get_backend(mode)
-    seed = check_seed(seed)
+    seed = require_nonnegative_int("seed", seed)
     if problem.dim != 1:
         raise ValueError("the endpoint solver handles scalar problems only")
     if params.p is None:

@@ -29,11 +29,11 @@ import numpy as np
 
 from .core import (CostLedger, HolderParams, IvpProblem, build_mesh,
                    require_count, require_delta, require_finite,
-                   require_nonnegative, require_whole, residual_bound,
-                   residual_bound_vector)
+                   require_nonnegative, require_nonnegative_int, require_whole,
+                   residual_bound, residual_bound_vector)
 from .estimators import (MODES, IndexedFamily, Workspace, full_mean,
                          get_backend, mc_mean, quantum_sim_mean)
-from .rng import RngStream, check_seed, child_seed
+from .rng import RngStream, child_seed
 from .taylor import (PiecewiseTaylorApprox, fetch_jet, flow_coeffs_from_jet,
                      horner, integrate_field_along)
 
@@ -81,7 +81,7 @@ class SolveConfig:
             raise ValueError("stochastic modes need eps1 > 0")
         require_delta(self.delta)
         return replace(self, n=n, m=m, N=N, eps1=eps1,
-                       seed=check_seed(self.seed))
+                       seed=require_nonnegative_int("seed", self.seed))
 
 
 class ResidualFamily(IndexedFamily):

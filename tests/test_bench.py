@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rqode.bench import (RESIDUAL_THRESHOLD, SLOPE_TOLERANCE, ExperimentPlan,
-                         SlopeReport, _passes, emit_report, exponent_hierarchy,
+                         SlopeReport, _passes, exponent_hierarchy,
                          fit_loglog, report_bytes, run_ladder,
                          run_scalar_ladder)
 from rqode.core import HolderParams
@@ -308,6 +308,35 @@ class TestLadders:
                            match=r"rung eps = %g is outside \(0, 1\)" % eps):
             run_scalar_ladder(plan)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fixture, mode", [
+        ("constant", "deterministic"), ("constant_r1", "quantum_sim")])
+    def test_exact_rung_named(self, fixture, mode):
+        # the n = 1 solve of a constant field is exact: its error is 0.0,
+        # which the log-log fit cannot take
+        plan = ExperimentPlan(fixture=fixture, mode=mode, ladder=[1, 2],
+                              trials=30)
+        with pytest.raises(ValueError, match=r"^ladder rung 1: error is 0\.0, "
+                                             r"but the log-log fit needs "
+                                             r"values > 0$"):
+            run_ladder(plan)
+
+    def test_non_positive_scalar_cost_named(self, monkeypatch):
+        # the scalar ladder fits costs, not errors: a rung that costs
+        # nothing is named before any log
+        from rqode import bench
+        from rqode.core import CostLedger
+        from rqode.scalar import BisectionResult
+        fx = get_fixture("inv1p")
+        monkeypatch.setattr(bench, "bisection_solve", lambda *a, **k:
+                            BisectionResult(y_out=fx.y_star, iters=1,
+                                            ledger=CostLedger()))
+        plan = ExperimentPlan(fixture="inv1p", mode="deterministic",
+                              ladder=[1e-3, 1e-2], trials=1)
+        with pytest.raises(ValueError, match=r"^ladder rung 0\.01: deflated "
+                                             r"is 0\.0, but"):
+            run_scalar_ladder(plan)
+
     def test_deterministic_scalar_rung_bisects_once(self, monkeypatch):
         # an exact backend's bisection does not depend on the seed, so each
         # rung runs one of the plan's trials; the report still names them all
@@ -347,17 +376,10 @@ class TestEmission:
         csv = report_bytes(rep, "csv").decode().strip().splitlines()
         assert len(csv) == 2
 
-    def test_deterministic_bytes(self, tmp_path):
+    def test_deterministic_bytes(self):
         plan = ExperimentPlan(fixture="sin_flow", mode="deterministic",
                               ladder=[4, 8, 16], seed=5)
-        r1 = run_ladder(plan)
-        r2 = run_ladder(plan)
-        assert report_bytes(r1) == report_bytes(r2)
-        p1 = tmp_path / "a.json"
-        p2 = tmp_path / "b.json"
-        emit_report(r1, p1)
-        emit_report(r2, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert report_bytes(run_ladder(plan)) == report_bytes(run_ladder(plan))
 
     def test_markdown_table(self):
         rep = synthetic_report([4, 8], [100.0, 800.0], [0.25, 0.03125],

@@ -67,23 +67,31 @@ class TestLadderCommands:
         rep = json.loads(out.read_text())
         assert rep["passed"] is True
 
-    def test_failing_slope_exits_2(self, tmp_path):
+    def test_failing_slope_exits_2(self, monkeypatch, tmp_path):
         # a two-rung deterministic ladder whose verdict is marked failed
         import dataclasses
 
-        from rqode.bench import ExperimentPlan, run_ladder
         import rqode.cli as cli
 
-        out_path = str(tmp_path / "r.json")
-        plan = ExperimentPlan(fixture="sin_flow", mode="deterministic",
-                              ladder=[4, 8])
-        rep = dataclasses.replace(run_ladder(plan), passed=False)
+        run_ladder = cli.run_ladder
 
-        class Args:
-            fixture = "sin_flow"
-            out = out_path
-            format = "json"
-        assert cli._emit(rep, Args) == 2
+        def failing(plan):
+            return dataclasses.replace(run_ladder(plan), passed=False)
+        monkeypatch.setattr(cli, "run_ladder", failing)
+        out = tmp_path / "r.json"
+        code = run_cli(["ladder", "--fixture", "sin_flow", "--n", "4", "8",
+                        "--out", str(out)])
+        assert code == 2
+        assert json.loads(out.read_text())["passed"] is False
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_rung_named(self, capsys):
+        code = run_cli(["ladder", "--fixture", "constant", "--n", "1", "2",
+                        "3"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ladder rung 1: error is 0.0, but the log-log fit needs "
+            "values > 0\n")
 
     def test_scalar_ladder_runs(self, tmp_path):
         out = tmp_path / "sl.csv"
@@ -131,6 +139,14 @@ class TestValidateCommand:
                         option, value])
         assert code == 1
         assert capsys.readouterr().err == "error: %s\n" % message
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_bound_named_before_the_grid(self, capsys):
+        # the bounds are checked before np.linspace, which warns on inf
+        code = run_cli(["validate-class", "--fixture", "sin_flow", "--hi",
+                        "inf"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: grid must be finite\n"
 
 
 class TestPlantCommand:

@@ -46,6 +46,15 @@ class TestFullMean:
         with pytest.raises(ValueError):
             ArrayFamily(np.empty((0, 1)))
 
+    @pytest.mark.parametrize("counts, name", [
+        ((2.5, 3, 1), "cells"), ((2, 3.9, 1), "n_mid"), ((2, 3, 1.5), "dim")
+    ], ids=["cells", "n_mid", "dim"])
+    def test_fractional_counts_rejected(self, counts, name):
+        # counts are never truncated: 2.5 cells is an error, not 2 cells
+        with pytest.raises(ValueError, match="^%s must be a whole number, "
+                                             "got" % name):
+            IndexedFamily(*counts, 1.0)
+
     def test_k_runs_are_one_reduction(self):
         vals = np.random.default_rng(5).uniform(-1, 1, size=(37, 2))
         one = full_mean(ArrayFamily(vals))

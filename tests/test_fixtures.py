@@ -220,14 +220,40 @@ class TestFixtureFile:
         ({"H": -1}, ValueError, r"^fixture 'sin_flow': H must be positive$"),
         ({"component_H": [2.0]}, ValueError,
          r"^fixture 'sin_flow': component_H entries must lie in \[0, H\]$"),
+        # counts are never truncated, and component_H has one entry per
+        # component
+        ({"r": 1.5}, ValueError, r"^fixture 'sin_flow': 'r' is 1\.5 \(r must "
+                                 r"be a whole number, got 1\.5\)$"),
+        ({"d": 1.7}, ValueError, r"^fixture 'sin_flow': 'd' is 1\.7 \(d must "
+                                 r"be a whole number, got 1\.7\)$"),
+        ({"component_H": [1.0, 1.0]}, ValueError,
+         r"^fixture 'sin_flow': len\(component_H\) is 2 but d is 1$"),
     ], ids=["D", "eta", "r", "a", "family", "family_list", "lambdas", "p",
             "component_H", "peak_coeff", "p_nan", "p_above_D0", "H_negative",
-            "component_H_above_H"])
+            "component_H_above_H", "r_fractional", "d_fractional",
+            "component_H_length"])
     def test_malformed_entry_named(self, tmp_path, change, error, message):
         entry = dict(get_fixture("sin_flow").meta, **change)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([entry]))
         with pytest.raises(error, match=message):
+            load_fixture_file(path)
+
+    @pytest.mark.parametrize("peak_coeff, message", [
+        (5.0, r"^peak_coeff 5\.0 gives sup \|g - 1\| = peak_coeff \* "
+              r"2\^-\(r \+ rho\) = 2\.5 >= 1, so g reaches 0$"),
+        (0.0, r"^peak_coeff must be positive$"),
+        (-1.0, r"^peak_coeff must be positive$"),
+        (float("nan"), r"^peak_coeff must be finite$"),
+        (float("inf"), r"^peak_coeff must be finite$"),
+    ], ids=["g_reaches_0", "zero", "negative", "nan", "inf"])
+    def test_planted_peak_coeff_named(self, tmp_path, peak_coeff, message):
+        params = HolderParams(r=0, rho=1.0, D=(1.2,), H=1.0)
+        entry = make_planted([0.5, -0.25], params).to_entry("pl")
+        entry["peak_coeff"] = peak_coeff
+        path = tmp_path / "planted.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(ValueError, match=message):
             load_fixture_file(path)
 
     @pytest.mark.parametrize("d, c, error, message", [
