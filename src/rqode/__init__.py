@@ -14,8 +14,8 @@ from .core import (ClassViolationError, CostLedger, HolderParams, IvpProblem,
 from .estimators import (ArrayFamily, IndexedFamily, MeanEstimate, full_mean,
                          mc_mean, median_boost, median_rep_count,
                          quantum_sim_mean)
-from .taylor import (PiecewiseTaylorApprox, fetch_jet, flow_coeffs_from_jet,
-                     integrate_field_along)
+from .taylor import (PiecewiseTaylorApprox, fetch_jet, fine_chain,
+                     flow_coeffs_from_jet, integrate_field_along)
 from .solver import SolveConfig, SolveResult, run_trials, solve, sup_error
 from .scalar import BisectionResult, bisection_solve, inverse_class_params
 from .planted import PlantedProblem, make_planted, recover_mean

@@ -22,7 +22,7 @@ from .core import HolderParams, require_count, require_finite_input, \
     require_nonnegative_int, validate_holder
 from .estimators import MODES
 from .fixtures import get_fixture
-from .planted import make_planted
+from .planted import default_peak_coeff, make_planted
 from .scalar import bisection_solve
 from .solver import SolveConfig, solve
 
@@ -170,10 +170,18 @@ def _cmd_validate(args) -> int:
 
 def _cmd_plant(args) -> int:
     require_count("--n", args.n)
-    rng = np.random.default_rng(require_nonnegative_int("seed", args.seed))
-    lambdas = rng.uniform(-1.0, 1.0, size=args.n)
     D = tuple([1.0] * (args.r + 1))
     params = HolderParams(r=args.r, rho=args.rho, D=D, H=args.H)
+    # the default peak coefficient grows with H; once sup |g - 1| =
+    # peak_coeff * 2^-(r + rho) reaches 1, g reaches 0 and f = 1/g is lost
+    r, rho = params.r, params.rho
+    if default_peak_coeff(r, rho, params.H) * 0.5 ** params.order >= 1.0:
+        bound = 2.0 ** params.order / default_peak_coeff(r, rho, 1.0)
+        raise ValueError("--H must be below %.6g at r = %d, rho = %g (the "
+                         "planted g reaches 0 from there), got %g"
+                         % (bound, r, rho, params.H))
+    rng = np.random.default_rng(require_nonnegative_int("seed", args.seed))
+    lambdas = rng.uniform(-1.0, 1.0, size=args.n)
     planted = make_planted(lambdas, params)
     entry = planted.to_entry("planted_n%d_seed%d" % (args.n, args.seed))
     _write(json_text([entry]), args.out)

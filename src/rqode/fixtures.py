@@ -122,10 +122,9 @@ def _build_constant(entry, params):
     c = entry.get("c")
     if c is None:
         raise KeyError("fixture %r: the constant entry has no 'c'" % name)
-    _check_dim(name, "len(c)", len(c), entry["d"])
+    _check_dim("len(c)", len(c), entry["d"])
     if not np.isfinite(c).all():
-        raise ValueError("fixture %r: 'c' is %r, not all finite"
-                         % (name, c.tolist()))
+        raise ValueError("'c' is %r, not all finite" % c.tolist())
 
     def derivs(k, y):
         lead = np.shape(y)[:-1]
@@ -180,9 +179,9 @@ _OPTIONAL_KEYS = {"p": float, "component_H": _floats, "peak_coeff": float,
                   "c": _floats}
 
 
-def _check_dim(name, what, n, d):
+def _check_dim(what, n, d):
     if n != d:
-        raise ValueError("fixture %r: %s is %d but d is %d" % (name, what, n, d))
+        raise ValueError("%s is %d but d is %d" % (what, n, d))
 
 
 def _fixture_from_entry(entry: dict) -> Fixture:
@@ -205,19 +204,19 @@ def _fixture_from_entry(entry: dict) -> Fixture:
         except (TypeError, ValueError) as exc:
             raise ValueError("fixture %r: %r is %r (%s)"
                              % (name, key, entry[key], exc)) from None
-    _check_dim(name, "len(eta)", len(spec["eta"]), spec["d"])
-    if "component_H" in spec:
-        _check_dim(name, "len(component_H)", len(spec["component_H"]),
-                   spec["d"])
+    # dimension, class and family-builder errors all name the fixture
     try:
+        _check_dim("len(eta)", len(spec["eta"]), spec["d"])
+        if "component_H" in spec:
+            _check_dim("len(component_H)", len(spec["component_H"]), spec["d"])
         params = HolderParams(r=spec["r"], rho=spec["rho"], D=tuple(spec["D"]),
                               H=spec["H"], p=spec.get("p"),
                               component_H=spec.get("component_H"))
+        problem, params, reference, y_star = _BUILDERS[family](
+            {**entry, **spec}, params)
+        _check_dim("the problem's dim", problem.dim, spec["d"])
     except ValueError as exc:
         raise ValueError("fixture %r: %s" % (name, exc)) from None
-    problem, params, reference, y_star = _BUILDERS[family]({**entry, **spec},
-                                                           params)
-    _check_dim(name, "the problem's dim", problem.dim, spec["d"])
     return Fixture(name=name, problem=problem, params=params,
                    reference=reference, y_star=y_star, meta=dict(entry))
 

@@ -34,8 +34,9 @@ from .core import (CostLedger, HolderParams, IvpProblem, build_mesh,
 from .estimators import (MODES, IndexedFamily, Workspace, full_mean,
                          get_backend, mc_mean, quantum_sim_mean)
 from .rng import RngStream, child_seed
-from .taylor import (PiecewiseTaylorApprox, fetch_jet, flow_coeffs_from_jet,
-                     horner, integrate_field_along)
+# fetch_jet and flow_coeffs_from_jet stay bound here for instrumentation
+from .taylor import (PiecewiseTaylorApprox, fetch_jet, fine_chain,
+                     flow_coeffs_from_jet, horner, integrate_field_along)
 
 __all__ = [
     "SolveConfig",
@@ -200,35 +201,24 @@ def solve(problem: IvpProblem, params: HolderParams,
     estimator = globals()[backend.estimator]
     k_rep = backend.run_count(cfg.n, cfg.delta)
 
-    d = problem.dim
-    order = params.r + 1
     root = RngStream(cfg.seed, ledger)
     step_streams = root.spawn(cfg.n) if backend.boosted else [None] * cfg.n
     scale = cfg.m * mesh.hbar ** (params.order + 1.0)
 
     # piece j of coarse step i starts at bases[i, j] and runs for steps[i, j]
     bases, steps = mesh.pieces()
-    coeffs = np.empty((cfg.n, cfg.m, order + 1, d))
+    pieces = []
 
     workspace = Workspace()
     y = problem.eta.copy()
-    y_grid = np.empty((cfg.n + 1, d))
+    y_grid = np.empty((cfg.n + 1, problem.dim))
     y_grid[0] = y
     step_receipts = []
 
     for i in range(cfg.n):
         snap = ledger.snapshot()
-        C = coeffs[i]
-        jets = [np.empty((cfg.m, d) + (d,) * k) for k in range(params.r + 1)]
-        y_j = y
-        for j, tau in enumerate(steps[i].tolist()):
-            jet = fetch_jet(problem, y_j, params.r, ledger)
-            c = flow_coeffs_from_jet(y_j, jet, order, C[j])
-            for k in range(params.r + 1):
-                jets[k][j] = jet[k]
-            y_j = c[order]
-            for q in range(order - 1, -1, -1):
-                y_j = y_j * tau + c[q]
+        C, jets = fine_chain(problem, y, steps[i], params.r, ledger)
+        pieces.append(C)
         require_finite(jets + [C], "f, its derivatives or the flow "
                        "coefficients not finite at coarse step %d", i)
         # a sequential sum in piece order (not pairwise) keeps y_grid equal,
@@ -253,7 +243,7 @@ def solve(problem: IvpProblem, params: HolderParams,
                                % (spent, key, getattr(ledger, key)))
 
     return SolveResult(
-        approx=PiecewiseTaylorApprox(mesh, coeffs.reshape(-1, order + 1, d),
+        approx=PiecewiseTaylorApprox(mesh, np.concatenate(pieces),
                                      bases.ravel()),
         y_grid=y_grid, ledger=ledger, config=cfg, k_rep=k_rep,
         step_receipts=step_receipts, warnings=notes,

@@ -1,4 +1,4 @@
-"""Local Taylor machinery: jet fetches, flow coefficients, exact integrals.
+"""Local Taylor machinery: jet fetches, the fine chain, exact integrals.
 
 Each fine step advances along the degree-(r+1) Taylor polynomial of the local
 flow.  The right-hand side is expanded to degree r about the step's start
@@ -9,7 +9,9 @@ scaled residual, the only object the stochastic estimators ever touch.
 
 Pieces are stored as arrays, never as objects: ``coeffs[j, q]`` is the
 degree-q flow coefficient of piece j, and ``jets[k][j]`` is the order-k
-derivative tensor of f at the piece's start state.
+derivative tensor of f at the piece's start state.  ``fine_chain`` makes a
+coarse step's rows in one pass, the recurrence ``flow_coeffs_from_jet``
+returning each piece's coefficients as a list, and charges the step once.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .core import CostLedger, IvpProblem
 __all__ = [
     "PiecewiseTaylorApprox",
     "fetch_jet",
+    "fine_chain",
     "flow_coeffs_from_jet",
     "horner",
     "integrate_field_along",
@@ -44,33 +47,50 @@ def fetch_jet(problem: IvpProblem, y: np.ndarray, r: int,
     return jet
 
 
-def flow_coeffs_from_jet(y: np.ndarray, jet: List[np.ndarray], order: int,
-                         out: Optional[np.ndarray] = None) -> np.ndarray:
+def flow_coeffs_from_jet(y: np.ndarray, jet: List[np.ndarray],
+                         order: int) -> List[np.ndarray]:
     """Taylor coefficients c_k = z^(k)(t0)/k! of z' = f(z), z(t0) = y.
 
     Uses the chain-rule recurrence on the derivative tensors; supported up to
     order 3 (cubic flow polynomials, i.e. r <= 2), which is all the solvers
-    need for exponent verification.  The (order+1, d) result is written
-    into ``out`` when given.
+    need for exponent verification.  Returns the order + 1 ``(d,)``
+    coefficients as a list, c_0 = y and c_1 = ``jet[0]`` as given.
     """
     if order > len(jet):
         raise ValueError("order %d exceeds available derivative tensors" % order)
     if order > 3:
         raise ValueError("the flow recurrence supports order <= 3 "
                          "(smoothness r <= 2), got order %d" % order)
-    if out is None:
-        out = np.empty((order + 1, np.shape(y)[0]))
-    out[0] = y
+    c = [y]
     if order >= 1:
         y1 = jet[0]
-        out[1] = y1
+        c.append(y1)
     if order >= 2:
         y2 = jet[1] @ y1
-        out[2] = y2 / 2.0
+        c.append(y2 / 2.0)
     if order >= 3:
         y3 = np.einsum("ijk,j,k->i", jet[2], y1, y1) + jet[1] @ y2
-        out[3] = y3 / 6.0
-    return out
+        c.append(y3 / 6.0)
+    return c
+
+
+def fine_chain(problem: IvpProblem, y: np.ndarray, steps: np.ndarray, r: int,
+               ledger: CostLedger) -> tuple:
+    """Flow coefficients (m, r+2, d) and per-order jet stacks of the m pieces
+    chained from y: piece j makes one ``derivs(r, .)`` call and runs for
+    ``steps[j]``.  Charged once, as ``fetch_jet`` charges m points."""
+    rows, jets = [], []
+    for tau in steps.tolist():
+        jets.append(problem.derivs(r, y))
+        c = flow_coeffs_from_jet(y, jets[-1], r + 1)
+        rows.append(c)
+        y = np.asarray(c[-1], dtype=float)      # float64 whatever f returns
+        for q in range(r, -1, -1):
+            y = y * tau + c[q]
+    ledger.f_evals += len(rows)
+    ledger.deriv_evals += r * len(rows)
+    return (np.array(rows, dtype=float),
+            [np.array(t, dtype=float) for t in zip(*jets)][:r + 1])
 
 
 def horner(C: np.ndarray, tau: np.ndarray,

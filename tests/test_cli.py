@@ -170,6 +170,28 @@ class TestPlantCommand:
         assert capsys.readouterr().err == (
             "error: seed must be a non-negative integer, got -1\n")
 
+    @pytest.mark.parametrize("r, H, bound", [("0", "9", "8.91714"),
+                                             ("1", "135.9", "135.807")])
+    def test_H_that_lets_g_reach_0_named(self, r, H, bound, tmp_path,
+                                         capsys):
+        # the default peak coefficient is proportional to H
+        out = tmp_path / "planted.json"
+        assert run_cli(["plant", "--n", "4", "--r", r, "--H", H,
+                        "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --H must be below %s at r = %s, rho = 1 (the planted g "
+            "reaches 0 from there), got %s\n" % (bound, r, H))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r, H", [("0", "8.9"), ("1", "135.7")])
+    def test_H_below_the_bound_plants(self, r, H, tmp_path):
+        out = tmp_path / "planted.json"
+        assert run_cli(["plant", "--n", "4", "--r", r, "--H", H,
+                        "--out", str(out)]) == 0
+        from rqode.fixtures import load_fixture_file
+        (fx,) = load_fixture_file(out)
+        assert fx.meta["H"] == float(H)
+
 
 class TestErrors:
     @pytest.mark.parametrize("argv", [

@@ -240,17 +240,36 @@ class TestFixtureFile:
             load_fixture_file(path)
 
     @pytest.mark.parametrize("peak_coeff, message", [
-        (5.0, r"^peak_coeff 5\.0 gives sup \|g - 1\| = peak_coeff \* "
-              r"2\^-\(r \+ rho\) = 2\.5 >= 1, so g reaches 0$"),
-        (0.0, r"^peak_coeff must be positive$"),
-        (-1.0, r"^peak_coeff must be positive$"),
-        (float("nan"), r"^peak_coeff must be finite$"),
-        (float("inf"), r"^peak_coeff must be finite$"),
+        (5.0, r"^fixture 'pl': peak_coeff 5\.0 gives sup \|g - 1\| = "
+              r"peak_coeff \* 2\^-\(r \+ rho\) = 2\.5 >= 1, so g reaches 0$"),
+        (0.0, r"^fixture 'pl': peak_coeff must be positive$"),
+        (-1.0, r"^fixture 'pl': peak_coeff must be positive$"),
+        (float("nan"), r"^fixture 'pl': peak_coeff must be finite$"),
+        (float("inf"), r"^fixture 'pl': peak_coeff must be finite$"),
     ], ids=["g_reaches_0", "zero", "negative", "nan", "inf"])
     def test_planted_peak_coeff_named(self, tmp_path, peak_coeff, message):
         params = HolderParams(r=0, rho=1.0, D=(1.2,), H=1.0)
         entry = make_planted([0.5, -0.25], params).to_entry("pl")
         entry["peak_coeff"] = peak_coeff
+        path = tmp_path / "planted.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(ValueError, match=message):
+            load_fixture_file(path)
+
+    @pytest.mark.parametrize("lambdas, message", [
+        ([0.5, 1.5], r"^fixture 'pl': planted coefficients must lie in "
+                     r"\[-1, 1\]$"),
+        ([-1.0 - 1e-12], r"^fixture 'pl': planted coefficients must lie in "
+                         r"\[-1, 1\]$"),
+        ([0.5, float("nan")], r"^fixture 'pl': planted coefficients must be "
+                              r"finite: \[0\.5 nan\]$"),
+        ([float("-inf")], r"^fixture 'pl': planted coefficients must be "
+                          r"finite: \[-inf\]$"),
+    ], ids=["above_1", "below_-1", "nan", "-inf"])
+    def test_planted_lambdas_named(self, tmp_path, lambdas, message):
+        params = HolderParams(r=0, rho=1.0, D=(1.2,), H=1.0)
+        entry = make_planted([0.5, -0.25], params).to_entry("pl")
+        entry["lambdas"] = lambdas
         path = tmp_path / "planted.json"
         path.write_text(json.dumps([entry]))
         with pytest.raises(ValueError, match=message):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -6,9 +7,11 @@ import pytest
 from scipy.integrate import quad
 
 from rqode.core import CostLedger, HolderParams, IvpProblem, build_mesh
-from rqode.fixtures import get_fixture
+from rqode import solver
+from rqode.fixtures import fixture_names, get_fixture
+from rqode.planted import make_planted
 from rqode.solver import ResidualFamily, SolveConfig, solve
-from rqode.taylor import (PiecewiseTaylorApprox, fetch_jet,
+from rqode.taylor import (PiecewiseTaylorApprox, fetch_jet, fine_chain,
                           flow_coeffs_from_jet, horner, integrate_field_along)
 
 
@@ -26,7 +29,8 @@ def quadratic_problem():
 def flow_coeffs(problem, y, order, ledger=None):
     """Flow coefficients through y, fetching the tensors the order needs."""
     y = np.asarray(y, dtype=float).reshape(problem.dim)
-    return flow_coeffs_from_jet(y, fetch_jet(problem, y, order - 1, ledger), order)
+    return np.array(flow_coeffs_from_jet(
+        y, fetch_jet(problem, y, order - 1, ledger), order))
 
 
 def step_end(problem, y, hbar, order):
@@ -46,7 +50,7 @@ def one_step_family(problem, params, y, hbar, N):
     """Residual family of a single fine piece starting at y."""
     y = np.asarray(y, dtype=float).reshape(problem.dim)
     jet = fetch_jet(problem, y, params.r)
-    coeffs = flow_coeffs_from_jet(y, jet, params.r + 1)[None]
+    coeffs = np.array(flow_coeffs_from_jet(y, jet, params.r + 1))[None]
     return ResidualFamily(problem, params, coeffs, stacked(jet), hbar, N,
                           CostLedger())
 
@@ -373,3 +377,112 @@ class TestPieceTiling:
         res = solve(fx.problem, fx.params, SolveConfig(n=2, m=2, N=2))
         with pytest.raises(ValueError, match="domain"):
             res.approx.eval(1.0000001)
+
+
+def reference_chain(problem, y, steps, r, ledger):
+    """The per-piece loop that ``fine_chain`` replaced, kept as its
+    reference: one ``fetch_jet`` per piece, the recurrence written into a
+    float64 row, then Horner over that row to the next piece's start."""
+    m, d, order = len(steps), problem.dim, r + 1
+    C = np.empty((m, order + 1, d))
+    jets = [np.empty((m, d) + (d,) * k) for k in range(r + 1)]
+    y_j = y
+    for j, tau in enumerate(steps.tolist()):
+        jet = fetch_jet(problem, y_j, r, ledger)
+        c = C[j]
+        c[0] = y_j
+        if order >= 1:
+            y1 = jet[0]
+            c[1] = y1
+        if order >= 2:
+            y2 = jet[1] @ y1
+            c[2] = y2 / 2.0
+        if order >= 3:
+            y3 = np.einsum("ijk,j,k->i", jet[2], y1, y1) + jet[1] @ y2
+            c[3] = y3 / 6.0
+        for k in range(r + 1):
+            jets[k][j] = jet[k]
+        y_j = c[order]
+        for q in range(order - 1, -1, -1):
+            y_j = y_j * tau + c[q]
+    return C, jets
+
+
+def chain_fixtures():
+    """Every stock fixture, and planted problems at r = 0, 1 and 2."""
+    out = [(name, get_fixture(name).problem, get_fixture(name).params)
+           for name in fixture_names()]
+    lambdas = np.random.default_rng(3).uniform(-1.0, 1.0, 5)
+    for r in (0, 1, 2):
+        pl = make_planted(lambdas, HolderParams(r=r, rho=1.0, D=(1.0,) * (r + 1),
+                                                H=1.0))
+        out.append(("planted_r%d" % r, pl.problem, pl.params_f))
+    return out
+
+
+def retyped(problem, cast):
+    """The r = 0 part of ``problem``'s oracle, its value passed through
+    ``cast``."""
+    base = problem.derivs
+
+    def derivs(k, y):
+        assert k == 0
+        return [cast(base(0, y)[0])]
+    return IvpProblem(problem.dim, derivs, problem.eta, problem.interval)
+
+
+class TestFineChain:
+    @pytest.mark.parametrize("name, problem, params", chain_fixtures(),
+                             ids=[c[0] for c in chain_fixtures()])
+    def test_equals_the_per_piece_loop(self, name, problem, params):
+        # bit for bit on the mesh's own steps, chained across coarse steps,
+        # and charged once per step as m single-point fetches
+        r = params.r
+        mesh = build_mesh(problem.a, problem.b, 3, 7)
+        _, steps = mesh.pieces()
+        y = problem.eta
+        for i in range(mesh.n):
+            led, ref_led = CostLedger(), CostLedger()
+            C, jets = fine_chain(problem, y, steps[i], r, led)
+            C_ref, jets_ref = reference_chain(problem, y, steps[i], r, ref_led)
+            assert C.dtype == np.float64 and C.shape == C_ref.shape
+            assert C.tobytes() == C_ref.tobytes()
+            assert len(jets) == r + 1
+            for t, t_ref in zip(jets, jets_ref):
+                assert t.shape == t_ref.shape and t.tobytes() == t_ref.tobytes()
+            assert led.as_dict() == ref_led.as_dict()
+            assert (led.f_evals, led.deriv_evals) == (mesh.m, r * mesh.m)
+            y = horner(C_ref[-1], np.array(steps[i, -1]))
+
+    def test_covers_d_1_and_d_2(self):
+        assert {p.dim for _, p, _ in chain_fixtures()} == {1, 2}
+
+    @pytest.mark.parametrize("name", ["sin_flow", "cos_time_r1", "inv1p_r1"])
+    @pytest.mark.parametrize("mode, n", [("deterministic", 4),
+                                         ("randomized", 3),
+                                         ("quantum_sim", 3)])
+    def test_solve_bytes_equal_the_per_piece_loop(self, name, mode, n,
+                                                  monkeypatch):
+        fx = get_fixture(name)
+        cfg = SolveConfig(n=n, mode=mode, seed=5)
+        got = solve(fx.problem, fx.params, cfg).to_report(include_pieces=True)
+        monkeypatch.setattr(solver, "fine_chain", reference_chain)
+        ref = solve(fx.problem, fx.params, cfg).to_report(include_pieces=True)
+        assert json.dumps(got) == json.dumps(ref)
+
+    @pytest.mark.parametrize("cast", [
+        lambda v: v.tolist(), lambda v: v.astype(np.float32)],
+        ids=["list", "float32"])
+    @pytest.mark.parametrize("name", ["sin_flow", "cos_time"])
+    def test_oracle_values_cast_to_float64(self, name, cast, monkeypatch):
+        # an r = 0 oracle that returns a list or float32 still solves in
+        # float64: its values reach Horner through float64 rows
+        fx = get_fixture(name)
+        problem = retyped(fx.problem, cast)
+        cfg = SolveConfig(n=3)      # steps 1/9 of the interval: not exact
+        res = solve(problem, fx.params, cfg)
+        assert res.approx.coeffs.dtype == np.float64
+        monkeypatch.setattr(solver, "fine_chain", reference_chain)
+        ref = solve(problem, fx.params, cfg)
+        assert res.y_grid.tobytes() == ref.y_grid.tobytes()
+        assert res.approx.coeffs.tobytes() == ref.approx.coeffs.tobytes()
