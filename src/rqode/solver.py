@@ -219,7 +219,7 @@ def solve(problem: IvpProblem, params: HolderParams,
         snap = ledger.snapshot()
         C, jets = fine_chain(problem, y, steps[i], params.r, ledger)
         pieces.append(C)
-        require_finite(jets + [C], "f, its derivatives or the flow "
+        require_finite([C] + jets[1:], "f, its derivatives or the flow "
                        "coefficients not finite at coarse step %d", i)
         # a sequential sum in piece order (not pairwise) keeps y_grid equal,
         # bit for bit, to a running sum along the chain

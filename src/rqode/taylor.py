@@ -10,8 +10,9 @@ scaled residual, the only object the stochastic estimators ever touch.
 Pieces are stored as arrays, never as objects: ``coeffs[j, q]`` is the
 degree-q flow coefficient of piece j, and ``jets[k][j]`` is the order-k
 derivative tensor of f at the piece's start state.  ``fine_chain`` makes a
-coarse step's rows in one pass, the recurrence ``flow_coeffs_from_jet``
-returning each piece's coefficients as a list, and charges the step once.
+coarse step's rows in one pass, per piece one ``derivs(r, y)`` call, the
+recurrence and a Horner step and nothing else, then stacks and charges the
+step once; ``flow_coeffs_from_jet`` runs that chain on one piece.
 """
 
 from __future__ import annotations
@@ -54,43 +55,69 @@ def flow_coeffs_from_jet(y: np.ndarray, jet: List[np.ndarray],
     Uses the chain-rule recurrence on the derivative tensors; supported up to
     order 3 (cubic flow polynomials, i.e. r <= 2), which is all the solvers
     need for exponent verification.  Returns the order + 1 ``(d,)``
-    coefficients as a list, c_0 = y and c_1 = ``jet[0]`` as given.
+    coefficients as a list, c_0 = y and c_1 = ``jet[0]`` as given: the fine
+    chain's recurrence, run on one piece.
     """
     if order > len(jet):
         raise ValueError("order %d exceeds available derivative tensors" % order)
+    return _chain(lambda k, _: jet, y, np.zeros((1, 1)), order, [])
+
+
+def _chain(derivs, y: np.ndarray, taus: np.ndarray, order: int,
+           held: list) -> list:
+    """The order + 1 flow coefficients of each piece chained from y, in one
+    flat list: piece j appends its ``derivs(order - 1, .)`` jet to ``held``,
+    runs the recurrence and steps by Horner over its ``(1,)`` float64 row
+    ``taus[j]``, which keeps the step float64 whatever the oracle returns."""
     if order > 3:
         raise ValueError("the flow recurrence supports order <= 3 "
                          "(smoothness r <= 2), got order %d" % order)
-    c = [y]
-    if order >= 1:
-        y1 = jet[0]
-        c.append(y1)
-    if order >= 2:
-        y2 = jet[1] @ y1
-        c.append(y2 / 2.0)
-    if order >= 3:
-        y3 = np.einsum("ijk,j,k->i", jet[2], y1, y1) + jet[1] @ y2
-        c.append(y3 / 6.0)
-    return c
+    flat, down = [], range(order - 1, -1, -1)
+    for tau in taus:
+        jet = derivs(order - 1, y)
+        held.append(jet)
+        c = [y]
+        if order >= 1:
+            y1 = jet[0]
+            c.append(y1)
+        if order >= 2:
+            y2 = jet[1] @ y1
+            c.append(y2 / 2.0)
+        if order >= 3:
+            y3 = np.einsum("ijk,j,k->i", jet[2], y1, y1) + jet[1] @ y2
+            c.append(y3 / 6.0)
+        flat += c
+        y = c[-1]
+        for q in down:
+            y = y * tau + c[q]
+    return flat
 
 
 def fine_chain(problem: IvpProblem, y: np.ndarray, steps: np.ndarray, r: int,
                ledger: CostLedger) -> tuple:
     """Flow coefficients (m, r+2, d) and per-order jet stacks of the m pieces
     chained from y: piece j makes one ``derivs(r, .)`` call and runs for
-    ``steps[j]``.  Charged once, as ``fetch_jet`` charges m points."""
-    rows, jets = [], []
-    for tau in steps.tolist():
-        jets.append(problem.derivs(r, y))
-        c = flow_coeffs_from_jet(y, jets[-1], r + 1)
-        rows.append(c)
-        y = np.asarray(c[-1], dtype=float)      # float64 whatever f returns
-        for q in range(r, -1, -1):
-            y = y * tau + c[q]
-    ledger.f_evals += len(rows)
-    ledger.deriv_evals += r * len(rows)
-    return (np.array(rows, dtype=float),
-            [np.array(t, dtype=float) for t in zip(*jets)][:r + 1])
+    ``steps[j]``.  The rows are stacked once; order 0's stack is the view
+    ``C[:, 1]``, which holds the same values.  Charged once, as
+    ``fetch_jet`` charges m points.  A jet with fewer than r + 1 orders is
+    a ``ValueError`` naming the problem."""
+    held = []
+    try:
+        flat = _chain(problem.derivs, y, steps.reshape(-1, 1), r + 1, held)
+    except IndexError:
+        got = len(held[-1]) if held else r + 1
+        if got > r:
+            raise
+        raise ValueError("problem %r: derivs(%d, y) returned %d order%s; "
+                         "r = %d needs %d" % (problem.name, r, got,
+                                              "" if got == 1 else "s", r,
+                                              r + 1)) from None
+    m = len(held)
+    C = np.concatenate(flat).reshape(m, r + 2, -1)
+    ledger.f_evals += m
+    ledger.deriv_evals += r * m
+    return C, [C[:, 1]] + [np.array([jet[k] for jet in held], dtype=float)
+                           for k in range(1, r + 1)]
 
 
 def horner(C: np.ndarray, tau: np.ndarray,

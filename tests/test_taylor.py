@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -420,14 +421,17 @@ def chain_fixtures():
     return out
 
 
+CASTS = {"list": lambda v: v.tolist(),
+         "float32": lambda v: v.astype(np.float32)}
+
+
 def retyped(problem, cast):
-    """The r = 0 part of ``problem``'s oracle, its value passed through
+    """``problem``'s oracle, the value of every order passed through
     ``cast``."""
     base = problem.derivs
 
     def derivs(k, y):
-        assert k == 0
-        return [cast(base(0, y)[0])]
+        return [cast(t) for t in base(k, y)]
     return IvpProblem(problem.dim, derivs, problem.eta, problem.interval)
 
 
@@ -436,23 +440,27 @@ class TestFineChain:
                              ids=[c[0] for c in chain_fixtures()])
     def test_equals_the_per_piece_loop(self, name, problem, params):
         # bit for bit on the mesh's own steps, chained across coarse steps,
-        # and charged once per step as m single-point fetches
+        # and charged once per step as m single-point fetches; m = 1 and 2
+        # are the chain's shortest step rows
         r = params.r
-        mesh = build_mesh(problem.a, problem.b, 3, 7)
-        _, steps = mesh.pieces()
-        y = problem.eta
-        for i in range(mesh.n):
-            led, ref_led = CostLedger(), CostLedger()
-            C, jets = fine_chain(problem, y, steps[i], r, led)
-            C_ref, jets_ref = reference_chain(problem, y, steps[i], r, ref_led)
-            assert C.dtype == np.float64 and C.shape == C_ref.shape
-            assert C.tobytes() == C_ref.tobytes()
-            assert len(jets) == r + 1
-            for t, t_ref in zip(jets, jets_ref):
-                assert t.shape == t_ref.shape and t.tobytes() == t_ref.tobytes()
-            assert led.as_dict() == ref_led.as_dict()
-            assert (led.f_evals, led.deriv_evals) == (mesh.m, r * mesh.m)
-            y = horner(C_ref[-1], np.array(steps[i, -1]))
+        for m in (1, 2, 7):
+            mesh = build_mesh(problem.a, problem.b, 3, m)
+            _, steps = mesh.pieces()
+            y = problem.eta
+            for i in range(mesh.n):
+                led, ref_led = CostLedger(), CostLedger()
+                C, jets = fine_chain(problem, y, steps[i], r, led)
+                C_ref, jets_ref = reference_chain(problem, y, steps[i], r,
+                                                  ref_led)
+                assert C.dtype == np.float64 and C.shape == C_ref.shape
+                assert C.tobytes() == C_ref.tobytes()
+                assert len(jets) == r + 1
+                for t, t_ref in zip(jets, jets_ref):
+                    assert t.dtype == np.float64 and t.shape == t_ref.shape
+                    assert t.tobytes() == t_ref.tobytes()
+                assert led.as_dict() == ref_led.as_dict()
+                assert (led.f_evals, led.deriv_evals) == (m, r * m)
+                y = horner(C_ref[-1], np.array(steps[i, -1]))
 
     def test_covers_d_1_and_d_2(self):
         assert {p.dim for _, p, _ in chain_fixtures()} == {1, 2}
@@ -470,19 +478,40 @@ class TestFineChain:
         ref = solve(fx.problem, fx.params, cfg).to_report(include_pieces=True)
         assert json.dumps(got) == json.dumps(ref)
 
-    @pytest.mark.parametrize("cast", [
-        lambda v: v.tolist(), lambda v: v.astype(np.float32)],
-        ids=["list", "float32"])
-    @pytest.mark.parametrize("name", ["sin_flow", "cos_time"])
+    @pytest.mark.parametrize("name, cast", [
+        ("sin_flow", "list"), ("sin_flow", "float32"),
+        ("cos_time", "list"), ("cos_time", "float32"),
+        ("sin_flow_r1", "float32"), ("cos_time_r1", "float32")],
+        ids=lambda v: v)
     def test_oracle_values_cast_to_float64(self, name, cast, monkeypatch):
-        # an r = 0 oracle that returns a list or float32 still solves in
-        # float64: its values reach Horner through float64 rows
+        # an oracle that returns lists (r = 0) or float32 still solves in
+        # float64: Horner steps by float64 rows, and at r = 1 the float32
+        # recurrence reaches the rows as the per-piece loop wrote it
         fx = get_fixture(name)
-        problem = retyped(fx.problem, cast)
-        cfg = SolveConfig(n=3)      # steps 1/9 of the interval: not exact
-        res = solve(problem, fx.params, cfg)
-        assert res.approx.coeffs.dtype == np.float64
-        monkeypatch.setattr(solver, "fine_chain", reference_chain)
-        ref = solve(problem, fx.params, cfg)
-        assert res.y_grid.tobytes() == ref.y_grid.tobytes()
-        assert res.approx.coeffs.tobytes() == ref.approx.coeffs.tobytes()
+        problem = retyped(fx.problem, CASTS[cast])
+        for mode in ("deterministic", "randomized"):
+            # steps 1/9 of the interval: not exact in binary
+            cfg = SolveConfig(n=3, mode=mode, seed=5)
+            res = solve(problem, fx.params, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "fine_chain", reference_chain)
+                ref = solve(problem, fx.params, cfg)
+            assert res.approx.coeffs.dtype == np.float64
+            assert res.y_grid.tobytes() == ref.y_grid.tobytes()
+            assert res.approx.coeffs.tobytes() == ref.approx.coeffs.tobytes()
+
+    @pytest.mark.parametrize("mode", ["deterministic", "randomized",
+                                      "quantum_sim"])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_short_jet_named(self, r, mode):
+        # derivs(r, y) that returns only r orders fails before any estimate,
+        # naming the problem, the orders it returned and the orders r needs
+        def derivs(k, y):
+            y = np.asarray(y, dtype=float)
+            return [np.sin(y), np.cos(y)[..., None]][:max(k, 1)]
+        problem = IvpProblem(1, derivs, [1.0], (0.0, 1.0), name="short")
+        params = HolderParams(r=r, rho=1.0, D=(1.0,) * (r + 1), H=1.0)
+        msg = ("problem 'short': derivs(%d, y) returned %d order%s; r = %d "
+               "needs %d" % (r, r, "" if r == 1 else "s", r, r + 1))
+        with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
+            solve(problem, params, SolveConfig(n=2, m=2, N=2, mode=mode))
