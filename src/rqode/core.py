@@ -218,7 +218,8 @@ class IvpProblem:
     with ``lead`` empty or ``(B,)``, and row b of a batch is the
     single-point value at ``Y[b]``.  ``f(y)`` is order 0 of ``derivs(0, y)``,
     bound to the ``derivs`` given here.  Oracles must be pure functions of
-    their arguments.
+    their arguments.  The fine chain calls ``derivs`` on one ``(d,)`` point
+    per piece, so an oracle's point cost is the chain's cost.
     """
 
     def __init__(self, dim: int, derivs: Callable, eta, interval: tuple,

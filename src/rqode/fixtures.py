@@ -91,8 +91,10 @@ def _build_scalar(entry, params):
     """Jet oracle, reference and endpoint of a ``_SCALAR_FAMILIES`` row.
 
     ``derivs`` writes order 0, the row's f itself, first with no loop or
-    reshape: r = 0 solves fetch it per fine piece.  ``y_star`` is given when
-    the entry declares the lower bound ``p`` that the endpoint solver needs.
+    reshape: r = 0 solves fetch it per fine piece.  Orders 1 and 2 get their
+    trailing axes by indexing (``[..., None]`` per order).  ``y_star`` is
+    given when the entry declares the lower bound ``p`` that the endpoint
+    solver needs.
     """
     family = entry.get("family", entry["name"])
     rows, closed_form = _SCALAR_FAMILIES[family]
@@ -105,9 +107,10 @@ def _build_scalar(entry, params):
             return [rows[0](y)]
         if k not in (1, 2):
             raise ValueError("%s supplies derivatives up to order 2" % family)
-        lead = y.shape[:-1]
-        return [rows[0](y)] + [rows[q](y).reshape(lead + (1,) * (q + 1))
-                               for q in range(1, k + 1)]
+        jet = [rows[0](y), rows[1](y)[..., None]]
+        if k == 2:
+            jet.append(rows[2](y)[..., None, None])
+        return jet
 
     def ref(t):
         v = closed_form(eta0, np.asarray(t, dtype=float) - a)

@@ -13,6 +13,9 @@ amplifies errors by exactly ``n^(r+rho) / mean_scale``.  These problems are
 verification fixtures: solving them and recovering the mean checks solver
 accuracy at the amplification scale.  The jet oracle ``derivs(k, y)`` finds
 each point's bump, evaluates the template once and returns f's orders 0..k.
+A ``(1,)`` point, which the fine chain asks for once per piece, runs on
+floats; a batch runs on masked arrays.  Both go through one template
+formula, written so that a float gets the bytes of an array element.
 """
 
 from __future__ import annotations
@@ -57,22 +60,28 @@ def _bump_jet(x, bins: int, k: int):
     u = x - idx
     mask = (1e-3 < u) & (u < 1.0)
     ui = u[mask]
-    if not ui.size:
-        return idx, mask, []
-    s = ui * (1.0 - ui)
+    return idx, mask, _template(ui, k) if ui.size else []
+
+
+def _template(u, k: int) -> list:
+    """Template orders 0..k at offsets u inside the support, the masked
+    array or one float.  Squares are products and exp and cubes numpy
+    ufuncs, so a float comes out with the bits of an array element."""
+    s = u * (1.0 - u)
     psi = np.exp(4.0 - 1.0 / s)  # includes the 1/peak normalization
     jet = [psi]
     if k >= 1:
-        sp = 1.0 - 2.0 * ui
-        w = sp / s ** 2
+        sp = 1.0 - 2.0 * u
+        w = sp / (s * s)
         jet.append(psi * w)
     if k >= 2:
-        wp = -2.0 / s ** 2 - 2.0 * sp ** 2 / s ** 3
-        jet.append(psi * (w ** 2 + wp))
+        s3 = np.power(s, 3)
+        wp = -2.0 / (s * s) - 2.0 * (sp * sp) / s3
+        jet.append(psi * (w * w + wp))
     if k >= 3:
-        wpp = 12.0 * sp / s ** 3 + 6.0 * sp ** 3 / s ** 4
-        jet.append(psi * (w ** 3 + 3.0 * w * wp + wpp))
-    return idx, mask, jet
+        wpp = 12.0 * sp / s3 + 6.0 * np.power(sp, 3) / np.power(s, 4)
+        jet.append(psi * (np.power(w, 3) + 3.0 * w * wp + wpp))
+    return jet
 
 
 def bump_template(u, order: int = 0):
@@ -141,10 +150,28 @@ class PlantedProblem:
                 jet[q][inside] += lam * (t / self.width ** q)
         return jet
 
+    def _point_jet(self, y: float, k: int) -> list:
+        """``_jet`` on one float.  The mask can hold only for 0 <= x < n,
+        where the clamped bin is int(x); NaN, +-inf and every other x give
+        g = 1, as in the batch."""
+        x = (y - self.eta) / self.width
+        g = [1.0] + [0.0] * k
+        if 0.0 <= x < self.n:
+            i = int(x)
+            u = x - i
+            if 1e-3 < u:
+                lam = self.lambdas[i] * self._bump_scale
+                for q, t in enumerate(_template(u, k)):
+                    g[q] += lam * (t / self.width ** q)
+        return g
+
     def derivs(self, k: int, y):
         if k not in (0, 1, 2):
             raise ValueError("planted problems supply derivatives up to order 2")
         y = np.asarray(y, dtype=float)
+        if y.shape == (1,):  # the fine chain's point, on floats
+            return [np.array(t, ndmin=q + 1) for q, t in enumerate(
+                reciprocal_jet(self._point_jet(float(y[0]), k)))]
         lead = y.shape[:-1]
         return [t.reshape(lead + (1,) * (q + 1)) for q, t in
                 enumerate(reciprocal_jet(self._jet(y.reshape(-1), k)))]

@@ -84,14 +84,17 @@ def inverse_class_params(params: HolderParams, span: float) -> dict:
 def reciprocal_jet(jet: list) -> list:
     """Jet ``[1/g, (1/g)', (1/g)'']`` of 1/g from the jet ``[g, g', g'']``.
 
-    Takes and returns the first r + 1 orders, r <= 2; entries may be arrays.
+    Takes and returns the first r + 1 orders, r <= 2; entries may be arrays
+    or floats.  Squares are products and the cube ``np.power``, so a float
+    gets the bits of an array element.
     """
     g = jet[0]
     out = [1.0 / g]
     if len(jet) > 1:
-        out.append(-jet[1] / g ** 2)
+        out.append(-jet[1] / (g * g))
     if len(jet) > 2:
-        out.append(-jet[2] / g ** 2 + 2.0 * jet[1] ** 2 / g ** 3)
+        out.append(-jet[2] / (g * g)
+                   + 2.0 * (jet[1] * jet[1]) / np.power(g, 3))
     return out
 
 

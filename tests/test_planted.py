@@ -155,6 +155,14 @@ class TestPlantedProblem:
                     fd = (hi - lo) / (2 * h)
                     assert dk == pytest.approx(fd, rel=5e-5, abs=1e-8), (k, y)
 
+    def test_two_entry_point_rejected(self):
+        # a d = 1 oracle takes (1,) points and (B, 1) batches; a (2,) y is
+        # neither, on the float point path or the batch path
+        pl = make_planted([0.5, -0.5], PARAMS_R2)
+        for k in range(3):
+            with pytest.raises(ValueError):
+                pl.derivs(k, np.array([0.1, 0.2]))
+
     def test_class_membership_sampled(self):
         # derived class declaration for f = 1/g validates on a fine grid for
         # every n at or above the documented threshold (n >= 1 here)

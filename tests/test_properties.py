@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from rqode.core import HolderParams
 from rqode.fixtures import fixture_names, get_fixture
 from rqode.planted import bump_template, make_planted
-from rqode.scalar import bisection_solve
+from rqode.scalar import bisection_solve, reciprocal_jet
 from rqode.solver import MODES, SolveConfig, solve
 
 SCALAR = [name for name in fixture_names()
@@ -34,7 +34,19 @@ PLANTED = [make_planted(np.random.default_rng(r).uniform(-1.0, 1.0, PLANTED_L),
 # the strategy are round numbers
 planted_points = (st.integers(0, PLANTED_L).map(lambda i: i / (2 * PLANTED_L))
                   | st.floats(-1.0, 2.0))
+# every example also takes these: NaN, +-inf, y = eta as both zeros, each
+# bump edge and the edge + 1e-3 * width (the mask's lower bound), and points
+# past eta + 1/2, which fall in the clamped last bin
+PLANTED_EDGES = np.arange(PLANTED_L + 1) / (2 * PLANTED_L)
+PLANTED_SPECIAL = np.concatenate([
+    [np.nan, np.inf, -np.inf, 0.0, -0.0], PLANTED_EDGES,
+    PLANTED_EDGES + 1e-3 / (2 * PLANTED_L),
+    0.5 + np.array([0.25, 0.5, 1.0, 1.5, 1e3]) / (2 * PLANTED_L)])
 template_points = st.sampled_from([0.0, 0.5, 1.0]) | st.floats()
+# g away from 0 (a float division by zero raises where an array gives inf)
+# and its derivatives, zeros of both signs included
+reciprocal_g = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+reciprocal_derivs = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
 
 
 def _solve(name, mode, n, seed):
@@ -79,13 +91,30 @@ def test_step_receipts_sum_to_ledger(name, mode, n, seed):
 @settings(max_examples=100, deadline=None)
 def test_planted_batch_equals_points(rk, ys, seed):
     r, k = rk
-    ys = np.concatenate([ys, np.random.default_rng(seed).uniform(-0.1, 0.6, 8)])
+    ys = np.concatenate([ys, PLANTED_SPECIAL,
+                         np.random.default_rng(seed).uniform(-0.1, 0.6, 8)])
     with np.errstate(all="ignore"):
-        batch = PLANTED[r].derivs(k, ys[:, None])[k]
-        points = np.stack([PLANTED[r].derivs(k, ys[i:i + 1])[k]
-                           for i in range(ys.size)])
-    assert batch.shape == points.shape == (ys.size,) + (1,) * (k + 1)
-    assert batch.tobytes() == points.tobytes()
+        batch = PLANTED[r].derivs(k, ys[:, None])
+        points = [PLANTED[r].derivs(k, ys[i:i + 1]) for i in range(ys.size)]
+    for q in range(k + 1):
+        stacked = np.stack([jet[q] for jet in points])
+        assert batch[q].shape == stacked.shape == (ys.size,) + (1,) * (q + 1)
+        assert batch[q].tobytes() == stacked.tobytes()
+
+
+@given(st.integers(0, 2), reciprocal_g,
+       st.lists(reciprocal_derivs, min_size=2, max_size=2), seeds)
+@settings(max_examples=100, deadline=None)
+def test_reciprocal_jet_float_equals_array(k, g, derivs, seed):
+    # the drawn jet and 32 uniform ones from the seed, g in the planted
+    # oracle's range
+    rng = np.random.default_rng(seed)
+    jets = [[g] + derivs] + np.column_stack(
+        [rng.uniform(0.05, 2.0, 32), rng.uniform(-1e3, 1e3, (32, 2))]).tolist()
+    for jet in jets:
+        floats = reciprocal_jet(jet[:k + 1])
+        arrays = reciprocal_jet([np.array([v]) for v in jet[:k + 1]])
+        assert np.array(floats).tobytes() == np.concatenate(arrays).tobytes()
 
 
 @given(st.integers(0, 3), st.lists(template_points, max_size=16), seeds)
