@@ -26,12 +26,13 @@ from the family's item table: ``mc_mean`` tabulates the whole family once
 when its k runs draw at least as many items in total as the family holds,
 so the runs share one table, but the ledger still pays for every draw.
 
-A family's items have one layout, ``(..., d)`` rows, and one reader,
-``IndexedFamily.access``, which charges them.  Every mean of a family,
-sampled or exact, is one ``_row_means`` reduction of items read there, in
-the order numpy's ``items.mean(axis=0)`` takes (pairwise for d = 1, row
-after row for d >= 2), so a table changes wall time only, never a value or
-a charge.
+A family's items have one layout, ``(..., d)`` float64 rows, and one
+reader, ``IndexedFamily.access``, which charges them.  Every mean of a
+family, sampled or exact, is one ``_row_means`` reduction of items read
+there, in the order numpy's ``items.mean(axis=0)`` takes, from +0.0
+(pairwise for d = 1, row after row for d >= 2, a component pair summed as
+one complex128), so a table changes wall time only, never a value or a
+charge.
 
 ``BACKENDS`` holds one :class:`Backend` record per oracle-cost model, keyed
 by mode name (``MODES``): everything the solvers, the endpoint bisection and
@@ -106,9 +107,10 @@ class IndexedFamily:
 
     Item ``i*n_mid + k`` is ``_items(i, k)``: subclasses implement
     ``_items`` over index arrays ``i`` (cell) and ``k`` (midpoint) that
-    broadcast together, returning their broadcast shape plus ``(dim,)``, and
-    must put every element through the same operations in the same order
-    whatever the shapes.  ``access`` feeds it flat index arrays and
+    broadcast together, returning their broadcast shape plus ``(dim,)`` (as
+    float64 C-contiguous rows, which ``access`` and ``tabulate`` make them),
+    and must put every element through the same operations in the same
+    order whatever the shapes.  ``access`` feeds it flat index arrays and
     ``tabulate`` the whole grid, so the two agree bit for bit.  ``bound`` is
     a uniform sup-norm bound on the items, used by the sampled backends for
     calibration.
@@ -160,35 +162,40 @@ class IndexedFamily:
     def _buffer(self, name: str, shape: tuple) -> np.ndarray:
         return self._workspace.array(name, shape)
 
-    def _gather(self, name: str, rows: np.ndarray, idx) -> np.ndarray:
-        """``rows[idx]`` for indices known to lie in [-len(rows), len(rows)),
-        gathered into buffer ``name``: ``"wrap"`` writes straight into it,
-        where ``"raise"`` would gather into a temporary and copy that."""
-        out = self._buffer(name, np.shape(idx) + rows.shape[1:])
-        return np.take(rows, idx, axis=0, mode="wrap", out=out)
+    def _gather(self, name: str, rows: np.ndarray, idx,
+                axis: int = 0) -> np.ndarray:
+        """``rows`` at ``idx`` along ``axis``, for indices known to lie in
+        numpy's bounds there, gathered into buffer ``name``: ``"wrap"``
+        writes straight into it, where ``"raise"`` would gather into a
+        temporary and copy that."""
+        out = self._buffer(name, rows.shape[:axis] + np.shape(idx)
+                           + rows.shape[axis + 1:])
+        return np.take(rows, idx, axis=axis, mode="wrap", out=out)
 
     def tabulate(self) -> np.ndarray:
         """All items from one broadcast over the grid; charges nothing.
 
         Midpoints run on the outer axis so the elementwise loops are long;
         one transposed copy into buffer ``"table"``, shaped ``(cells, n_mid,
-        d)``, puts the items in index order, and the result is its ``(s,
-        d)`` reshape.  Later calls return the same table, until the next
+        d)`` and taken by ``_columns`` (component pairs as complex128), puts
+        the items in index order, and the result is its ``(s, d)``
+        reshape.  Later calls return the same table, until the next
         family on the workspace computes items.
         """
         if self._table is None:
-            grid = self._items(np.arange(self.cells),
-                               np.arange(self.n_mid)[:, None])
+            grid = np.ascontiguousarray(self._items(
+                np.arange(self.cells), np.arange(self.n_mid)[:, None]),
+                dtype=float)
             table = self._buffer("table", (self.cells, self.n_mid, self.dim))
-            np.copyto(table, grid.transpose(1, 0, 2))
+            np.copyto(_columns(table), _columns(grid).transpose(1, 0, 2))
             self._table = table.reshape(self.size, self.dim)
         return self._table
 
     def access(self, idx) -> np.ndarray:
         """Items at the given indices, ``idx.shape + (d,)``, charged to the
         ledger one f evaluation per index.  Indices take numpy's bounds,
-        [-s, s).  Without a table the items are computed; with one they are
-        gathered into buffer ``"grid"``."""
+        [-s, s).  Without a table the items are computed, as float64 like
+        the table; with one they are gathered into buffer ``"grid"``."""
         idx = np.atleast_1d(np.asarray(idx, dtype=int))
         if idx.size and (idx.min() < -self.size or idx.max() >= self.size):
             raise IndexError("index out of range for a family of %d items"
@@ -196,7 +203,8 @@ class IndexedFamily:
         if self._table is None:
             flat = idx.reshape(-1)
             i = flat // self.n_mid
-            items = self._items(i, flat - i * self.n_mid).reshape(
+            items = np.ascontiguousarray(
+                self._items(i, flat - i * self.n_mid), dtype=float).reshape(
                 idx.shape + (self.dim,))
         else:
             items = self._gather("grid", self._table, idx)
@@ -229,14 +237,29 @@ class IndexedFamily:
 
 
 def _row_means(items: np.ndarray, out=None) -> np.ndarray:
-    """The ``(..., d)`` means of a ``(..., sigma, d)`` block over its sigma
-    axis, summed as ``.mean(axis=0)`` sums ``(sigma, d)`` items: pairwise
-    for d = 1, row after row (into ``out`` if given) for d >= 2."""
+    """The ``(..., d)`` means of a ``(..., sigma, d)`` block of float64 rows
+    over its sigma axis, summed as ``.mean(axis=0)`` sums ``(sigma, d)``
+    items, from +0.0: pairwise for d = 1; for d >= 2 row after row, one
+    long ``cumsum`` pass (into ``out`` if given) per column of ``_columns``.
+    A cumsum starts from its first item, and the two running sums differ
+    only where one is -0.0 and the other +0.0, so adding +0.0 to its last
+    row gives numpy's sum (-0.0 items have the mean +0.0)."""
     if items.shape[-1] == 1:
-        total = items[..., 0].sum(axis=-1)[..., None]
-    else:
-        total = np.cumsum(items, axis=-2, out=out)[..., -1, :]
-    return total / items.shape[-2]
+        return items[..., 0].sum(axis=-1)[..., None] / items.shape[-2]
+    if out is None:
+        out = np.empty(items.shape)
+    src, dst = _columns(items), _columns(out)
+    for c in range(src.shape[-1]):
+        np.cumsum(src[..., c], axis=-1, out=dst[..., c])
+    return (out[..., -1, :] + 0.0) / items.shape[-2]
+
+
+def _columns(rows: np.ndarray) -> np.ndarray:
+    """``(..., d)`` float64 rows as the columns numpy's loops should run
+    along, not a short d axis: for even d each component pair viewed as one
+    complex128, whose sums and copies keep each part's bytes; else each
+    component."""
+    return rows.view(np.complex128) if rows.shape[-1] % 2 == 0 else rows
 
 
 class ArrayFamily(IndexedFamily):

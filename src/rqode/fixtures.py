@@ -69,10 +69,22 @@ _SCALAR_FAMILIES = {
 
 
 def _cos_time_derivs(k, y):
-    # the jet of f(t, x) = (1, cos t) at a point (2,) or a batch (B, 2)
+    # the jet of f(t, x) = (1, cos t) at a point (2,) or a batch (B, 2); a
+    # point, which the fine chain asks for once per piece, gets its orders
+    # built directly, with np.cos and np.sin of y[0] as a numpy float
     if k not in (0, 1, 2):
         raise ValueError("cos_time supplies derivatives up to order 2")
     y = np.asarray(y, dtype=float)
+    if y.shape == (2,):
+        u = y[0]
+        jet = [np.array((1.0, np.cos(u)))]
+        if k >= 1:
+            jet.append(np.zeros((2, 2)))
+            jet[1][1, 0] = -np.sin(u)
+        if k == 2:
+            jet.append(np.zeros((2, 2, 2)))
+            jet[2][1, 0, 0] = -jet[0][1]
+        return jet
     u = y[..., 0]
     jet = [np.zeros(y.shape[:-1] + (2,) * (q + 1)) for q in range(k + 1)]
     jet[0][..., 0] = 1.0

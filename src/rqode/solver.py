@@ -97,12 +97,14 @@ class ResidualFamily(IndexedFamily):
     ``solve`` builds every step's family on one workspace, its own for the
     solve's life.  For r <= 1, the orders the perfbench workloads run,
     ``_items`` computes every table-sized array in a buffer of it, and only
-    the oracle's output is a new array: ``"C"``, ``"jet0"`` and ``"jet1"``
-    hold the gathered piece rows, ``"tau"`` the midpoint offsets, ``"Y"``
+    the oracle's output is a new array: ``"C"`` holds the gathered flow
+    coefficients as contiguous per-order rows (the family keeps them so,
+    ``(deg+1, m, d)``, for loops as long as the grid), ``"jet0"`` and
+    ``"jet1"`` the gathered jets, ``"tau"`` the midpoint offsets, ``"Y"``
     the flow values and then their displacement from the piece start,
-    ``"order1"`` the expansion's order-1 products, and ``"grid"`` the
-    expansion's value W and then the result.  The order-2 term is one plain
-    expression in new arrays.
+    ``"order1"`` one order-1 product at a time (``_order1``), and ``"grid"``
+    the expansion's value W and then the result.  The order-2 term is one
+    plain expression in new arrays.
     """
 
     def __init__(self, problem: IvpProblem, params: HolderParams,
@@ -111,7 +113,8 @@ class ResidualFamily(IndexedFamily):
                  workspace: Optional[Workspace] = None):
         self._problem = problem
         self._params = params
-        self._C = piece_coeffs              # (m, deg+1, d)
+        # (deg+1, m, d): the pieces' coefficients as contiguous order rows
+        self._rows = np.ascontiguousarray(piece_coeffs.transpose(1, 0, 2))
         self._T = jets                      # list of stacked tensors by order
         self._hbar = float(hbar)
         self._step = int(step)
@@ -123,32 +126,49 @@ class ResidualFamily(IndexedFamily):
     def _items(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
         d = self.dim
         shape = np.broadcast_shapes(np.shape(j), np.shape(k)) + (d,)
-        C = self._gather("C", self._C, j)
+        rows = self._gather("C", self._rows, j, axis=1)
         tau = np.add(k, 0.5, out=self._buffer("tau", np.shape(k)))
         tau /= self.n_mid
         tau *= self._hbar
-        Y = horner(C, tau, out=self._buffer("Y", shape))
+        Y = horner(rows.transpose(1, 0, 2), tau, out=self._buffer("Y", shape))
         F = np.asarray(self._problem.f(Y.reshape(-1, d)),
                        dtype=float).reshape(shape)
         if np.may_share_memory(F, Y):   # f may hand back its input
             F = F.copy()
         grid = self._buffer("grid", shape)
         W = self._gather("jet0", self._T[0], j)
-        # products summed over trailing axes: np.einsum is several times
-        # slower on the broadcast grid of ``tabulate``
         if len(self._T) >= 2:
-            delta = np.subtract(Y, C[..., 0, :], out=Y)[..., None, :]
-            prod = np.multiply(self._gather("jet1", self._T[1], j), delta,
-                               out=self._buffer("order1", shape + (d,)))
-            W = np.add(np.sum(prod, axis=-1, out=grid), W, out=grid)
+            delta = np.subtract(Y, rows[0], out=Y)
+            W = np.add(_order1(self._gather("jet1", self._T[1], j), delta,
+                               grid, self._buffer("order1", shape[:-1])),
+                       W, out=grid)
         if len(self._T) >= 3:
-            W += 0.5 * np.sum(self._T[2][j] * delta[..., None]
-                              * delta[..., None, :], axis=(-2, -1))
+            W += 0.5 * np.sum(self._T[2][j] * delta[..., None, :, None]
+                              * delta[..., None, None, :], axis=(-2, -1))
         out = np.subtract(F, W, out=grid)
         out /= self._hbar ** self._params.order
         require_finite((out,), "f or the residual at the fine-cell midpoints "
                        "not finite at coarse step %d", self._step)
         return out
+
+
+def _order1(J: np.ndarray, delta: np.ndarray, out: np.ndarray,
+            term: np.ndarray) -> np.ndarray:
+    """``np.sum(J * delta[..., None, :], axis=-1)``, the order-1 term, bit
+    for bit into ``out``, in loops as long as the grid: numpy sums fewer
+    than 8 terms left to right from +0.0 (so -0.0 + -0.0 gives +0.0), here
+    one product ``J[..., a, b] * delta[..., b]`` in ``term`` at a time;
+    from d = 8 on it sums pairwise, and runs itself."""
+    d = delta.shape[-1]
+    if d >= 8:
+        return np.sum(J * delta[..., None, :], axis=-1, out=out)
+    for a in range(d):
+        acc = out[..., a]
+        np.add(0.0, np.multiply(J[..., a, 0], delta[..., 0], out=term),
+               out=acc)
+        for b in range(1, d):
+            acc += np.multiply(J[..., a, b], delta[..., b], out=term)
+    return out
 
 
 @dataclass

@@ -657,7 +657,7 @@ class TestMeanAt:
     """``mean_at`` reads and reduces in one step, bit for bit like
     ``access(idx).mean(axis=0)`` and with the same charge."""
 
-    @given(dim=st.integers(1, 3), size=st.integers(1, 3000),
+    @given(dim=st.integers(1, 4), size=st.integers(1, 3000),
            sigma=st.integers(1, 20000), tabulated=st.booleans(),
            seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=80, deadline=None)
@@ -676,6 +676,37 @@ class TestMeanAt:
         assert got.shape == (dim,)
         assert got.tobytes() == ref.tobytes()
         assert got.tobytes() == vals[idx].mean(axis=0).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("tabulated", [False, True])
+    def test_special_values_keep_bytes(self, dim, tabulated):
+        # a pair of components is summed as one complex128 column: each
+        # component, first or second of its pair or an odd d's last, keeps
+        # its own sum, its infinities and its NaN, and starts from +0.0 as
+        # numpy's mean does, so rows of -0.0 average to +0.0
+        gen = np.random.default_rng(dim)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0])
+        vals = gen.choice(special, size=(40, dim))
+        vals[:8] = -0.0
+        vals[8:16] = gen.choice([0.0, -0.0], size=(8, dim))
+        vals[16:24] = gen.choice([np.inf, 1.0, -0.0], size=(8, dim))
+        vals[24:28, -1] = -np.inf
+        idx = np.stack([gen.integers(0, 8, 30), gen.integers(0, 16, 30),
+                        gen.integers(8, 24, 30), gen.integers(16, 28, 30),
+                        gen.integers(0, 40, 30)])
+        fam = ArrayFamily(vals, bound=1.0)
+        if tabulated:
+            fam.tabulate()
+        ref = np.stack([vals[row].mean(axis=0) for row in idx])
+        assert (ref[0] == 0.0).all() and not np.signbit(ref[0]).any()
+        assert np.isnan(ref[4]).any()
+        assert np.isposinf(ref[2]).any() and np.isnan(ref[3, -1])
+        assert fam.mean_at(idx).tobytes() == ref.tobytes()
+        for row, want in zip(idx, ref):
+            assert fam.mean_at(row).tobytes() == want.tobytes()
+        assert fam.exact_mean().tobytes() == vals.mean(axis=0).tobytes()
+        assert fam.mean_at(idx).tobytes() == ref.tobytes()  # from the table
 
     @pytest.mark.parametrize("tabulated", [False, True])
     def test_index_out_of_range_raises(self, tabulated):

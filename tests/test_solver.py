@@ -13,8 +13,8 @@ from rqode.core import (ClassViolationError, CostLedger, HolderParams,
                         IvpProblem, residual_bound)
 from rqode.fixtures import fixture_names, get_fixture, reference_solver
 from rqode.estimators import Workspace, empirical_quantile, rms_error
-from rqode.solver import (ResidualFamily, SolveConfig, run_trials, solve,
-                          sup_error)
+from rqode.solver import (ResidualFamily, SolveConfig, _order1, run_trials,
+                          solve, sup_error)
 from rqode.taylor import fetch_jet
 
 
@@ -473,7 +473,7 @@ def reference_items(fam, idx):
     f at the flow value minus the degree-r field expansion about the piece
     start, over hbar^(r+rho)."""
     j, k = np.divmod(idx, fam.n_mid)
-    C = fam._C[j]
+    C = np.moveaxis(fam._rows, 0, 1)[j]
     Y = C[:, -1]
     for q in range(C.shape[1] - 2, -1, -1):
         Y = Y * ((k + 0.5) / fam.n_mid * fam._hbar)[:, None] + C[:, q]
@@ -560,6 +560,43 @@ class TestBufferReuse:
                   if isinstance(leaf, np.ndarray)]
         assert any(a is res.approx.coeffs for a in arrays)
         assert not any(shares_a_buffer(leaf, ws) for leaf in arrays)
+
+
+class TestOrder1Term:
+    """The order-1 term of the field expansion is summed one component at a
+    time, in long loops, with ``np.sum``'s bytes."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])     # 8: np.sum runs itself
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_equals_np_sum_on_signed_zeros(self, d, grid):
+        # np.sum over a short trailing axis adds left to right from +0.0,
+        # so -0.0 products sum to +0.0 and a bare add would keep -0.0;
+        # shaped as access reads (B items) and as tabulate broadcasts
+        # (midpoints x pieces)
+        gen = np.random.default_rng(d)
+        lead = (7, 5) if grid else (35,)
+        J = gen.choice([0.0, -0.0], size=lead[-1:] + (d, d))
+        delta = gen.choice([0.0, -0.0, 1.0, -1.0], size=lead + (d,))
+        out = np.full(lead + (d,), np.nan)
+        got = _order1(J, delta, out, np.empty(lead))
+        want = np.sum(J * delta[..., None, :], axis=-1)
+        assert got is out and got.tobytes() == want.tobytes()
+        assert np.signbit(J * delta[..., None, :]).any()
+        assert not np.signbit(want).any()
+
+    @pytest.mark.parametrize("name", ["cos_time_r1", "cos_time_r2"])
+    def test_table_equals_access(self, name):
+        # d = 2 at r = 1, and r = 2 (cos_time under test_solve_digests'
+        # COS_TIME_R2 class): the broadcast table and flat reads in any
+        # order agree bit for bit
+        prob, params = REUSE_PROBLEMS[name]()
+        fam = residual_family(prob, params, 16, 24)
+        idx = np.random.default_rng(9).permutation(fam.size)
+        read = fam.access(idx).copy()
+        assert read.tobytes() == reference_items(fam, idx).tobytes()
+        table = fam.tabulate()
+        assert table[idx].tobytes() == read.tobytes()
+        assert fam.access(idx[::-1]).tobytes() == read[::-1].tobytes()
 
 
 class TestErrorRecursionSanity:
